@@ -19,9 +19,19 @@ _GENERATOR_STREAM = 0x0D5E7
 # Fraction of the grid spacing used as uniform jitter on center coordinates.
 _JITTER_FRACTION = 0.1
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 
 class DatasetFormatError(ValueError):
     """Raised when a data or label file does not match the text format."""
+
+
+def dense_remap(labels: np.ndarray) -> np.ndarray:
+    """Remap arbitrary integer labels to [0, k) by order of first appearance."""
+    labels = np.asarray(labels, dtype=np.int64)
+    _, first_pos, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(np.argsort(first_pos))
+    return order[inverse]
 
 
 @dataclass(frozen=True)
@@ -152,22 +162,18 @@ def load_dataset(data_path: str | Path, labels_path: str | Path, name: str | Non
     data_path = Path(data_path)
     labels_path = Path(labels_path)
 
-    rows = _parse_data_lines(data_path)
+    points = _parse_data_lines(data_path)
     raw_labels = _parse_label_lines(labels_path)
-    if len(raw_labels) != len(rows):
+    if len(raw_labels) != len(points):
         raise DatasetFormatError(
-            f"{labels_path}: {len(raw_labels)} labels for {len(rows)} data lines in {data_path}"
+            f"{labels_path}: {len(raw_labels)} labels for {len(points)} data lines in {data_path}"
         )
 
-    remap: dict[int, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, raw in enumerate(raw_labels):
-        labels[i] = remap.setdefault(raw, len(remap))
-
+    labels = dense_remap(raw_labels)
     return LabeledDataset(
-        points=np.array(rows, dtype=np.float64),
+        points=points,
         labels=labels,
-        n_clusters=len(remap),
+        n_clusters=int(labels.max()) + 1,
         name=name if name is not None else data_path.stem,
     )
 
@@ -187,7 +193,7 @@ def _strip_trailing_blanks(lines: list[str]) -> list[str]:
     return lines[:end]
 
 
-def _parse_data_lines(path: Path) -> list[list[float]]:
+def _parse_data_lines(path: Path) -> np.ndarray:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -209,8 +215,6 @@ def _parse_data_lines(path: Path) -> list[list[float]]:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: invalid numeric token {bad!r}"
             ) from None
-        if not all(np.isfinite(row)):
-            raise DatasetFormatError(f"{path}: line {lineno}: non-finite value")
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -218,7 +222,13 @@ def _parse_data_lines(path: Path) -> list[list[float]]:
                 f"{path}: line {lineno}: expected {width} values, found {len(row)}"
             )
         rows.append(row)
-    return rows
+
+    points = np.array(rows, dtype=np.float64)
+    non_finite = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if non_finite.size:
+        # Data lines have no gaps (blank lines are rejected above): row i is line i + 1.
+        raise DatasetFormatError(f"{path}: line {non_finite[0] + 1}: non-finite value")
+    return points
 
 
 def _parse_label_lines(path: Path) -> list[int]:
@@ -234,11 +244,16 @@ def _parse_label_lines(path: Path) -> list[int]:
     for lineno, line in enumerate(lines, start=1):
         token = line.strip()
         try:
-            labels.append(int(token, 10))
+            label = int(token, 10)
         except ValueError:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: invalid integer label {token!r}"
             ) from None
+        if not _INT64_MIN <= label <= _INT64_MAX:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: label {token!r} does not fit a 64-bit integer"
+            )
+        labels.append(label)
     return labels
 
 

@@ -13,17 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import pairwise_distances, pairwise_sq_distances
+from .dataset import dense_remap
+from .distance import distance_rows, pairwise_sq_distances, row_blocks
+
+# Not called here: silhouette reduces row blocks instead of building the full
+# matrix. The name stays bound because perfbench/layertrace.py wraps
+# metrics.pairwise_distances to count full matrices built for silhouette.
+from .distance import pairwise_distances  # noqa: F401
 
 METRIC_NAMES = ("nmi", "ri", "ari", "silhouette", "davies_bouldin")
-
-
-def _dense_remap(labels: np.ndarray) -> np.ndarray:
-    """Remap arbitrary integer labels to [0, k) by order of first appearance."""
-    labels = np.asarray(labels, dtype=np.int64)
-    _, first_pos, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first_pos))
-    return order[inverse]
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class PartitionPair:
     @classmethod
     def from_labels(cls, predicted, truth) -> "PartitionPair":
         """Build a pair, remapping both label vectors to dense [0, k) ranges."""
-        return cls(predicted=_dense_remap(predicted), truth=_dense_remap(truth))
+        return cls(predicted=dense_remap(predicted), truth=dense_remap(truth))
 
     @property
     def n(self) -> int:
@@ -158,7 +156,7 @@ def adjusted_rand_index(pair: PartitionPair) -> float:
 
 def _present_clusters(assignments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     assignments = np.asarray(assignments, dtype=np.int64)
-    dense = _dense_remap(assignments)
+    dense = dense_remap(assignments)
     counts = np.bincount(dense)
     return dense, counts
 
@@ -173,7 +171,9 @@ def silhouette(
     d_w is the mean distance to the point's own cluster (itself excluded),
     d_n the mean distance to the nearest other cluster. Points in singleton
     clusters contribute 0. Pass `distances` (full n x n matrix) to reuse a
-    precomputed pairwise-distance matrix.
+    precomputed pairwise-distance matrix. Without it, distance rows are
+    computed one row block at a time and reduced to per-cluster sums at once,
+    so memory is O(block * n + n * k) rather than O(n^2).
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     dense, counts = _present_clusters(assignments)
@@ -184,13 +184,19 @@ def silhouette(
         raise ValueError("silhouette requires at least 2 points")
     if counts.size < 2:
         raise ValueError("silhouette requires at least 2 distinct clusters")
-    if distances is None:
-        distances = pairwise_distances(matrix)
 
     kp = counts.size
     onehot = np.zeros((n, kp))
     onehot[np.arange(n), dense] = 1.0
-    cluster_sums = distances @ onehot
+    # Cached or not, the sums are reduced over the same row blocks, so both
+    # paths give the same bits when `distances` came from pairwise_distances.
+    cluster_sums = np.empty((n, kp))
+    for start, stop in row_blocks(n):
+        if distances is None:
+            rows = distance_rows(matrix, start, stop)
+        else:
+            rows = distances[start:stop]
+        cluster_sums[start:stop] = rows @ onehot
 
     own_counts = counts[dense]
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -176,6 +176,22 @@ class TestLoader:
         with pytest.raises(DatasetFormatError, match="line 2.*'oops'"):
             load_dataset(data, labels)
 
+    def test_non_finite_names_first_offending_line(self, tmp_path):
+        data = tmp_path / "d.txt"
+        labels = tmp_path / "l.txt"
+        data.write_text("1 2\n3 4\n5 nan\ninf 6\n")
+        labels.write_text("0\n1\n0\n1\n")
+        with pytest.raises(DatasetFormatError, match=r"d\.txt: line 3: non-finite value"):
+            load_dataset(data, labels)
+
+    def test_label_outside_int64_names_line(self, tmp_path):
+        data = tmp_path / "d.txt"
+        labels = tmp_path / "l.txt"
+        data.write_text("1\n2\n")
+        labels.write_text(f"0\n{2**63}\n")
+        with pytest.raises(DatasetFormatError, match="line 2: label .* 64-bit"):
+            load_dataset(data, labels)
+
     def test_line_count_mismatch(self, tmp_path):
         data = tmp_path / "d.txt"
         labels = tmp_path / "l.txt"

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cluster_sense import distance
+from cluster_sense.cli import summary_csv_text
 from cluster_sense.dataset import generate_dim_like, save_dataset
 from cluster_sense.experiment import (
     FileSource,
@@ -271,6 +273,27 @@ class TestRunSweep:
         assert any(
             fixed_values[key] != redrawn_values[key] for key in fixed_values
         )
+
+    def test_row_block_budget_does_not_change_summary_bytes(self, tmp_path, monkeypatch):
+        # A file dataset with per-repeat noise: every augmented silhouette runs
+        # the blocked kernel, and the level-0 cells the cached matrix. n = 96
+        # is a multiple of 8, where blocks round like the whole matrix (see
+        # cluster_sense.distance), so forcing 40-row blocks (40, 40, 16) must
+        # leave the summary bytes unchanged.
+        ds = generate_dim_like(4, 6, 16, 4.0, seed=5)
+        save_dataset(ds, tmp_path / "d.txt", tmp_path / "l.txt")
+        source = FileSource(
+            name="file", data_path=str(tmp_path / "d.txt"), labels_path=str(tmp_path / "l.txt")
+        )
+        config = _toy_config(
+            datasets=(source,), max_ratio=Fraction(1), redraw_noise_per_repeat=True, repeats=2
+        )
+        one_block = summary_csv_text(run_sweep(config))
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 40 * 8 * ds.n_points)
+        assert len(distance.row_blocks(ds.n_points)) == 3
+        many_blocks = summary_csv_text(run_sweep(config))
+        assert many_blocks == one_block
+        assert "error" not in one_block
 
     def test_provenance_echo(self):
         config = _toy_config()

@@ -1,10 +1,13 @@
 """Metric tests: frozen hand values, brute-force oracles, and invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cluster_sense import distance
+from cluster_sense.distance import pairwise_distances
 from cluster_sense.metrics import (
     MetricReport,
     PartitionPair,
@@ -210,14 +213,59 @@ class TestSilhouette:
             silhouette(np.zeros((3, 1)), [0, 0, 0])
 
     def test_precomputed_distances_match(self):
-        from cluster_sense.distance import pairwise_distances
-
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(40, 3))
         labels = rng.integers(0, 3, 40)
         direct = silhouette(matrix, labels)
         cached = silhouette(matrix, labels, distances=pairwise_distances(matrix))
         assert direct == cached
+
+
+class TestBlockedSilhouette:
+    """Silhouette over row blocks of the distance matrix (budget shrunk)."""
+
+    @staticmethod
+    def _shrink_budget(monkeypatch, rows, n):
+        monkeypatch.setattr(distance, "BLOCK_BYTES", rows * 8 * n)
+
+    @pytest.mark.parametrize("n, rows", [(40, 7), (45, 8), (33, 1)])
+    def test_blocked_equals_cached_and_oracle(self, monkeypatch, n, rows):
+        rng = np.random.default_rng(n)
+        matrix = rng.normal(size=(n, 3)) * 2.0
+        labels = rng.integers(0, 4, n)
+        labels[0] = 9  # a singleton cluster contributes 0
+        self._shrink_budget(monkeypatch, rows, n)
+        blocks = distance.row_blocks(n)
+        assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] <= rows
+        blocked = silhouette(matrix, labels)
+        cached = silhouette(matrix, labels, distances=pairwise_distances(matrix))
+        assert blocked == cached
+        oracle = silhouette_oracle(matrix.tolist(), labels.tolist())
+        assert blocked == pytest.approx(oracle, abs=1e-12)
+
+    def test_block_budget_changes_nothing_but_rounding(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        matrix = rng.normal(size=(203, 5))
+        labels = rng.integers(0, 6, 203)
+        whole = silhouette(matrix, labels)
+        self._shrink_budget(monkeypatch, 16, 203)
+        assert silhouette(matrix, labels) == pytest.approx(whole, abs=1e-12)
+
+    def test_memory_is_block_times_n_not_n_squared(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc; 32-row blocks of n = 1024
+        # are 1/32 of the matrix, so the peak stays far below one n x n matrix.
+        n = 1024
+        rng = np.random.default_rng(12)
+        matrix = rng.normal(size=(n, 4))
+        labels = rng.integers(0, 16, n)
+        self._shrink_budget(monkeypatch, 32, n)
+        tracemalloc.start()
+        try:
+            silhouette(matrix, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestDaviesBouldin:
