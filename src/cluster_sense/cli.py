@@ -382,6 +382,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "output_dir": str(out),
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
+        "workers": result.workers,
+        "blas_threads": result.blas_threads,
         "emitted_files": [{"kind": kind, "path": rel} for kind, rel in emitted]
         + [{"kind": "manifest", "path": "manifest.json"}],
     }

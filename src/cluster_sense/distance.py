@@ -26,15 +26,23 @@ import numpy as np
 BLOCK_BYTES = 8 * 1024 * 1024
 
 
-def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pairwise_sq_distances(
+    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None
+) -> np.ndarray:
     """Squared Euclidean distances between rows of `a` and rows of `b`.
 
     Uses the |a|^2 + |b|^2 - 2ab expansion (BLAS-backed); tiny negative
     values from cancellation are clipped to zero.
+
+    a_sq, when given, must be the squared row norms of `a` as computed by
+    np.einsum("ij,ij->i", a, a) on the same float64 array; a caller that
+    measures many `b` against one `a` (a k-means fit) computes it once
+    instead of once per call. The result is bit-identical either way.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    a_sq = np.einsum("ij,ij->i", a, a)
+    if a_sq is None:
+        a_sq = np.einsum("ij,ij->i", a, a)
     b_sq = np.einsum("ij,ij->i", b, b)
     # In place, two result-sized buffers; (-2ab) + (|a|^2 + |b|^2) rounds
     # exactly like (|a|^2 + |b|^2) - 2ab.

@@ -9,8 +9,11 @@ are independent of scheduling and of which other cells run.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,6 +148,10 @@ class SweepResult:
     config: SweepConfig
     version: str = __version__
     raw: Optional[tuple[RawValue, ...]] = None
+    # Resolved worker count and the BLAS thread count the cells ran with
+    # (None when the BLAS thread count cannot be read or set).
+    workers: int = 1
+    blas_threads: Optional[int] = None
 
 
 def sweep_levels(n_features: int, max_ratio: Fraction, ratio_step: int) -> range:
@@ -191,6 +198,87 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     if value == 0:
         return os.cpu_count() or 1
     return value
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS numpy has loaded.
+
+    Finds the library among this process's mapped files and opens it without
+    loading anything new; returns None for another BLAS or where there is no
+    /proc/self/maps.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted(
+                {
+                    fields[5]
+                    for fields in (line.rstrip("\n").split(maxsplit=5) for line in maps)
+                    if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
+                }
+            )
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def blas_thread_count() -> Optional[int]:
+    """Current OpenBLAS thread count, or None if it cannot be controlled."""
+    controls = _openblas_thread_controls()
+    return None if controls is None else controls[0]()
+
+
+# The BLAS thread count is process-wide, so the pin's bookkeeping is too.
+_blas_pin_lock = threading.Lock()
+_blas_pin_depth = 0
+_blas_pin_saved = 0
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Limit OpenBLAS to one thread for the body, then restore its count.
+
+    Pool workers already use every core; letting each of them also start
+    BLAS threads oversubscribes the CPUs. Nested or overlapping uses share
+    one pin, and the count seen on first entry comes back on last exit.
+    Yields the thread count the body runs with, or None (and changes
+    nothing) when the BLAS cannot be controlled.
+    """
+    global _blas_pin_depth, _blas_pin_saved
+    controls = _openblas_thread_controls()
+    if controls is None:
+        yield None
+        return
+    get, set_ = controls
+    with _blas_pin_lock:
+        if _blas_pin_depth == 0:
+            _blas_pin_saved = get()
+            set_(1)
+        _blas_pin_depth += 1
+    try:
+        yield 1
+    finally:
+        with _blas_pin_lock:
+            _blas_pin_depth -= 1
+            if _blas_pin_depth == 0:
+                set_(_blas_pin_saved)
 
 
 def _error_code(exc: Exception) -> str:
@@ -260,7 +348,7 @@ def _run_cell(
             distances = pairwise_distances(scaled)
             for repeat in range(config.repeats):
                 _run_repeat(plan, base, scaled, distances, config, repeat, per_metric)
-    except Exception as exc:  # degraded cell, sweep continues
+    except ValueError as exc:  # degraded cell, sweep continues; bugs propagate
         return _error_cells(plan, config.repeats, _error_code(exc)), []
 
     cells = []
@@ -327,8 +415,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     For each (dataset, noise kind, scaling) triple, augmentation levels run
     from 0 to ceil(max_ratio * D) columns in ratio_step increments; each cell
     clusters `repeats` times and records the mean and population standard
-    deviation of every metric. Failed cells are marked error:<code> rather
-    than aborting the sweep.
+    deviation of every metric. Cells that hit a data condition (a ValueError
+    such as an inverted uniform range) are marked error:<code> rather than
+    aborting the sweep; any other exception propagates.
+
+    With more than one worker the cells run on a thread pool, and OpenBLAS
+    (if that is numpy's BLAS) is held to one thread meanwhile, its previous
+    count restored afterwards.
     """
     workers = resolve_workers(config.workers)
 
@@ -350,7 +443,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             if not config.redraw_noise_per_repeat:
                 try:
                     noise_columns = append_noise(base, spec, max_level).appended
-                except Exception as exc:
+                except ValueError as exc:
                     noise_error = exc
             for scaling in config.scalings:
                 for level in levels:
@@ -371,10 +464,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         return _run_cell(plan, base, noise_columns, noise_error, spec, config)
 
     if workers <= 1:
+        blas_threads = blas_thread_count()
         outcomes = [execute(task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, tasks))
+        with _single_blas_thread() as blas_threads, ThreadPoolExecutor(workers) as pool:
+            try:
+                outcomes = list(pool.map(execute, tasks))
+            except BaseException:
+                # A bug in one cell ends the sweep without running the queued ones.
+                pool.shutdown(cancel_futures=True)
+                raise
 
     cells: list[SweepCell] = []
     raws: list[RawValue] = []
@@ -385,6 +484,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         cells=tuple(cells),
         config=config,
         raw=tuple(raws) if config.retain_raw else None,
+        workers=workers,
+        blas_threads=blas_threads,
     )
 
 

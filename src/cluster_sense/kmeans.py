@@ -61,13 +61,23 @@ class ClusteringResult:
     inertia_history: tuple[float, ...] = field(repr=False, default=())
 
 
-def kmeanspp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def kmeanspp_init(
+    matrix: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    row_sq_norms: np.ndarray | None = None,
+) -> np.ndarray:
     """Pick k distinct rows: first uniformly, the rest D^2-weighted.
 
     Each subsequent center is drawn with probability proportional to the
     squared distance to the nearest chosen center, which gives rows that
     duplicate a chosen center zero weight; if every remaining row has zero
     weight there are not enough distinct values and the call fails.
+
+    row_sq_norms, when given, is np.einsum("ij,ij->i", matrix, matrix) of the
+    float64 matrix, passed to every pairwise_sq_distances call as its a_sq;
+    it saves one pass over the matrix per chosen center and leaves the picks
+    unchanged.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
@@ -81,7 +91,7 @@ def kmeanspp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     if k == 1:
         return matrix[chosen[:1]].copy()
 
-    d2_min = pairwise_sq_distances(matrix, matrix[chosen[:1]])[:, 0]
+    d2_min = pairwise_sq_distances(matrix, matrix[chosen[:1]], row_sq_norms)[:, 0]
     for c in range(1, k):
         total = d2_min.sum()
         if total <= 0.0:
@@ -96,7 +106,7 @@ def kmeanspp_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         if d2_min[idx] <= 0.0:
             idx = int(np.argmax(d2_min))
         chosen[c] = idx
-        d2_new = pairwise_sq_distances(matrix, matrix[idx : idx + 1])[:, 0]
+        d2_new = pairwise_sq_distances(matrix, matrix[idx : idx + 1], row_sq_norms)[:, 0]
         np.minimum(d2_min, d2_new, out=d2_min)
     return matrix[chosen].copy()
 
@@ -124,9 +134,11 @@ def fit(
     if tolerance is None:
         tolerance = 1e-4 * float(matrix.var(axis=0).mean())
 
+    # Squared row norms, shared by every distance call of this fit.
+    row_sq_norms = np.einsum("ij,ij->i", matrix, matrix)
     if initial_centers is None:
         rng = derive_rng(config.seed, _INIT_STREAM)
-        centers = kmeanspp_init(matrix, k, rng)
+        centers = kmeanspp_init(matrix, k, rng, row_sq_norms)
     else:
         centers = np.asarray(initial_centers, dtype=np.float64).copy()
         if centers.shape != (k, d):
@@ -136,7 +148,7 @@ def fit(
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
-        d2 = pairwise_sq_distances(matrix, centers)
+        d2 = pairwise_sq_distances(matrix, centers, row_sq_norms)
         assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), assignments].sum()))
 
@@ -156,7 +168,7 @@ def fit(
             converged = True
             break
 
-    d2 = pairwise_sq_distances(matrix, centers)
+    d2 = pairwise_sq_distances(matrix, centers, row_sq_norms)
     assignments = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), assignments].sum())
     history.append(inertia)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cluster_sense import cli
+from cluster_sense import cli, experiment
 from cluster_sense.perturb import NoiseKind
 from cluster_sense.scale import ScalingKind
 
@@ -239,6 +239,20 @@ class TestRun:
         assert (tmp_path / "serial" / "summary.csv").read_bytes() == (
             tmp_path / "pool" / "summary.csv"
         ).read_bytes()
+
+    def test_manifest_records_workers_and_blas_threads(self, tmp_path, monkeypatch):
+        config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
+        default = experiment.blas_thread_count()
+        manifests = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CLUSTER_SENSE_THREADS", workers)
+            out = tmp_path / workers
+            assert cli.main(["run", "--config", config_path, "--out", str(out)]) == 0
+            manifests[workers] = json.loads((out / "manifest.json").read_text())
+        assert manifests["1"]["workers"] == 1
+        assert manifests["1"]["blas_threads"] == default
+        assert manifests["2"]["workers"] == 2
+        assert manifests["2"]["blas_threads"] == (None if default is None else 1)
 
     def test_raw_flag_emits_raw_csv(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)

@@ -46,6 +46,18 @@ class TestSquaredDistances:
                 textbook = np.maximum(a_sq[:, None] + y_sq[None, :] - 2.0 * (a @ y.T), 0.0)
                 assert np.array_equal(pairwise_sq_distances(a, y), textbook)
 
+    @pytest.mark.parametrize("m", [1, 2, 16, 97])
+    def test_precomputed_row_norms_are_bit_identical(self, m):
+        # m = 1 is the one-center GEMV product k-means++ makes per pick.
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(300, 70)) * 20.0 + 5.0
+        b = a[rng.integers(300, size=m)] + rng.normal(size=(m, 70))
+        a_sq = np.einsum("ij,ij->i", a, a)
+        for y in (b, a[5:6]):
+            expected = pairwise_sq_distances(a, y)
+            got = pairwise_sq_distances(a, y, a_sq=a_sq)
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestRowBlocks:
     def test_default_budget_is_one_n1024_matrix(self):

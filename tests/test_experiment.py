@@ -1,13 +1,16 @@
 """Sweep orchestration tests: determinism, identities, tipping summaries."""
 
+import hashlib
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cluster_sense import distance
-from cluster_sense.cli import summary_csv_text
+from cluster_sense import distance, experiment
+from cluster_sense.cli import raw_csv_text, summary_csv_text
 from cluster_sense.dataset import generate_dim_like, save_dataset
 from cluster_sense.experiment import (
     FileSource,
@@ -30,6 +33,9 @@ from cluster_sense.scale import ScalingKind, apply_scaling
 from cluster_sense.dataset import compute_stats
 
 TOY = GeneratorSource(name="toy", dims=8, clusters=4, per_cluster=16, separation=10.0, seed=3)
+# n = 512, d = 64..72, k = 16: wide enough that OpenBLAS runs the Lloyd and
+# cell-matrix products multi-threaded when it is allowed to.
+WIDE = GeneratorSource(name="wide", dims=64, per_cluster=32, seed=3)
 
 
 def _toy_config(**overrides):
@@ -44,6 +50,43 @@ def _toy_config(**overrides):
     )
     defaults.update(overrides)
     return SweepConfig(**defaults)
+
+
+def _wide_config(**overrides):
+    defaults = dict(datasets=(WIDE,), repeats=2, max_ratio=Fraction(1, 8), ratio_step=4)
+    defaults.update(overrides)
+    return _toy_config(**defaults)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS set to two threads for the test and back afterwards.
+
+    A known count other than 1 shows whether a sweep restored it. Yields None,
+    changing nothing, when the BLAS cannot be controlled.
+    """
+    controls = experiment._openblas_thread_controls()
+    if controls is None:
+        yield None
+        return
+    get, set_ = controls
+    original = get()
+    set_(2)
+    try:
+        yield 2
+    finally:
+        set_(original)
+
+
+@pytest.fixture
+def controlled_blas(blas_threads):
+    if blas_threads is None:
+        pytest.skip("no OpenBLAS thread-count control symbol in this process")
+    return blas_threads
 
 
 class TestSources:
@@ -389,3 +432,135 @@ class TestRawRetention:
         assert isinstance(result.raw, tuple)
         assert all(isinstance(v, RawValue) for v in result.raw)
         assert len(result.raw) == len(result.cells) * config.repeats
+
+
+class TestGoldenBytes:
+    """Output bytes pinned from the code before BLAS pinning and shared row norms.
+
+    Recorded with numpy 2.4 on its bundled OpenBLAS 0.3.31 (x86-64, AVX-512);
+    another BLAS build may round differently and need its own record.
+    """
+
+    def test_toy_summary_and_raw(self):
+        result = run_sweep(_toy_config(retain_raw=True))
+        assert _sha256(summary_csv_text(result)) == (
+            "6c445a72955c30638ae63e47eed1ae2cc7d5597f9f409ab610cb6f62e9fa5482"
+        )
+        assert _sha256(raw_csv_text(result)) == (
+            "3103c482587dbc166a43f32655c19998fef36bbdc84b70c77748cc596a945bd6"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wide_summary_and_raw(self, workers):
+        result = run_sweep(_wide_config(retain_raw=True, workers=workers))
+        assert _sha256(summary_csv_text(result)) == (
+            "a4dcea6fd9b3b0aebfaabc406d277afd7148ff7b2875ac0790bfde4085f9758f"
+        )
+        assert _sha256(raw_csv_text(result)) == (
+            "94aeb4f36c95604f517b3c6d89c4973a283bdf5b5688262cb10d08408554a86f"
+        )
+
+
+class TestWorkersAndBlas:
+    def test_wide_config_bytes_independent_of_workers(self):
+        serial = run_sweep(_wide_config(workers=1))
+        pooled = run_sweep(_wide_config(workers=2))
+        assert summary_csv_text(pooled) == summary_csv_text(serial)
+        assert all(c.status == "ok" for c in serial.cells)
+
+    def test_result_records_workers_and_blas_threads(self, blas_threads):
+        serial = run_sweep(_toy_config(workers=1))
+        pooled = run_sweep(_toy_config(workers=2))
+        assert (serial.workers, serial.blas_threads) == (1, blas_threads)
+        assert pooled.workers == 2
+        assert pooled.blas_threads == (None if blas_threads is None else 1)
+
+    def _record_blas_threads(self, monkeypatch):
+        seen = set()
+        original = experiment.fit
+
+        def recording_fit(*args, **kwargs):
+            seen.add(experiment.blas_thread_count())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit", recording_fit)
+        return seen
+
+    def test_pool_runs_cells_on_one_blas_thread(self, monkeypatch, controlled_blas):
+        seen = self._record_blas_threads(monkeypatch)
+        run_sweep(_toy_config(workers=2))
+        assert seen == {1}
+        assert experiment.blas_thread_count() == controlled_blas
+
+    def test_serial_sweep_leaves_blas_threads_alone(self, monkeypatch, controlled_blas):
+        seen = self._record_blas_threads(monkeypatch)
+        run_sweep(_toy_config(workers=1))
+        assert seen == {controlled_blas}
+        assert experiment.blas_thread_count() == controlled_blas
+
+    def test_overlapping_pins_restore_the_first_count(self, controlled_blas):
+        outer = experiment._single_blas_thread()
+        inner = experiment._single_blas_thread()
+        assert outer.__enter__() == 1
+        assert inner.__enter__() == 1
+        outer.__exit__(None, None, None)
+        assert experiment.blas_thread_count() == 1  # inner still holds the pin
+        inner.__exit__(None, None, None)
+        assert experiment.blas_thread_count() == controlled_blas
+
+    def test_concurrent_pins_never_lose_the_count(self, controlled_blas):
+        seen = []
+
+        def pin_repeatedly():
+            for _ in range(200):
+                with experiment._single_blas_thread():
+                    seen.append(experiment.blas_thread_count())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin_repeatedly) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 1200
+        assert experiment.blas_thread_count() == controlled_blas
+
+    def test_uncontrollable_blas_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_openblas_thread_controls", lambda: None)
+        result = run_sweep(_toy_config(workers=2))
+        assert result.blas_threads is None
+        assert all(c.status == "ok" for c in result.cells)
+
+
+class TestErrorHandling:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_programming_error_propagates(self, monkeypatch, blas_threads, workers):
+
+        def broken_fit(*args, **kwargs):
+            raise TypeError("bug in the clusterer")
+
+        monkeypatch.setattr(experiment, "fit", broken_fit)
+        with pytest.raises(TypeError, match="bug in the clusterer"):
+            run_sweep(_toy_config(workers=workers))
+        assert experiment.blas_thread_count() == blas_threads
+
+    def test_value_error_degrades_the_cell(self, monkeypatch):
+        def refusing_fit(*args, **kwargs):
+            raise ValueError("data condition")
+
+        monkeypatch.setattr(experiment, "fit", refusing_fit)
+        result = run_sweep(_toy_config(workers=2))
+        assert {c.status for c in result.cells} == {"error:value-error"}
+
+    def test_programming_error_in_noise_draw_propagates(self, monkeypatch):
+        def broken_append(*args, **kwargs):
+            raise TypeError("bug in the noise generator")
+
+        monkeypatch.setattr(experiment, "append_noise", broken_append)
+        with pytest.raises(TypeError, match="bug in the noise generator"):
+            run_sweep(_toy_config())

@@ -68,6 +68,14 @@ class TestKMeansPlusPlus:
         frac_far = np.mean(np.array(picks) == 3.0)
         assert 0.85 < frac_far < 0.95
 
+    def test_precomputed_row_norms_leave_picks_unchanged(self):
+        matrix = generate_dim_like(48, 16, 8, 10.0, seed=4).points
+        row_sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        for seed in range(5):
+            plain = kmeanspp_init(matrix, 16, derive_rng(seed))
+            shared = kmeanspp_init(matrix, 16, derive_rng(seed), row_sq_norms)
+            assert shared.tobytes() == plain.tobytes()
+
 
 class TestFit:
     def test_two_blob_inertia(self):
