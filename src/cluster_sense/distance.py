@@ -5,10 +5,11 @@ a metric computed inside a sweep is bit-identical to one computed by calling
 the metric function directly on the same matrix.
 
 The n x n distance matrix is computed in row blocks of at most BLOCK_BYTES,
-so a caller that only reduces the rows (silhouette without a cached matrix)
-needs O(block * n + n * k) memory instead of O(n^2). A matrix that fits one
-block is computed in a single call, exactly as the one-shot formula
-sqrt(pairwise_sq_distances(x, x)) would. Blocks reproduce that one-shot
+so a caller that only reduces the rows (silhouette, for all clusterings of
+one matrix at once) needs O(block * n) memory for them instead of O(n^2);
+only pairwise_distances, the tests' reference, assembles the whole matrix.
+A matrix that fits one block is computed in a single call, exactly as the
+one-shot formula sqrt(pairwise_sq_distances(x, x)) would. Blocks reproduce that one-shot
 matrix bit for bit only where the BLAS GEMM rounds every element the same
 way whatever the operand shape. With OpenBLAS 0.3.31 on an AVX-512 x86-64
 CPU that holds when n is a multiple of 8 and no block is a single row (numpy
@@ -24,6 +25,8 @@ import numpy as np
 
 # Byte budget of one block of float64 distance rows: one n = 1024 matrix.
 BLOCK_BYTES = 8 * 1024 * 1024
+# Byte budget of the |a|^2 + |b|^2 temporary in pairwise_sq_distances.
+_SUM_CHUNK_BYTES = 1024 * 1024
 
 
 def pairwise_sq_distances(
@@ -44,11 +47,14 @@ def pairwise_sq_distances(
     if a_sq is None:
         a_sq = np.einsum("ij,ij->i", a, a)
     b_sq = np.einsum("ij,ij->i", b, b)
-    # In place, two result-sized buffers; (-2ab) + (|a|^2 + |b|^2) rounds
-    # exactly like (|a|^2 + |b|^2) - 2ab.
+    # In place; (-2ab) + (|a|^2 + |b|^2) rounds exactly like
+    # (|a|^2 + |b|^2) - 2ab. The norm sums are added a few rows at a time, so
+    # the only result-sized buffer is the result itself.
     d2 = a @ b.T
     d2 *= -2.0
-    d2 += a_sq[:, None] + b_sq[None, :]
+    step = max(1, _SUM_CHUNK_BYTES // (8 * max(b_sq.size, 1)))
+    for start in range(0, d2.shape[0], step):
+        d2[start : start + step] += a_sq[start : start + step, None] + b_sq[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 

@@ -17,15 +17,15 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
-from .distance import pairwise_distances
+from .distance import pairwise_distances  # noqa: F401  (unused; perfbench traces this name)
 from .kmeans import KMeansConfig, fit
-from .metrics import METRIC_NAMES, evaluate_clustering
+from .metrics import METRIC_NAMES, MetricReport, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
 from .scale import ScalingKind, apply_scaling
 from .seeding import derive_seed
@@ -299,26 +299,58 @@ class _CellPlan:
     ratio: float
 
 
-def _population_std(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((values - values.mean()) ** 2)))
-
-
-def _error_cells(plan: _CellPlan, repeats: int, code: str) -> list[SweepCell]:
-    return [
-        SweepCell(
-            dataset=plan.dataset,
-            noise=plan.kind.value,
-            scaling=plan.scaling.value,
-            level=plan.level,
-            ratio=plan.ratio,
-            metric=metric,
-            mean=math.nan,
-            std=math.nan,
-            repeats=repeats,
-            status=f"error:{code}",
+def _summary_cells(
+    plan: _CellPlan,
+    repeats: int,
+    reports: Sequence[MetricReport] = (),
+    error: Optional[str] = None,
+) -> list[SweepCell]:
+    """The cell's row per metric: the mean and population std over its repeat
+    reports, or NaN and status error:<code> when the cell failed (`error`) or
+    the metric has a non-finite value."""
+    cells = []
+    for metric in METRIC_NAMES:
+        values = np.array([getattr(report, metric) for report in reports])
+        code = error or (None if np.all(np.isfinite(values)) else "non-finite-metric")
+        cells.append(
+            SweepCell(
+                dataset=plan.dataset,
+                noise=plan.kind.value,
+                scaling=plan.scaling.value,
+                level=plan.level,
+                ratio=plan.ratio,
+                metric=metric,
+                mean=math.nan if code else float(values.mean()),
+                std=math.nan if code else float(values.std()),
+                repeats=repeats,
+                status=f"error:{code}" if code else "ok",
+            )
         )
-        for metric in METRIC_NAMES
+    return cells
+
+
+def _cell_matrices(plan, base, noise_columns, spec, config):
+    """Yield (scaled matrix, k-means seeds of the repeats clustered on it).
+
+    A fixed-noise cell, and level 0 of any sweep, is one matrix for all its
+    repeats; a redraw cell above level 0 draws one matrix per repeat.
+    """
+    seeds = [
+        cell_kmeans_seed(
+            config.master_seed, plan.dataset_index, plan.kind, plan.scaling, plan.level, repeat
+        )
+        for repeat in range(config.repeats)
     ]
+    if config.redraw_noise_per_repeat and plan.level > 0:
+        for repeat, seed in enumerate(seeds):
+            augmented = append_noise(base, spec, plan.level, seed=(spec.seed, repeat))
+            yield apply_scaling(augmented.matrix, plan.scaling), [seed]
+    else:
+        if plan.level == 0:
+            matrix = base.points
+        else:
+            matrix = np.hstack([base.points, noise_columns[:, : plan.level]])
+        yield apply_scaling(matrix, plan.scaling), seeds
 
 
 def _run_cell(
@@ -329,84 +361,37 @@ def _run_cell(
     spec: NoiseSpec,
     config: SweepConfig,
 ) -> tuple[list[SweepCell], list[RawValue]]:
-    if plan.level > 0 and noise_error is not None and not config.redraw_noise_per_repeat:
-        return _error_cells(plan, config.repeats, _error_code(noise_error)), []
+    if plan.level > 0 and noise_error is not None:
+        return _summary_cells(plan, config.repeats, error=_error_code(noise_error)), []
 
-    per_metric: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
+    # Each matrix's repeats are fitted first and then scored in one metrics
+    # pass, which computes every silhouette distance block once per matrix.
+    reports = []
     try:
-        if config.redraw_noise_per_repeat and plan.level > 0:
-            for repeat in range(config.repeats):
-                augmented = append_noise(base, spec, plan.level, seed=(spec.seed, repeat))
-                scaled = apply_scaling(augmented.matrix, plan.scaling)
-                _run_repeat(plan, base, scaled, None, config, repeat, per_metric)
-        else:
-            if plan.level == 0:
-                matrix = base.points
-            else:
-                matrix = np.hstack([base.points, noise_columns[:, : plan.level]])
-            scaled = apply_scaling(matrix, plan.scaling)
-            distances = pairwise_distances(scaled)
-            for repeat in range(config.repeats):
-                _run_repeat(plan, base, scaled, distances, config, repeat, per_metric)
+        for scaled, seeds in _cell_matrices(plan, base, noise_columns, spec, config):
+            fits = (fit(scaled, KMeansConfig(k=base.n_clusters, seed=seed)) for seed in seeds)
+            assignments = np.stack([result.assignments for result in fits])
+            reports.extend(evaluate_clustering(scaled, assignments, base.labels))
     except ValueError as exc:  # degraded cell, sweep continues; bugs propagate
-        return _error_cells(plan, config.repeats, _error_code(exc)), []
+        return _summary_cells(plan, config.repeats, error=_error_code(exc)), []
 
-    cells = []
     raws = []
-    for metric in METRIC_NAMES:
-        values = np.array(per_metric[metric])
-        if np.all(np.isfinite(values)):
-            cell = SweepCell(
+    if config.retain_raw:
+        raws = [
+            RawValue(
                 dataset=plan.dataset,
                 noise=plan.kind.value,
                 scaling=plan.scaling.value,
                 level=plan.level,
                 ratio=plan.ratio,
+                repeat=repeat,
                 metric=metric,
-                mean=float(values.mean()),
-                std=_population_std(values),
-                repeats=config.repeats,
-                status="ok",
+                value=float(getattr(report, metric)),
             )
-        else:
-            cell = SweepCell(
-                dataset=plan.dataset,
-                noise=plan.kind.value,
-                scaling=plan.scaling.value,
-                level=plan.level,
-                ratio=plan.ratio,
-                metric=metric,
-                mean=math.nan,
-                std=math.nan,
-                repeats=config.repeats,
-                status="error:non-finite-metric",
-            )
-        cells.append(cell)
-        if config.retain_raw:
-            raws.extend(
-                RawValue(
-                    dataset=plan.dataset,
-                    noise=plan.kind.value,
-                    scaling=plan.scaling.value,
-                    level=plan.level,
-                    ratio=plan.ratio,
-                    repeat=r,
-                    metric=metric,
-                    value=float(v),
-                )
-                for r, v in enumerate(per_metric[metric])
-            )
-    return cells, raws
-
-
-def _run_repeat(plan, base, scaled, distances, config, repeat, per_metric):
-    seed = cell_kmeans_seed(
-        config.master_seed, plan.dataset_index, plan.kind, plan.scaling, plan.level, repeat
-    )
-    result = fit(scaled, KMeansConfig(k=base.n_clusters, seed=seed))
-    report = evaluate_clustering(scaled, result.assignments, base.labels, distances=distances)
-    for metric, value in report.as_dict().items():
-        per_metric[metric].append(value)
+            for metric in METRIC_NAMES
+            for repeat, report in enumerate(reports)
+        ]
+    return _summary_cells(plan, config.repeats, reports), raws
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

@@ -15,11 +15,7 @@ import numpy as np
 
 from .dataset import dense_remap
 from .distance import distance_rows, pairwise_sq_distances, row_blocks
-
-# Not called here: silhouette reduces row blocks instead of building the full
-# matrix. The name stays bound because perfbench/layertrace.py wraps
-# metrics.pairwise_distances to count full matrices built for silhouette.
-from .distance import pairwise_distances  # noqa: F401
+from .distance import pairwise_distances  # noqa: F401  (unused; perfbench traces this name)
 
 METRIC_NAMES = ("nmi", "ri", "ari", "silhouette", "davies_bouldin")
 
@@ -155,63 +151,66 @@ def adjusted_rand_index(pair: PartitionPair) -> float:
 
 
 def _present_clusters(assignments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    assignments = np.asarray(assignments, dtype=np.int64)
     dense = dense_remap(assignments)
-    counts = np.bincount(dense)
-    return dense, counts
+    return dense, np.bincount(dense)
 
 
-def silhouette(
-    matrix: np.ndarray,
-    assignments: np.ndarray,
-    distances: np.ndarray | None = None,
-) -> float:
+def _labeling_stack(assignments) -> tuple[np.ndarray, bool]:
+    """(R, n) view of one labeling (n,) or a stack (R, n), and whether it was a stack."""
+    stack = np.asarray(assignments)
+    if stack.ndim not in (1, 2):
+        raise ValueError(f"assignments must be (n,) or (R, n), got shape {stack.shape}")
+    return np.atleast_2d(stack), stack.ndim == 2
+
+
+def silhouette(matrix: np.ndarray, assignments: np.ndarray) -> float | list[float]:
     """Mean silhouette value: (d_n - d_w) / max(d_n, d_w) per point.
 
     d_w is the mean distance to the point's own cluster (itself excluded),
     d_n the mean distance to the nearest other cluster. Points in singleton
-    clusters contribute 0. Pass `distances` (full n x n matrix) to reuse a
-    precomputed pairwise-distance matrix. Without it, distance rows are
-    computed one row block at a time and reduced to per-cluster sums at once,
-    so memory is O(block * n + n * k) rather than O(n^2).
+    clusters contribute 0.
+
+    `assignments` is one labeling (n,), giving a float, or a stack (R, n) of
+    labelings of the same points, giving a list of R floats. Distance rows
+    are computed one row block at a time, once for the whole stack, and each
+    block is reduced to per-cluster sums with one product per labeling. So
+    memory is O(block * n + R * n * k) rather than O(n^2), and each value has
+    the same bits as a call with that labeling alone.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    dense, counts = _present_clusters(assignments)
-    n = dense.size
+    labelings, stacked = _labeling_stack(assignments)
+    present = [_present_clusters(labels) for labels in labelings]
+    n = labelings.shape[1]
     if matrix.shape[0] != n:
         raise ValueError("matrix and assignments disagree on the number of points")
     if n < 2:
         raise ValueError("silhouette requires at least 2 points")
-    if counts.size < 2:
+    if any(counts.size < 2 for _, counts in present):
         raise ValueError("silhouette requires at least 2 distinct clusters")
 
-    kp = counts.size
-    onehot = np.zeros((n, kp))
-    onehot[np.arange(n), dense] = 1.0
-    # Cached or not, the sums are reduced over the same row blocks, so both
-    # paths give the same bits when `distances` came from pairwise_distances.
-    cluster_sums = np.empty((n, kp))
+    onehots = [np.eye(counts.size)[dense] for dense, counts in present]
+    all_sums = [np.empty_like(onehot) for onehot in onehots]
     for start, stop in row_blocks(n):
-        if distances is None:
-            rows = distance_rows(matrix, start, stop)
-        else:
-            rows = distances[start:stop]
-        cluster_sums[start:stop] = rows @ onehot
+        rows = distance_rows(matrix, start, stop)
+        for cluster_sums, onehot in zip(all_sums, onehots):
+            cluster_sums[start:stop] = rows @ onehot
 
-    own_counts = counts[dense]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d_w = cluster_sums[np.arange(n), dense] / (own_counts - 1)
-    mean_to = cluster_sums / counts[None, :]
-    mean_to[np.arange(n), dense] = np.inf
-    d_n = mean_to.min(axis=1)
+    values = []
+    for cluster_sums, (dense, counts) in zip(all_sums, present):
+        own_counts = counts[dense]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d_w = cluster_sums[np.arange(n), dense] / (own_counts - 1)
+        mean_to = cluster_sums / counts[None, :]
+        mean_to[np.arange(n), dense] = np.inf
+        d_n = mean_to.min(axis=1)
 
-    denom = np.maximum(d_n, d_w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = (d_n - d_w) / denom
-    s[own_counts == 1] = 0.0
-    s[denom == 0.0] = 0.0
-    value = float(s.mean())
-    return min(1.0, max(-1.0, value))
+        denom = np.maximum(d_n, d_w)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = (d_n - d_w) / denom
+        s[own_counts == 1] = 0.0
+        s[denom == 0.0] = 0.0
+        values.append(min(1.0, max(-1.0, float(s.mean()))))
+    return values if stacked else values[0]
 
 
 def davies_bouldin(matrix: np.ndarray, assignments: np.ndarray) -> float:
@@ -270,17 +269,25 @@ class MetricReport:
 
 
 def evaluate_clustering(
-    matrix: np.ndarray,
-    assignments: np.ndarray,
-    truth: np.ndarray,
-    distances: np.ndarray | None = None,
-) -> MetricReport:
-    """All five metrics for one clustering (external ones against `truth`)."""
-    pair = PartitionPair.from_labels(assignments, truth)
-    return MetricReport(
-        nmi=nmi(pair),
-        ri=rand_index(pair),
-        ari=adjusted_rand_index(pair),
-        silhouette=silhouette(matrix, assignments, distances=distances),
-        davies_bouldin=davies_bouldin(matrix, assignments),
-    )
+    matrix: np.ndarray, assignments: np.ndarray, truth: np.ndarray
+) -> MetricReport | list[MetricReport]:
+    """All five metrics for one clustering (external ones against `truth`).
+
+    Like `silhouette`, takes one labeling (n,), giving a report, or a stack
+    (R, n) of clusterings of the same matrix, giving a list of R reports, each
+    equal to the report of that clustering alone.
+    """
+    labelings, stacked = _labeling_stack(assignments)
+    pairs = [PartitionPair.from_labels(labels, truth) for labels in labelings]
+    silhouettes = silhouette(matrix, labelings)
+    reports = [
+        MetricReport(
+            nmi=nmi(pair),
+            ri=rand_index(pair),
+            ari=adjusted_rand_index(pair),
+            silhouette=value,
+            davies_bouldin=davies_bouldin(matrix, labels),
+        )
+        for pair, value, labels in zip(pairs, silhouettes, labelings)
+    ]
+    return reports if stacked else reports[0]

@@ -59,6 +59,25 @@ class TestSquaredDistances:
             assert got.tobytes() == expected.tobytes()
 
 
+    def test_norm_sums_added_in_row_chunks_round_the_same(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(45, 6)) * 30.0 + 2.0
+        b = rng.normal(size=(13, 6))
+        whole = pairwise_sq_distances(a, b)
+        monkeypatch.setattr(distance, "_SUM_CHUNK_BYTES", 4 * 8 * 13)  # 12 chunks
+        assert pairwise_sq_distances(a, b).tobytes() == whole.tobytes()
+        a_sq = np.einsum("ij,ij->i", a, a)
+        b_sq = np.einsum("ij,ij->i", b, b)
+        textbook = np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
+        assert np.array_equal(whole, textbook)
+
+    def test_peak_memory_is_the_result_plus_one_chunk(self):
+        # The textbook formula holds two more result-sized temporaries.
+        n = 1024
+        x = np.random.default_rng(9).normal(size=(n, 8))
+        assert _traced_peak(lambda: pairwise_sq_distances(x, x)) < 1.25 * n * n * 8
+
+
 class TestRowBlocks:
     def test_default_budget_is_one_n1024_matrix(self):
         assert distance.BLOCK_BYTES == 8 * 1024 * 1024

@@ -1,15 +1,19 @@
 """Sweep orchestration tests: determinism, identities, tipping summaries."""
 
 import hashlib
+import importlib.util
 import math
 import sys
 import threading
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cluster_sense import distance, experiment
+from cluster_sense import cli, distance, experiment
 from cluster_sense.cli import raw_csv_text, summary_csv_text
 from cluster_sense.dataset import generate_dim_like, save_dataset
 from cluster_sense.experiment import (
@@ -27,7 +31,7 @@ from cluster_sense.experiment import (
     sweep_levels,
 )
 from cluster_sense.kmeans import KMeansConfig, fit
-from cluster_sense.metrics import evaluate_clustering
+from cluster_sense.metrics import METRIC_NAMES, evaluate_clustering
 from cluster_sense.perturb import NoiseKind, NoiseSpec, append_noise
 from cluster_sense.scale import ScalingKind, apply_scaling
 from cluster_sense.dataset import compute_stats
@@ -318,9 +322,10 @@ class TestRunSweep:
         )
 
     def test_row_block_budget_does_not_change_summary_bytes(self, tmp_path, monkeypatch):
-        # A file dataset with per-repeat noise: every augmented silhouette runs
-        # the blocked kernel, and the level-0 cells the cached matrix. n = 96
-        # is a multiple of 8, where blocks round like the whole matrix (see
+        # A file dataset with per-repeat noise: every silhouette runs the
+        # blocked kernel, once per drawn matrix above level 0 and once for the
+        # shared level-0 matrix of each cell's repeats. n = 96 is a multiple of
+        # 8, where blocks round like the whole matrix (see
         # cluster_sense.distance), so forcing 40-row blocks (40, 40, 16) must
         # leave the summary bytes unchanged.
         ds = generate_dim_like(4, 6, 16, 4.0, seed=5)
@@ -337,6 +342,28 @@ class TestRunSweep:
         many_blocks = summary_csv_text(run_sweep(config))
         assert many_blocks == one_block
         assert "error" not in one_block
+
+    def test_fixed_noise_file_sweep_never_holds_an_n_by_n_matrix(self, tmp_path, monkeypatch):
+        # n = 512 in 64-row blocks (8 blocks). numpy reports its buffers to
+        # tracemalloc, so one n x n float64 matrix alive anywhere in the sweep
+        # (such as a per-cell distance cache) would put the peak above it.
+        ds = generate_dim_like(4, 8, 64, 4.0, seed=6)
+        save_dataset(ds, tmp_path / "d.txt", tmp_path / "l.txt")
+        source = FileSource(
+            name="file", data_path=str(tmp_path / "d.txt"), labels_path=str(tmp_path / "l.txt")
+        )
+        config = _toy_config(datasets=(source,), max_ratio=Fraction(1, 2), repeats=2, workers=1)
+        n = ds.n_points
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 64 * 8 * n)
+        assert len(distance.row_blocks(n)) >= 4
+        tracemalloc.start()
+        try:
+            result = run_sweep(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.status == "ok" for c in result.cells)
+        assert peak < n * n * 8
 
     def test_provenance_echo(self):
         config = _toy_config()
@@ -557,6 +584,67 @@ class TestErrorHandling:
         result = run_sweep(_toy_config(workers=2))
         assert {c.status for c in result.cells} == {"error:value-error"}
 
+    # The cell (gaussian, none, level 2) of the toy config; its repeats share
+    # one matrix, fitted in repeat order before any metric is computed.
+    CELL = ("gaussian", "none", 2)
+
+    def _patch_second_repeat(self, monkeypatch, config, outcome):
+        """Pass the fit of repeat 1 of CELL through `outcome`, others unchanged."""
+        target = cell_kmeans_seed(
+            config.master_seed, 0, NoiseKind.GAUSSIAN, ScalingKind.NONE, 2, 1
+        )
+        original = experiment.fit
+
+        def patched_fit(matrix, kmeans_config):
+            result = original(matrix, kmeans_config)
+            return outcome(result) if kmeans_config.seed == target else result
+
+        monkeypatch.setattr(experiment, "fit", patched_fit)
+
+    def _assert_only_cell_degraded(self, result, config):
+        def key(row):
+            return (row.noise, row.scaling, row.level)
+
+        degraded = [c for c in result.cells if key(c) == self.CELL]
+        assert len(degraded) == 5
+        assert {c.status for c in degraded} == {"error:value-error"}
+        assert all(c.status == "ok" for c in result.cells if key(c) != self.CELL)
+        assert not [v for v in result.raw if key(v) == self.CELL]
+        assert len(result.raw) == (len(result.cells) - 5) * config.repeats
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_value_error_from_a_later_repeat_degrades_the_whole_cell(self, monkeypatch, workers):
+        config = _toy_config(retain_raw=True, workers=workers)
+
+        def refuse(result):
+            raise ValueError("data condition")
+
+        self._patch_second_repeat(monkeypatch, config, refuse)
+        self._assert_only_cell_degraded(run_sweep(config), config)
+
+    def test_collapsed_clustering_degrades_the_whole_cell(self, monkeypatch):
+        config = _toy_config(retain_raw=True)
+
+        def collapse(result):
+            return replace(result, assignments=np.zeros_like(result.assignments))
+
+        self._patch_second_repeat(monkeypatch, config, collapse)
+        self._assert_only_cell_degraded(run_sweep(config), config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_programming_error_from_a_later_repeat_propagates(
+        self, monkeypatch, blas_threads, workers
+    ):
+        config = _toy_config(workers=workers)
+
+        def bug(result):
+            raise TypeError("bug in the clusterer")
+
+        self._patch_second_repeat(monkeypatch, config, bug)
+        with pytest.raises(TypeError, match="bug in the clusterer"):
+            run_sweep(config)
+        assert experiment.blas_thread_count() == blas_threads
+
     def test_programming_error_in_noise_draw_propagates(self, monkeypatch):
         def broken_append(*args, **kwargs):
             raise TypeError("bug in the noise generator")
@@ -564,3 +652,32 @@ class TestErrorHandling:
         monkeypatch.setattr(experiment, "append_noise", broken_append)
         with pytest.raises(TypeError, match="bug in the noise generator"):
             run_sweep(_toy_config())
+
+
+def _load_layertrace():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLayerTrace:
+    """The benchmark's layer tracer still finds every layer the sweep runs through."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_sweep_analyses_and_restores(self, workers):
+        layertrace = _load_layertrace()
+        config = _toy_config(workers=workers)
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            result = cli.run_sweep(config)
+        finally:
+            left = tracer.uninstall()
+        assert left == []
+        metrics = layertrace.analyse(tracer.spans)
+        assert all(math.isfinite(value) for value in metrics.values())
+        cells = len(result.cells) // len(METRIC_NAMES)
+        assert metrics["experiment.cells"] == cells
+        assert metrics["kmeans.fit_calls"] == cells * config.repeats

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cluster_sense import distance
+from cluster_sense import distance, metrics
 from cluster_sense.distance import pairwise_distances
 from cluster_sense.metrics import (
     MetricReport,
@@ -29,6 +31,11 @@ from oracles import (
     rand_index_oracle,
     silhouette_oracle,
 )
+
+
+# Property tests run a fixed example sequence and keep no example database,
+# so every run checks the same cases.
+FIXED_EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
 
 def _pair(x, y):
@@ -164,6 +171,15 @@ class TestAdjustedRandIndex:
         assert abs(estimate - closed_form) < 5 * spread + 1e-9
 
 
+def _silhouette_from_matrix(monkeypatch, matrix, labels):
+    """Silhouette with its distance rows sliced from a full pairwise_distances
+    matrix instead of computed block by block."""
+    full = pairwise_distances(matrix)
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "distance_rows", lambda x, start, stop: full[start:stop])
+        return silhouette(matrix, labels)
+
+
 class TestSilhouette:
     def test_two_tight_far_pairs(self):
         matrix = np.array([[0.0], [0.1], [10.0], [10.1]])
@@ -212,13 +228,12 @@ class TestSilhouette:
         with pytest.raises(ValueError, match="2 distinct clusters"):
             silhouette(np.zeros((3, 1)), [0, 0, 0])
 
-    def test_precomputed_distances_match(self):
+    def test_precomputed_distances_match(self, monkeypatch):
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(40, 3))
         labels = rng.integers(0, 3, 40)
         direct = silhouette(matrix, labels)
-        cached = silhouette(matrix, labels, distances=pairwise_distances(matrix))
-        assert direct == cached
+        assert direct == _silhouette_from_matrix(monkeypatch, matrix, labels)
 
 
 class TestBlockedSilhouette:
@@ -238,8 +253,7 @@ class TestBlockedSilhouette:
         blocks = distance.row_blocks(n)
         assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] <= rows
         blocked = silhouette(matrix, labels)
-        cached = silhouette(matrix, labels, distances=pairwise_distances(matrix))
-        assert blocked == cached
+        assert blocked == _silhouette_from_matrix(monkeypatch, matrix, labels)
         oracle = silhouette_oracle(matrix.tolist(), labels.tolist())
         assert blocked == pytest.approx(oracle, abs=1e-12)
 
@@ -266,6 +280,64 @@ class TestBlockedSilhouette:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+
+@st.composite
+def _matrix_and_labelings(draw):
+    """A point matrix, a stack of labelings of its points, and a row-block size.
+
+    Some labelings have a singleton cluster, the stack mixes labelings with
+    different numbers of present clusters, and rounded matrices give
+    coincident points.
+    """
+    n = draw(st.integers(2, 40))
+    matrix = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=(n, draw(st.integers(1, 4)))
+    )
+    if draw(st.booleans()):
+        matrix = np.round(matrix)
+    labelings = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(2, 6))
+        labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            labels[draw(st.integers(0, n - 1))] = k  # a singleton cluster
+        assume(len(set(labels)) >= 2)
+        labelings.append(labels)
+    return matrix, np.array(labelings), draw(st.integers(1, n))
+
+
+class TestSilhouetteStack:
+    @FIXED_EXAMPLES
+    @given(_matrix_and_labelings())
+    def test_stack_equals_single_labelings(self, case):
+        matrix, stack, rows = case
+        n = matrix.shape[0]
+        with mock.patch.object(distance, "BLOCK_BYTES", rows * 8 * n):
+            stacked = silhouette(matrix, stack)
+            singles = [silhouette(matrix, labels) for labels in stack]
+        assert len(stacked) == len(stack)
+        # Bit for bit: the same float, not merely a close one.
+        assert [v.hex() for v in stacked] == [v.hex() for v in singles]
+
+    def test_evaluate_clustering_stack_equals_single_reports(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        matrix = rng.normal(size=(60, 3))
+        truth = rng.integers(0, 3, 60)
+        stack = np.stack([rng.integers(0, k, 60) for k in (2, 3, 5)])
+        stack[1, 7] = 9  # a singleton cluster
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 16 * 8 * 60)
+        reports = evaluate_clustering(matrix, stack, truth)
+        assert reports == [evaluate_clustering(matrix, labels, truth) for labels in stack]
+
+    def test_one_collapsed_labeling_rejects_the_stack(self):
+        matrix = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match="2 distinct clusters"):
+            silhouette(matrix, [[0, 0, 1, 1], [2, 2, 2, 2]])
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match=r"\(n,\) or \(R, n\)"):
+            silhouette(np.zeros((2, 1)), np.zeros((1, 1, 2), dtype=int))
 
 
 class TestDaviesBouldin:
