@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .dataset import DatasetFormatError, generate_dim_like, save_dataset
@@ -46,89 +46,123 @@ class ReportError(Exception):
 
 
 # -- configuration file ------------------------------------------------------
-
-_TOP_KEYS = (
-    "noise",
-    "scaling",
-    "max_ratio",
-    "ratio_step",
-    "repeats",
-    "master_seed",
-    "redraw_noise_per_repeat",
-    "noise_stats",
-    "workers",
-)
-_DATASET_KEYS = (
-    "name",
-    "dims",
-    "clusters",
-    "per_cluster",
-    "separation",
-    "seed",
-    "data",
-    "labels",
-)
+#
+# Each key maps to (dataclass field, parser). A parser takes the stripped
+# value and returns the field's value, or raises ValueError with a message
+# that parse_config prefixes with `file:line: key:`. Keys that are not set
+# keep the dataclass defaults.
 
 
-def _parse_int(value: str, where: str) -> int:
-    try:
-        return int(value, 10)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+def _integer(minimum: Optional[int] = None) -> Callable[[str], int]:
+    def parse(value: str) -> int:
+        try:
+            parsed = int(value, 10)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {value!r}") from None
+        if minimum is not None and parsed < minimum:
+            raise ValueError(f"must be >= {minimum}, got {parsed}")
+        return parsed
+
+    return parse
 
 
-def _parse_float(value: str, where: str) -> float:
+def _positive_float(value: str) -> float:
     try:
         parsed = float(value)
     except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        raise ValueError(f"expected a number, got {value!r}") from None
     if not math.isfinite(parsed):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise ValueError(f"expected a finite number, got {value!r}")
+    if not parsed > 0:
+        raise ValueError(f"must be positive, got {parsed}")
     return parsed
 
 
-def _parse_bool(value: str, where: str) -> bool:
-    token = value.strip().lower()
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise ConfigError(f"{where}: expected true or false, got {value!r}")
+def _boolean(value: str) -> bool:
+    token = value.lower()
+    if token not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return token == "true"
 
 
-def _parse_ratio(value: str, where: str) -> Fraction:
+def _ratio(value: str) -> Fraction:
     """Accept `3`, `1.5`, or `3:1` forms; result must be positive."""
-    token = value.strip()
     try:
-        if ":" in token:
-            num, den = token.split(":", 1)
+        if ":" in value:
+            num, den = value.split(":", 1)
             ratio = Fraction(num.strip()) / Fraction(den.strip())
         else:
-            ratio = Fraction(token)
+            ratio = Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{where}: expected a ratio like 3, 1.5 or 3:1, got {value!r}") from None
+        raise ValueError(f"expected a ratio like 3, 1.5 or 3:1, got {value!r}") from None
     if ratio <= 0:
-        raise ConfigError(f"{where}: ratio must be positive, got {value!r}")
+        raise ValueError(f"must be positive, got {value!r}")
     return ratio
 
 
-def _parse_tokens(value: str) -> list[str]:
-    return [tok for tok in value.replace(",", " ").split() if tok]
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(value: str) -> str:
+        if value not in options:
+            raise ValueError(f"expected {' or '.join(options)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _kinds(parse_one: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A comma- or space-separated, non-empty list of enum tokens."""
+
+    def parse(value: str) -> tuple:
+        tokens = value.replace(",", " ").split()
+        if not tokens:
+            raise ValueError("list is empty")
+        return tuple(parse_one(tok) for tok in tokens)
+
+    return parse
+
+
+_Table = dict[str, tuple[str, Callable[[str], object]]]
+_Scope = dict[str, tuple[int, str]]
+
+_TOP_KEYS: _Table = {
+    "noise": ("noise_kinds", _kinds(NoiseKind.parse)),
+    "scaling": ("scalings", _kinds(ScalingKind.parse)),
+    "max_ratio": ("max_ratio", _ratio),
+    "ratio_step": ("ratio_step", _integer(minimum=1)),
+    "repeats": ("repeats", _integer(minimum=1)),
+    "master_seed": ("master_seed", _integer()),
+    "redraw_noise_per_repeat": ("redraw_noise_per_repeat", _boolean),
+    "noise_stats": ("noise_stats_mode", _choice("pooled", "per-feature")),
+    "workers": ("workers", _integer(minimum=0)),
+}
+# Generator keys are GeneratorSource fields; data and labels are FileSource
+# fields, resolved against the config file's directory.
+_DATASET_KEYS: _Table = {
+    "name": ("name", str),
+    "dims": ("dims", _integer(minimum=1)),
+    "clusters": ("clusters", _integer(minimum=1)),
+    "per_cluster": ("per_cluster", _integer(minimum=1)),
+    "separation": ("separation", _positive_float),
+    "seed": ("seed", _integer()),
+    "data": ("data_path", str),
+    "labels": ("labels_path", str),
+}
+_FILE_FIELDS = {field.name for field in dataclasses.fields(FileSource)}
 
 
 def parse_config(path: str | Path) -> SweepConfig:
     """Parse the line-oriented sweep configuration file.
 
     Format: `key = value` lines, `#` comments, and one `[dataset]` section
-    header per dataset. Unknown keys and duplicate keys are errors that name
-    the offending line.
+    header per dataset. Unknown keys, duplicate keys and bad values are
+    errors that name the offending line.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
 
-    top: dict[str, tuple[int, str]] = {}
-    sections: list[dict[str, tuple[int, str]]] = []
-    current: Optional[dict[str, tuple[int, str]]] = None
+    top: _Scope = {}
+    sections: list[_Scope] = []
+    scope, table = top, _TOP_KEYS
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -138,143 +172,68 @@ def parse_config(path: str | Path) -> SweepConfig:
         if line.startswith("["):
             if line != "[dataset]":
                 raise ConfigError(f"{where}: unknown section {line!r} (only [dataset] is allowed)")
-            current = {}
-            sections.append(current)
+            scope, table = {}, _DATASET_KEYS
+            sections.append(scope)
             continue
         if "=" not in line:
-            raise ConfigError(f"{where}: expected `key = value`, got {raw_line.strip()!r}")
+            raise ConfigError(f"{where}: expected `key = value`, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        scope = top if current is None else current
-        allowed = _TOP_KEYS if current is None else _DATASET_KEYS
-        if key not in allowed:
+        if key not in table:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in scope:
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        scope[key] = (lineno, value)
+        scope[key] = (lineno, value.strip())
 
     if not sections:
         raise ConfigError(f"{path}: no [dataset] section")
 
-    kwargs = {}
-    if "noise" in top:
-        lineno, value = top["noise"]
-        tokens = _parse_tokens(value)
-        if not tokens:
-            raise ConfigError(f"{path}:{lineno}: noise list is empty")
-        try:
-            kwargs["noise_kinds"] = tuple(NoiseKind.parse(tok) for tok in tokens)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    if "scaling" in top:
-        lineno, value = top["scaling"]
-        tokens = _parse_tokens(value)
-        if not tokens:
-            raise ConfigError(f"{path}:{lineno}: scaling list is empty")
-        try:
-            kwargs["scalings"] = tuple(ScalingKind.parse(tok) for tok in tokens)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    if "max_ratio" in top:
-        lineno, value = top["max_ratio"]
-        kwargs["max_ratio"] = _parse_ratio(value, f"{path}:{lineno}")
-    if "ratio_step" in top:
-        lineno, value = top["ratio_step"]
-        kwargs["ratio_step"] = _parse_int(value, f"{path}:{lineno}")
-    if "repeats" in top:
-        lineno, value = top["repeats"]
-        kwargs["repeats"] = _parse_int(value, f"{path}:{lineno}")
-    if "master_seed" in top:
-        lineno, value = top["master_seed"]
-        kwargs["master_seed"] = _parse_int(value, f"{path}:{lineno}")
-    if "redraw_noise_per_repeat" in top:
-        lineno, value = top["redraw_noise_per_repeat"]
-        kwargs["redraw_noise_per_repeat"] = _parse_bool(value, f"{path}:{lineno}")
-    if "noise_stats" in top:
-        lineno, value = top["noise_stats"]
-        if value not in ("pooled", "per-feature"):
-            raise ConfigError(
-                f"{path}:{lineno}: noise_stats must be pooled or per-feature, got {value!r}"
-            )
-        kwargs["noise_stats_mode"] = value
-    if "workers" in top:
-        lineno, value = top["workers"]
-        workers = _parse_int(value, f"{path}:{lineno}")
-        if workers < 0:
-            raise ConfigError(f"{path}:{lineno}: workers must be nonnegative, got {value}")
-        kwargs["workers"] = workers
-
+    fields = _fields(path, top, _TOP_KEYS)
     datasets = tuple(
-        _parse_dataset_section(path, index, section) for index, section in enumerate(sections)
+        _dataset_source(path, index, section) for index, section in enumerate(sections)
     )
     try:
-        return SweepConfig(datasets=datasets, **kwargs)
+        return SweepConfig(datasets=datasets, **fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_dataset_section(
-    path: Path, index: int, section: dict[str, tuple[int, str]]
-) -> DatasetSource:
-    def where(key: str) -> str:
-        return f"{path}:{section[key][0]}"
+def _fields(path: Path, scope: _Scope, table: _Table) -> dict[str, object]:
+    """Parse a scope's values into dataclass keyword arguments, in table order."""
+    fields = {}
+    for key, (field, parse) in table.items():
+        if key in scope:
+            lineno, value = scope[key]
+            try:
+                fields[field] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+    return fields
 
+
+def _dataset_source(path: Path, index: int, section: _Scope) -> DatasetSource:
+    label = f"{path}: [dataset] section {index + 1}"
     has_dims = "dims" in section
     has_files = "data" in section or "labels" in section
-    label = f"{path}: [dataset] section {index + 1}"
     if has_dims and has_files:
         raise ConfigError(f"{label}: give either dims (generator) or data/labels (files), not both")
     if not has_dims and not has_files:
         raise ConfigError(f"{label}: needs dims (generator) or data + labels (files)")
+    if has_files:
+        for key, (lineno, _) in section.items():
+            if _DATASET_KEYS[key][0] not in _FILE_FIELDS:
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} only applies to generator datasets (dims)"
+                )
+        if "data" not in section or "labels" not in section:
+            raise ConfigError(f"{label}: file datasets need both data and labels")
 
-    name = section["name"][1] if "name" in section else None
-
+    fields = _fields(path, section, _DATASET_KEYS)
     if has_dims:
-        dims = _parse_int(section["dims"][1], where("dims"))
-        if dims < 1:
-            raise ConfigError(f"{where('dims')}: dims must be positive, got {dims}")
-        clusters = 16
-        if "clusters" in section:
-            clusters = _parse_int(section["clusters"][1], where("clusters"))
-            if clusters < 1:
-                raise ConfigError(f"{where('clusters')}: clusters must be positive, got {clusters}")
-        per_cluster = 64
-        if "per_cluster" in section:
-            per_cluster = _parse_int(section["per_cluster"][1], where("per_cluster"))
-            if per_cluster < 1:
-                raise ConfigError(
-                    f"{where('per_cluster')}: per_cluster must be positive, got {per_cluster}"
-                )
-        separation = 10.0
-        if "separation" in section:
-            separation = _parse_float(section["separation"][1], where("separation"))
-            if not separation > 0:
-                raise ConfigError(
-                    f"{where('separation')}: separation must be positive, got {separation}"
-                )
-        seed = _parse_int(section["seed"][1], where("seed")) if "seed" in section else 0
-        return GeneratorSource(
-            name=name if name is not None else f"dim{dims}",
-            dims=dims,
-            clusters=clusters,
-            per_cluster=per_cluster,
-            separation=separation,
-            seed=seed,
-        )
-
-    for key in ("clusters", "per_cluster", "separation", "seed"):
-        if key in section:
-            raise ConfigError(f"{where(key)}: {key} only applies to generator datasets (dims)")
-    if "data" not in section or "labels" not in section:
-        raise ConfigError(f"{label}: file datasets need both data and labels")
-    data_path = (path.parent / section["data"][1]).as_posix()
-    labels_path = (path.parent / section["labels"][1]).as_posix()
-    return FileSource(
-        name=name if name is not None else Path(data_path).stem,
-        data_path=data_path,
-        labels_path=labels_path,
-    )
+        return GeneratorSource(**{"name": f"dim{fields['dims']}", **fields})
+    for field in ("data_path", "labels_path"):
+        fields[field] = (path.parent / fields[field]).as_posix()
+    return FileSource(**{"name": Path(fields["data_path"]).stem, **fields})
 
 
 # -- CSV emission ------------------------------------------------------------
@@ -326,14 +285,10 @@ def raw_csv_text(result: SweepResult) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.dims < 1:
-        raise ConfigError(f"--dims must be positive, got {args.dims}")
-    if args.clusters < 1:
-        raise ConfigError(f"--clusters must be positive, got {args.clusters}")
-    if args.per_cluster < 1:
-        raise ConfigError(f"--per-cluster must be positive, got {args.per_cluster}")
-    if not args.separation > 0:
-        raise ConfigError(f"--separation must be positive, got {args.separation}")
+    for flag in ("dims", "clusters", "per_cluster", "separation"):
+        value = getattr(args, flag)
+        if not value > 0:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be positive, got {value}")
 
     dataset = generate_dim_like(
         args.dims, args.clusters, args.per_cluster, args.separation, args.seed
@@ -507,14 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic benchmark dataset as text files")
     gen.add_argument("--dims", type=int, required=True, help="number of features")
-    gen.add_argument("--clusters", type=int, default=16, help="number of clusters (default 16)")
-    gen.add_argument(
-        "--per-cluster", type=int, default=64, help="points per cluster (default 64)"
-    )
-    gen.add_argument(
-        "--separation", type=float, default=10.0, help="per-axis center spacing (default 10)"
-    )
-    gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    for flag, meaning in (
+        ("--clusters", "number of clusters"),
+        ("--per-cluster", "points per cluster"),
+        ("--separation", "per-axis center spacing"),
+        ("--seed", "generator seed"),
+    ):
+        default = getattr(GeneratorSource, flag[2:].replace("-", "_"))
+        gen.add_argument(
+            flag, type=type(default), default=default, help=f"{meaning} (default %(default)s)"
+        )
     gen.add_argument("--out", required=True, help="output directory for data.txt and labels.txt")
     gen.set_defaults(func=cmd_generate)
 

@@ -98,6 +98,10 @@ class SweepConfig:
         object.__setattr__(self, "max_ratio", Fraction(self.max_ratio))
         if not self.datasets:
             raise ValueError("at least one dataset source is required")
+        names = [source.name for source in self.datasets]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"dataset name {name!r} is used more than once")
         if not self.noise_kinds:
             raise ValueError("at least one noise kind is required")
         if not self.scalings:

@@ -17,9 +17,6 @@ from .seeding import derive_rng
 
 _INIT_STREAM = 0x1217
 
-# Deterministic fallback bound for re-draws that hit an already-chosen row.
-_MAX_REDRAWS = 16
-
 
 @dataclass(frozen=True)
 class KMeansConfig:
@@ -98,13 +95,9 @@ def kmeanspp_init(
             raise ValueError(
                 f"cannot pick {k} distinct centers: only {c} distinct point values available"
             )
+        # choice() inverts the weights' cumulative sum with a right-sided
+        # search, so it never returns a zero-weight row.
         idx = int(rng.choice(n, p=d2_min / total))
-        for _ in range(_MAX_REDRAWS):
-            if d2_min[idx] > 0.0:
-                break
-            idx = int(rng.choice(n, p=d2_min / total))
-        if d2_min[idx] <= 0.0:
-            idx = int(np.argmax(d2_min))
         chosen[c] = idx
         d2_new = pairwise_sq_distances(matrix, matrix[idx : idx + 1], row_sq_norms)[:, 0]
         np.minimum(d2_min, d2_new, out=d2_min)

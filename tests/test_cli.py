@@ -1,13 +1,16 @@
 """End-to-end CLI tests: config parsing, subcommands, exit codes, outputs."""
 
 import json
+import re
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cluster_sense import cli, experiment
+from cluster_sense.experiment import FileSource, GeneratorSource, SweepConfig
 from cluster_sense.perturb import NoiseKind
 from cluster_sense.scale import ScalingKind
 
@@ -94,18 +97,86 @@ class TestGenerate:
         assert rc == 2
         assert "--dims" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--clusters", "0"), ("--per-cluster", "-1"), ("--separation", "0"), ("--separation", "nan")],
+    )
+    def test_bad_shape_flag_exits_2(self, tmp_path, capsys, flag, value):
+        rc = cli.main(["generate", "--dims", "2", flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{flag} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestParseConfig:
     def test_small_config(self, tmp_path):
         path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
-        config = cli.parse_config(path)
-        assert config.noise_kinds == (NoiseKind.GAUSSIAN, NoiseKind.UNIFORM)
-        assert config.scalings == (ScalingKind.NONE,)
-        assert config.max_ratio == Fraction(1, 2)
-        assert config.repeats == 2
-        assert config.master_seed == 7
-        assert len(config.datasets) == 1
-        assert config.datasets[0].name == "mini"
+        assert cli.parse_config(path) == SweepConfig(
+            datasets=(
+                GeneratorSource(
+                    name="mini", dims=6, clusters=3, per_cluster=8, separation=10.0, seed=5
+                ),
+            ),
+            noise_kinds=(NoiseKind.GAUSSIAN, NoiseKind.UNIFORM),
+            scalings=(ScalingKind.NONE,),
+            max_ratio=Fraction(1, 2),
+            ratio_step=1,
+            repeats=2,
+            master_seed=7,
+        )
+
+        # Every key set to a value other than its default: a key missing from
+        # the parser's tables, or mapped to the wrong field, fails here.
+        path = _write(
+            tmp_path / "full.cfg",
+            textwrap.dedent(
+                """\
+                noise = uniform
+                scaling = standardized centered
+                max_ratio = 5:4
+                ratio_step = 3
+                repeats = 4
+                master_seed = 11
+                redraw_noise_per_repeat = true
+                noise_stats = per-feature
+                workers = 2
+
+                [dataset]
+                name = gen
+                dims = 5
+                clusters = 2
+                per_cluster = 9
+                separation = 7.5
+                seed = 3
+
+                [dataset]
+                name = ext
+                data = files/points.txt
+                labels = files/labels.txt
+                """
+            ),
+        )
+        assert cli.parse_config(path) == SweepConfig(
+            datasets=(
+                GeneratorSource(
+                    name="gen", dims=5, clusters=2, per_cluster=9, separation=7.5, seed=3
+                ),
+                FileSource(
+                    name="ext",
+                    data_path=(tmp_path / "files" / "points.txt").as_posix(),
+                    labels_path=(tmp_path / "files" / "labels.txt").as_posix(),
+                ),
+            ),
+            noise_kinds=(NoiseKind.UNIFORM,),
+            scalings=(ScalingKind.STANDARDIZED, ScalingKind.CENTERED),
+            max_ratio=Fraction(5, 4),
+            ratio_step=3,
+            repeats=4,
+            master_seed=11,
+            redraw_noise_per_repeat=True,
+            noise_stats_mode="per-feature",
+            workers=2,
+        )
 
     def test_defaults_when_only_dataset_given(self, tmp_path):
         path = _write(tmp_path / "sweep.cfg", "[dataset]\ndims = 4\n")
@@ -187,6 +258,57 @@ class TestParseConfig:
             tmp_path / "sweep.cfg", "noise_stats = per-feature\n[dataset]\ndims = 4\n"
         )
         assert cli.parse_config(path).noise_stats_mode == "per-feature"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("noise", ""),
+            ("noise", "pink"),
+            ("scaling", ""),
+            ("max_ratio", "0"),
+            ("max_ratio", "1:0"),
+            ("max_ratio", "3:"),
+            ("max_ratio", "x"),
+            ("ratio_step", "0"),
+            ("ratio_step", "1.5"),
+            ("repeats", "0"),
+            ("master_seed", "x"),
+            ("redraw_noise_per_repeat", "yes"),
+            ("noise_stats", "mean"),
+            ("workers", "-1"),
+            ("dims", "0"),
+            ("clusters", "0"),
+            ("per_cluster", "-2"),
+            ("separation", "0"),
+            ("separation", "nan"),
+            ("seed", "x"),
+        ],
+    )
+    def test_rejected_value_names_its_line(self, tmp_path, key, value):
+        lines = ["# rejected value", "[dataset]", "dims = 4"]
+        if key in cli._TOP_KEYS:
+            lines.insert(1, f"{key} = {value}")
+        elif key == "dims":
+            lines[2] = f"dims = {value}"
+        else:
+            lines.append(f"{key} = {value}")
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} ="))
+        path = _write(tmp_path / "sweep.cfg", "\n".join(lines) + "\n")
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.parse_config(path)
+        assert f"sweep.cfg:{lineno}: {key}" in str(exc.value)
+        assert value in str(exc.value)
+
+    def test_duplicate_dataset_names_rejected(self, tmp_path, capsys):
+        path = _write(
+            tmp_path / "sweep.cfg",
+            "[dataset]\ndims = 4\nseed = 1\n\n[dataset]\ndims = 4\nseed = 2\n",
+        )
+        with pytest.raises(cli.ConfigError, match=r"sweep\.cfg.*'dim4'"):
+            cli.parse_config(path)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "dim4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_multiple_datasets_in_order(self, tmp_path):
         path = _write(
@@ -386,3 +508,10 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def test_readme_lists_exactly_the_top_level_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Top-level keys:", 1)[1].lstrip("\n").split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(cli._TOP_KEYS)

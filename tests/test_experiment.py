@@ -123,6 +123,13 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="dataset"):
             _toy_config(datasets=())
 
+    def test_duplicate_dataset_names_rejected(self):
+        # Two sources named alike would merge into one curve in summary.csv.
+        twin = GeneratorSource(name="toy", dims=8, seed=4)
+        with pytest.raises(ValueError, match="'toy'"):
+            _toy_config(datasets=(TOY, WIDE, twin))
+        _toy_config(datasets=(TOY, WIDE))
+
     def test_defaults(self):
         config = SweepConfig(datasets=(TOY,))
         assert config.max_ratio == Fraction(3)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cluster_sense.dataset import generate_dim_like
 from cluster_sense.kmeans import ClusteringResult, KMeansConfig, fit, kmeanspp_init
@@ -75,6 +76,37 @@ class TestKMeansPlusPlus:
             plain = kmeanspp_init(matrix, 16, derive_rng(seed))
             shared = kmeanspp_init(matrix, 16, derive_rng(seed), row_sq_norms)
             assert shared.tobytes() == plain.tobytes()
+
+
+@st.composite
+def _matrix_with_duplicates(draw):
+    """A row-shuffled matrix of repeated distinct rows, a k <= the number of
+    distinct rows, and a seed.
+
+    The offset from the origin stays within 100 spreads. A duplicate's squared
+    distance from the |a|^2 + |b|^2 - 2ab expansion is then 0 or a rounding
+    residue about 1e-12 of a distinct row's; near 1e7 spreads the residue is
+    large enough to be drawn.
+    """
+    distinct = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 10.0 ** draw(st.integers(-3, 3))
+    d = draw(st.integers(1, 8))
+    values = spread * (rng.normal(size=(distinct, d)) + draw(st.integers(0, 100)))
+    copies = draw(st.lists(st.integers(1, 5), min_size=distinct, max_size=distinct))
+    matrix = np.repeat(values, copies, axis=0)[rng.permutation(sum(copies))]
+    return matrix, draw(st.integers(1, distinct)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestKMeansPlusPlusDistinct:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_matrix_with_duplicates())
+    def test_picks_are_pairwise_distinct(self, case):
+        # Generator.choice never returns a zero-weight index, so no row that
+        # duplicates a chosen center is picked again.
+        matrix, k, seed = case
+        centers = kmeanspp_init(matrix, k, derive_rng(seed))
+        assert len(np.unique(centers, axis=0)) == k
 
 
 class TestFit:
