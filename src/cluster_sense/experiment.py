@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
 from .distance import pairwise_distances  # noqa: F401  (unused; perfbench traces this name)
-from .kmeans import KMeansConfig, fit
+from .kmeans import KMeansConfig, default_tolerance, fit
 from .metrics import METRIC_NAMES, MetricReport, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
 from .scale import ScalingKind, apply_scaling
@@ -337,7 +337,9 @@ def _cell_matrices(plan, base, noise_columns, spec, config):
     """Yield (scaled matrix, k-means seeds of the repeats clustered on it).
 
     A fixed-noise cell, and level 0 of any sweep, is one matrix for all its
-    repeats; a redraw cell above level 0 draws one matrix per repeat.
+    repeats; a redraw cell above level 0 draws one matrix per repeat. No name
+    holds an unscaled matrix across a yield, so only the scaled copy is alive
+    while the repeats are fitted and scored.
     """
     seeds = [
         cell_kmeans_seed(
@@ -347,14 +349,16 @@ def _cell_matrices(plan, base, noise_columns, spec, config):
     ]
     if config.redraw_noise_per_repeat and plan.level > 0:
         for repeat, seed in enumerate(seeds):
-            augmented = append_noise(base, spec, plan.level, seed=(spec.seed, repeat))
-            yield apply_scaling(augmented.matrix, plan.scaling), [seed]
+            yield apply_scaling(
+                append_noise(base, spec, plan.level, seed=(spec.seed, repeat)).matrix,
+                plan.scaling,
+            ), [seed]
+    elif plan.level == 0:
+        yield apply_scaling(base.points, plan.scaling), seeds
     else:
-        if plan.level == 0:
-            matrix = base.points
-        else:
-            matrix = np.hstack([base.points, noise_columns[:, : plan.level]])
-        yield apply_scaling(matrix, plan.scaling), seeds
+        yield apply_scaling(
+            np.hstack([base.points, noise_columns[:, : plan.level]]), plan.scaling
+        ), seeds
 
 
 def _run_cell(
@@ -373,7 +377,11 @@ def _run_cell(
     reports = []
     try:
         for scaled, seeds in _cell_matrices(plan, base, noise_columns, spec, config):
-            fits = (fit(scaled, KMeansConfig(k=base.n_clusters, seed=seed)) for seed in seeds)
+            tolerance = default_tolerance(scaled)
+            fits = (
+                fit(scaled, KMeansConfig(k=base.n_clusters, tolerance=tolerance, seed=seed))
+                for seed in seeds
+            )
             assignments = np.stack([result.assignments for result in fits])
             reports.extend(evaluate_clustering(scaled, assignments, base.labels))
     except ValueError as exc:  # degraded cell, sweep continues; bugs propagate

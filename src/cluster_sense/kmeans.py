@@ -23,8 +23,8 @@ class KMeansConfig:
     """k, iteration budget, convergence tolerance and seed for one fit.
 
     tolerance is the total squared centroid movement below which Lloyd stops,
-    in squared-distance units; None selects 1e-4 times the mean per-feature
-    variance of the matrix being fitted.
+    in squared-distance units; None selects default_tolerance of the matrix
+    being fitted.
     """
 
     k: int
@@ -58,6 +58,16 @@ class ClusteringResult:
     inertia_history: tuple[float, ...] = field(repr=False, default=())
 
 
+def default_tolerance(matrix: np.ndarray) -> float:
+    """1e-4 times the mean per-feature variance of the float64 matrix.
+
+    fit uses it when config.tolerance is None; a caller that fits one matrix
+    many times can compute it once and pass it as the tolerance.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return 1e-4 * float(matrix.var(axis=0).mean())
+
+
 def kmeanspp_init(
     matrix: np.ndarray,
     k: int,
@@ -67,9 +77,11 @@ def kmeanspp_init(
     """Pick k distinct rows: first uniformly, the rest D^2-weighted.
 
     Each subsequent center is drawn with probability proportional to the
-    squared distance to the nearest chosen center, which gives rows that
-    duplicate a chosen center zero weight; if every remaining row has zero
-    weight there are not enough distinct values and the call fails.
+    squared distance to the nearest chosen center. Rows exactly equal to a
+    chosen center get weight 0 (the |a|^2 + |b|^2 - 2ab expansion can leave
+    them a rounding residue far from the origin), so no value is picked
+    twice; if every remaining row has zero weight there are not enough
+    distinct values and the call fails.
 
     row_sq_norms, when given, is np.einsum("ij,ij->i", matrix, matrix) of the
     float64 matrix, passed to every pairwise_sq_distances call as its a_sq;
@@ -88,7 +100,18 @@ def kmeanspp_init(
     if k == 1:
         return matrix[chosen[:1]].copy()
 
-    d2_min = pairwise_sq_distances(matrix, matrix[chosen[:1]], row_sq_norms)[:, 0]
+    if row_sq_norms is None:
+        row_sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+
+    def zero_copies(d2: np.ndarray, idx: int) -> np.ndarray:
+        # Equal rows have equal norms, so the norms narrow the exact check.
+        same = np.flatnonzero(row_sq_norms == row_sq_norms[idx])
+        d2[same[(matrix[same] == matrix[idx]).all(axis=1)]] = 0.0
+        return d2
+
+    d2_min = zero_copies(
+        pairwise_sq_distances(matrix, matrix[chosen[:1]], row_sq_norms)[:, 0], int(chosen[0])
+    )
     for c in range(1, k):
         total = d2_min.sum()
         if total <= 0.0:
@@ -100,7 +123,7 @@ def kmeanspp_init(
         idx = int(rng.choice(n, p=d2_min / total))
         chosen[c] = idx
         d2_new = pairwise_sq_distances(matrix, matrix[idx : idx + 1], row_sq_norms)[:, 0]
-        np.minimum(d2_min, d2_new, out=d2_min)
+        np.minimum(d2_min, zero_copies(d2_new, idx), out=d2_min)
     return matrix[chosen].copy()
 
 
@@ -114,6 +137,12 @@ def fit(
     Alternates nearest-center assignment and centroid-mean updates until the
     total squared centroid movement drops to the tolerance or the iteration
     budget runs out, then recomputes assignments against the final centroids.
+
+    An assignment equal to the previous one, after an update that re-seeded
+    no empty cluster, would be followed by an update that reproduces the same
+    centroids bit for bit (movement 0) and a final pass that reproduces this
+    assignment; the fit stops there and counts that update as its last
+    iteration, so the result is the same as running those passes.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] == 0:
@@ -125,7 +154,7 @@ def fit(
 
     tolerance = config.tolerance
     if tolerance is None:
-        tolerance = 1e-4 * float(matrix.var(axis=0).mean())
+        tolerance = default_tolerance(matrix)
 
     # Squared row norms, shared by every distance call of this fit.
     row_sq_norms = np.einsum("ij,ij->i", matrix, matrix)
@@ -140,29 +169,46 @@ def fit(
     history: list[float] = []
     converged = False
     iterations = 0
+    # The assignment the current centers are the exact means of, if any.
+    settled = None
     for _ in range(config.max_iterations):
         d2 = pairwise_sq_distances(matrix, centers, row_sq_norms)
         assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), assignments].sum()))
+        iterations += 1
+        repeated = settled is not None and np.array_equal(assignments, settled)
+        if repeated:
+            converged = True
+            break
 
-        new_centers = np.empty_like(centers)
+        # Each cluster's rows in index order, as a boolean mask would give
+        # them, so the sums and means round exactly like matrix[mask].mean().
         counts = np.bincount(assignments, minlength=k)
+        order = np.argsort(assignments, kind="stable")
+        stops = np.cumsum(counts)
+        new_centers = np.empty_like(centers)
         for j in range(k):
             if counts[j] > 0:
-                new_centers[j] = matrix[assignments == j].mean(axis=0)
+                rows = order[stops[j] - counts[j] : stops[j]]
+                new_centers[j] = np.add.reduce(matrix[rows], axis=0)
             else:
                 # Re-seed an emptied cluster with the point farthest from it.
                 new_centers[j] = matrix[int(np.argmax(d2[:, j]))]
+        filled = counts > 0
+        new_centers[filled] /= counts[filled, None]
 
         shift = float(((new_centers - centers) ** 2).sum())
         centers = new_centers
-        iterations += 1
+        # A non-finite shift means non-finite centers, whose repeat would not
+        # reproduce a zero movement.
+        settled = assignments if filled.all() and np.isfinite(shift) else None
         if shift <= tolerance:
             converged = True
             break
 
-    d2 = pairwise_sq_distances(matrix, centers, row_sq_norms)
-    assignments = np.argmin(d2, axis=1)
+    if not repeated:
+        d2 = pairwise_sq_distances(matrix, centers, row_sq_norms)
+        assignments = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), assignments].sum())
     history.append(inertia)
 

@@ -101,16 +101,17 @@ def nmi(pair: PartitionPair) -> float:
 
 
 def _pair_sums(table: np.ndarray) -> tuple[int, int, int]:
-    """(sum of C(n_ij,2), sum of C(row,2), sum of C(col,2)) as exact ints."""
+    """(sum of C(n_ij,2), sum of C(row,2), sum of C(col,2)) as exact ints.
 
-    def comb2_sum(values) -> int:
-        return sum(int(v) * (int(v) - 1) // 2 for v in values)
+    Computed in int64, which is exact while every count v has v * (v - 1)
+    below 2^63, i.e. for n < 2^31 points.
+    """
 
-    return (
-        comb2_sum(table.ravel()),
-        comb2_sum(table.sum(axis=1)),
-        comb2_sum(table.sum(axis=0)),
-    )
+    def comb2_sum(values: np.ndarray) -> int:
+        return int((values * (values - 1) // 2).sum())
+
+    table = np.asarray(table, dtype=np.int64)
+    return comb2_sum(table), comb2_sum(table.sum(axis=1)), comb2_sum(table.sum(axis=0))
 
 
 def pair_counts(pair: PartitionPair) -> PairCounts:

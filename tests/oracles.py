@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
+from cluster_sense.distance import pairwise_sq_distances
+
 
 def pair_enumeration(predicted, truth) -> tuple[int, int, int]:
     """(a, b, total): pairs together in both, apart in both, all pairs."""
@@ -144,3 +148,47 @@ def davies_bouldin_oracle(points, assignments) -> float:
             ratios.append((delta[i] + delta[j]) / gap)
         worst.append(max(ratios))
     return sum(worst) / len(clusters)
+
+
+def lloyd_reference(matrix, centers, max_iterations, tolerance):
+    """Lloyd iterations run to the end of the budget or tolerance, every pass
+    included: one boolean-mask mean per cluster in each update, then a final
+    assignment pass against the last centroids.
+
+    Returns (assignments, centroids, inertia, iterations, converged,
+    inertia_history), which kmeans.fit must reproduce bit for bit from the
+    same centers and tolerance.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64).copy()
+    n = matrix.shape[0]
+    k = centers.shape[0]
+    row_sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+    history = []
+    converged = False
+    iterations = 0
+    for _ in range(max_iterations):
+        d2 = pairwise_sq_distances(matrix, centers, row_sq_norms)
+        assignments = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), assignments].sum()))
+
+        new_centers = np.empty_like(centers)
+        counts = np.bincount(assignments, minlength=k)
+        for j in range(k):
+            if counts[j] > 0:
+                new_centers[j] = matrix[assignments == j].mean(axis=0)
+            else:
+                new_centers[j] = matrix[int(np.argmax(d2[:, j]))]
+
+        shift = float(((new_centers - centers) ** 2).sum())
+        centers = new_centers
+        iterations += 1
+        if shift <= tolerance:
+            converged = True
+            break
+
+    d2 = pairwise_sq_distances(matrix, centers, row_sq_norms)
+    assignments = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(n), assignments].sum())
+    history.append(inertia)
+    return assignments, centers, inertia, iterations, converged, tuple(history)

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -371,6 +372,37 @@ class TestRunSweep:
             tracemalloc.stop()
         assert all(c.status == "ok" for c in result.cells)
         assert peak < n * n * 8
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_unscaled_matrix_is_freed_before_fitting(self, monkeypatch, redraw):
+        # Only the scaled copy of a cell's matrix may be alive while its
+        # repeats are fitted: every unscaled matrix wider than the base
+        # points, and every AugmentedDataset, must be gone by then.
+        unscaled = []
+        original_append = experiment.append_noise
+        original_scaling = experiment.apply_scaling
+        original_fit = experiment.fit
+
+        def tracked_append(*args, **kwargs):
+            augmented = original_append(*args, **kwargs)
+            unscaled.append(weakref.ref(augmented))
+            return augmented
+
+        def tracked_scaling(matrix, kind):
+            if matrix.shape[1] > TOY.dims:
+                unscaled.append(weakref.ref(matrix))
+            return original_scaling(matrix, kind)
+
+        def checked_fit(matrix, kmeans_config):
+            assert [ref for ref in unscaled if ref() is not None] == []
+            return original_fit(matrix, kmeans_config)
+
+        monkeypatch.setattr(experiment, "append_noise", tracked_append)
+        monkeypatch.setattr(experiment, "apply_scaling", tracked_scaling)
+        monkeypatch.setattr(experiment, "fit", checked_fit)
+        result = run_sweep(_toy_config(redraw_noise_per_repeat=redraw, workers=1))
+        assert all(c.status == "ok" for c in result.cells)
+        assert len(unscaled) > 0
 
     def test_provenance_echo(self):
         config = _toy_config()

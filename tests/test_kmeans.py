@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cluster_sense import kmeans
 from cluster_sense.dataset import generate_dim_like
-from cluster_sense.kmeans import ClusteringResult, KMeansConfig, fit, kmeanspp_init
+from cluster_sense.kmeans import (
+    ClusteringResult,
+    KMeansConfig,
+    default_tolerance,
+    fit,
+    kmeanspp_init,
+)
 from cluster_sense.seeding import derive_rng
+from oracles import lloyd_reference
+
+# Property tests run a fixed example sequence and keep no example database,
+# so every run checks the same cases.
+FIXED_EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 class TestKMeansConfig:
@@ -81,25 +93,21 @@ class TestKMeansPlusPlus:
 @st.composite
 def _matrix_with_duplicates(draw):
     """A row-shuffled matrix of repeated distinct rows, a k <= the number of
-    distinct rows, and a seed.
-
-    The offset from the origin stays within 100 spreads. A duplicate's squared
-    distance from the |a|^2 + |b|^2 - 2ab expansion is then 0 or a rounding
-    residue about 1e-12 of a distinct row's; near 1e7 spreads the residue is
-    large enough to be drawn.
+    distinct rows, and a seed. The rows sit up to 1e7 spreads from the origin.
     """
     distinct = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spread = 10.0 ** draw(st.integers(-3, 3))
     d = draw(st.integers(1, 8))
-    values = spread * (rng.normal(size=(distinct, d)) + draw(st.integers(0, 100)))
+    offset = draw(st.integers(0, 100)) * 10.0 ** draw(st.integers(0, 5))
+    values = spread * (rng.normal(size=(distinct, d)) + offset)
     copies = draw(st.lists(st.integers(1, 5), min_size=distinct, max_size=distinct))
     matrix = np.repeat(values, copies, axis=0)[rng.permutation(sum(copies))]
     return matrix, draw(st.integers(1, distinct)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestKMeansPlusPlusDistinct:
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @FIXED_EXAMPLES
     @given(_matrix_with_duplicates())
     def test_picks_are_pairwise_distinct(self, case):
         # Generator.choice never returns a zero-weight index, so no row that
@@ -107,6 +115,18 @@ class TestKMeansPlusPlusDistinct:
         matrix, k, seed = case
         centers = kmeanspp_init(matrix, k, derive_rng(seed))
         assert len(np.unique(centers, axis=0)) == k
+
+    def test_far_duplicates_are_never_picked_twice(self):
+        # Four distinct 16-feature rows offset by 1e7, each repeated 50 times.
+        # The expansion leaves a duplicate of a chosen center a rounding
+        # residue of D^2 well above 0; its weight must still be 0.
+        for dataset in range(10):
+            rng = np.random.default_rng(dataset)
+            values = rng.normal(size=(4, 16)) + 1e7
+            matrix = np.repeat(values, 50, axis=0)[rng.permutation(200)]
+            for seed in range(100):
+                centers = kmeanspp_init(matrix, 4, derive_rng(seed))
+                assert len(np.unique(centers, axis=0)) == 4
 
 
 class TestFit:
@@ -203,6 +223,7 @@ class TestFit:
     def test_default_tolerance_matches_explicit(self):
         ds = generate_dim_like(6, 4, 25, 10.0, seed=13)
         explicit = 1e-4 * float(ds.points.var(axis=0).mean())
+        assert default_tolerance(ds.points) == explicit
         auto = fit(ds.points, KMeansConfig(k=4, seed=5))
         manual = fit(ds.points, KMeansConfig(k=4, seed=5, tolerance=explicit))
         assert np.array_equal(auto.assignments, manual.assignments)
@@ -222,3 +243,138 @@ class TestFit:
         assert isinstance(result, ClusteringResult)
         assert result.centroids.shape == (2, 4)
         assert result.iterations >= 1
+
+
+@st.composite
+def _lloyd_case(draw):
+    """A matrix (possibly with duplicate rows), a fit config, and explicit
+    initial centers or None for a k-means++ start."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    values = rng.normal(size=(distinct, d)) * 10.0 ** draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        # A few well-separated groups, so most fits settle quickly.
+        groups = draw(st.integers(1, 5))
+        values += 20.0 * rng.normal(size=(groups, d))[rng.integers(0, groups, distinct)]
+    copies = rng.integers(1, draw(st.integers(1, 4)) + 1, size=distinct)
+    matrix = np.repeat(values, copies, axis=0)[rng.permutation(int(copies.sum()))]
+    k = draw(st.integers(1, min(distinct, 6)))
+    start = draw(st.sampled_from(["kmeans++", "rows", "far"]))
+    if start == "rows":
+        centers = matrix[rng.choice(matrix.shape[0], size=k, replace=False)]
+    elif start == "far":
+        # Every point is nearest to center 0, so the first update re-seeds
+        # the k - 1 others.
+        far = np.abs(matrix).max() + 1e3
+        centers = np.repeat(far * (1.0 + np.arange(k))[:, None], d, axis=1)
+    else:
+        centers = None
+    config = KMeansConfig(
+        k=k,
+        max_iterations=draw(st.sampled_from([1, 2, 3, 4, 300])),
+        tolerance=draw(st.sampled_from([None, 0.0, 1e-3])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return matrix, config, centers
+
+
+def _count_distance_calls(monkeypatch):
+    calls = []
+    original = kmeans.pairwise_sq_distances
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kmeans, "pairwise_sq_distances", counted)
+    return calls
+
+
+class TestLloydReference:
+    @FIXED_EXAMPLES
+    @given(_lloyd_case())
+    def test_fit_matches_every_pass_reference_bit_for_bit(self, case):
+        matrix, config, centers = case
+        result = fit(matrix, config, initial_centers=centers)
+        if centers is None:
+            row_sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+            rng = derive_rng(config.seed, kmeans._INIT_STREAM)
+            centers = kmeanspp_init(matrix, config.k, rng, row_sq_norms)
+        tolerance = config.tolerance
+        if tolerance is None:
+            tolerance = 1e-4 * float(matrix.var(axis=0).mean())
+        assignments, centroids, inertia, iterations, converged, history = lloyd_reference(
+            matrix, centers, config.max_iterations, tolerance
+        )
+        assert np.array_equal(result.assignments, assignments)
+        assert result.centroids.tobytes() == centroids.tobytes()
+        assert result.inertia == inertia
+        assert result.iterations == iterations
+        assert result.converged == converged
+        assert result.inertia_history == history
+
+    def test_non_finite_data_is_never_settled(self):
+        # An infinite entry makes the centroid movement NaN, which never meets
+        # the tolerance: the reference runs out its budget, and so must fit,
+        # although every assignment repeats the first.
+        matrix = np.array([[np.inf, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        config = KMeansConfig(k=1, max_iterations=5, tolerance=0.0)
+        with np.errstate(invalid="ignore"):
+            result = fit(matrix, config, initial_centers=matrix[1:2])
+            expected = lloyd_reference(matrix, matrix[1:2], 5, 0.0)
+        assert (result.iterations, result.converged) == (5, False)
+        assert (result.iterations, result.converged) == expected[3:5]
+        assert np.array_equal(result.assignments, expected[0])
+
+
+class TestDistanceCallCount:
+    BLOBS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [50.0, 50.0], [50.0, 51.0]])
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_kmeanspp_makes_k_calls_from_two_centers_on(self, monkeypatch, k):
+        calls = _count_distance_calls(monkeypatch)
+        kmeanspp_init(self.BLOBS, k, derive_rng(3))
+        assert len(calls) == (0 if k == 1 else k)
+
+    def test_explicit_centers_skip_seeding(self, monkeypatch):
+        calls = _count_distance_calls(monkeypatch)
+        result = fit(self.BLOBS, KMeansConfig(k=2, tolerance=0.0), self.BLOBS[[0, 3]])
+        # The second assignment repeats the first: the fit stops on it.
+        assert result.iterations == 2
+        assert len(calls) == result.iterations
+
+    def test_seeded_fit_adds_k_calls(self, monkeypatch):
+        calls = _count_distance_calls(monkeypatch)
+        result = fit(self.BLOBS, KMeansConfig(k=2, tolerance=0.0, seed=4))
+        assert result.converged
+        assert len(calls) == 2 + result.iterations
+
+    def test_single_cluster_stops_on_the_second_assignment(self, monkeypatch):
+        calls = _count_distance_calls(monkeypatch)
+        result = fit(self.BLOBS, KMeansConfig(k=1, tolerance=0.0))
+        assert (result.iterations, result.converged) == (2, True)
+        assert len(calls) == 2
+
+    def test_one_iteration_budget_runs_the_final_pass(self, monkeypatch):
+        calls = _count_distance_calls(monkeypatch)
+        result = fit(self.BLOBS, KMeansConfig(k=2, max_iterations=1), self.BLOBS[[0, 3]])
+        assert result.iterations == 1
+        assert len(calls) == result.iterations + 1
+
+    def test_tolerance_stop_runs_the_final_pass(self, monkeypatch):
+        calls = _count_distance_calls(monkeypatch)
+        result = fit(self.BLOBS, KMeansConfig(k=2, tolerance=1e9), self.BLOBS[[0, 3]])
+        assert (result.iterations, result.converged) == (1, True)
+        assert len(calls) == result.iterations + 1
+
+    def test_repeat_after_a_reseed_does_not_stop(self, monkeypatch):
+        # Identical rows: the first update re-seeds cluster 1, and the second
+        # assignment repeats the first. The centers are only known to be
+        # final once an update re-seeds nothing, so the tolerance ends the fit.
+        calls = _count_distance_calls(monkeypatch)
+        matrix = np.ones((3, 2))
+        centers = np.array([[1.0, 1.0], [100.0, 100.0]])
+        result = fit(matrix, KMeansConfig(k=2, tolerance=0.0), centers)
+        assert (result.iterations, result.converged) == (2, True)
+        assert len(calls) == result.iterations + 1

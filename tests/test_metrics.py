@@ -127,6 +127,28 @@ class TestPairCounts:
         with pytest.raises(ValueError):
             pair_counts(_pair([0], [0]))
 
+    @FIXED_EXAMPLES
+    @given(st.data())
+    def test_pair_sums_equal_python_int_formula(self, data):
+        # Tables up to the documented bound n < 2^31, against the exact
+        # Python-integer sum of C(v, 2) over cells, row sums and column sums.
+        kx, ky = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        cap = data.draw(st.sampled_from([3, 1000, (2**31 - 1) // (kx * ky)]))
+        cells = data.draw(st.lists(st.integers(0, cap), min_size=kx * ky, max_size=kx * ky))
+        table = np.array(cells, dtype=np.int64).reshape(kx, ky)
+
+        def comb2_sum(values):
+            return sum(int(v) * (int(v) - 1) // 2 for v in values)
+
+        expected = (
+            comb2_sum(table.ravel()),
+            comb2_sum(table.sum(axis=1)),
+            comb2_sum(table.sum(axis=0)),
+        )
+        sums = metrics._pair_sums(table)
+        assert sums == expected
+        assert all(type(value) is int for value in sums)
+
 
 class TestRandIndex:
     def test_identical(self):
