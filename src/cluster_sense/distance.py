@@ -6,15 +6,17 @@ the metric function directly on the same matrix.
 
 The n x n distance matrix is computed in row blocks of at most BLOCK_BYTES,
 so a caller that only reduces the rows (silhouette, for all clusterings of
-one matrix at once) needs O(block * n) memory for them instead of O(n^2);
-only pairwise_distances, the tests' reference, assembles the whole matrix.
-A matrix that fits one block is computed in a single call, exactly as the
-one-shot formula sqrt(pairwise_sq_distances(x, x)) would. Blocks reproduce that one-shot
-matrix bit for bit only where the BLAS GEMM rounds every element the same
-way whatever the operand shape. With OpenBLAS 0.3.31 on an AVX-512 x86-64
-CPU that holds when n is a multiple of 8 and no block is a single row (numpy
-computes a one-row product with GEMV); otherwise some entries may differ in
-the last bits, and the blocked matrix is symmetric only to within rounding.
+one matrix at once) needs O(block * n) memory for them instead of O(n^2).
+pairwise_distances assembles the whole matrix: the sweep builds it for a
+matrix that fits one block, where it is that block, and shares it between
+k-means++ and silhouette. A matrix that fits one block is computed in a
+single call, exactly as the one-shot formula sqrt(pairwise_sq_distances(x, x))
+would. Blocks reproduce that one-shot matrix bit for bit only where the BLAS
+GEMM rounds every element the same way whatever the operand shape. With
+OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU that holds when n is a multiple of 8
+and no block is a single row (numpy computes a one-row product with GEMV);
+otherwise some entries may differ in the last bits, and the blocked matrix
+is symmetric only to within rounding.
 A given n always splits into the same blocks, so results stay reproducible
 either way.
 """
@@ -96,3 +98,15 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     for start, stop in blocks:
         d[start:stop] = distance_rows(x, start, stop)
     return d
+
+
+def check_distances(distances: np.ndarray, n: int) -> np.ndarray:
+    """`distances` as a float64 array; ValueError unless its shape is (n, n).
+
+    Callers that accept a precomputed matrix take it to be pairwise_distances
+    of their float64 points and only read it.
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    if distances.shape != (n, n):
+        raise ValueError(f"distances must have shape {(n, n)}, got {distances.shape}")
+    return distances

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
-from .distance import pairwise_distances  # noqa: F401  (unused; perfbench traces this name)
+from .distance import pairwise_distances, row_blocks
 from .kmeans import KMeansConfig, default_tolerance, fit
 from .metrics import METRIC_NAMES, MetricReport, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
@@ -374,16 +374,28 @@ def _run_cell(
 
     # Each matrix's repeats are fitted first and then scored in one metrics
     # pass, which computes every silhouette distance block once per matrix.
+    # A matrix whose distances fit one block gets that block up front, and
+    # k-means++ reads its centers' distances from it too. Both names are
+    # dropped before the next matrix is drawn, so one matrix is alive at a time.
     reports = []
     try:
         for scaled, seeds in _cell_matrices(plan, base, noise_columns, spec, config):
+            one_block = len(row_blocks(scaled.shape[0])) == 1
+            distances = pairwise_distances(scaled) if one_block else None
             tolerance = default_tolerance(scaled)
             fits = (
-                fit(scaled, KMeansConfig(k=base.n_clusters, tolerance=tolerance, seed=seed))
+                fit(
+                    scaled,
+                    KMeansConfig(k=base.n_clusters, tolerance=tolerance, seed=seed),
+                    distances=distances,
+                )
                 for seed in seeds
             )
             assignments = np.stack([result.assignments for result in fits])
-            reports.extend(evaluate_clustering(scaled, assignments, base.labels))
+            reports.extend(
+                evaluate_clustering(scaled, assignments, base.labels, distances=distances)
+            )
+            del scaled, distances
     except ValueError as exc:  # degraded cell, sweep continues; bugs propagate
         return _summary_cells(plan, config.repeats, error=_error_code(exc)), []
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import pairwise_sq_distances
+from .distance import check_distances, pairwise_sq_distances
 from .seeding import derive_rng
 
 _INIT_STREAM = 0x1217
@@ -73,6 +73,7 @@ def kmeanspp_init(
     k: int,
     rng: np.random.Generator,
     row_sq_norms: np.ndarray | None = None,
+    distances: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pick k distinct rows: first uniformly, the rest D^2-weighted.
 
@@ -81,12 +82,22 @@ def kmeanspp_init(
     chosen center get weight 0 (the |a|^2 + |b|^2 - 2ab expansion can leave
     them a rounding residue far from the origin), so no value is picked
     twice; if every remaining row has zero weight there are not enough
-    distinct values and the call fails.
+    distinct values and the call fails. The last pick's squared distances
+    would never be read, so they are not computed.
 
     row_sq_norms, when given, is np.einsum("ij,ij->i", matrix, matrix) of the
     float64 matrix, passed to every pairwise_sq_distances call as its a_sq;
     it saves one pass over the matrix per chosen center and leaves the picks
     unchanged.
+
+    distances, when given, must be pairwise_distances(matrix) of the same
+    float64 matrix (ValueError unless it is n x n); a center's squared
+    distances are then read as its row squared instead of computed, and the
+    matrix is not written to. The square of the rounded root differs from
+    the expansion in the last bits, and the weights drawn from differ with
+    it; a pick can move only where a draw lands within rounding of a weight
+    boundary, or where D^2 is itself rounding noise (points offset from the
+    origin by more than about 1e4 times their spread).
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
@@ -94,6 +105,8 @@ def kmeanspp_init(
         raise ValueError("matrix must contain at least one point")
     if k < 1 or k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if distances is not None:
+        distances = check_distances(distances, n)
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
@@ -103,15 +116,18 @@ def kmeanspp_init(
     if row_sq_norms is None:
         row_sq_norms = np.einsum("ij,ij->i", matrix, matrix)
 
-    def zero_copies(d2: np.ndarray, idx: int) -> np.ndarray:
+    def center_d2(idx: int) -> np.ndarray:
+        """Squared distances of every row to row idx; rows equal to it get 0."""
+        if distances is None:
+            d2 = pairwise_sq_distances(matrix, matrix[idx : idx + 1], row_sq_norms)[:, 0]
+        else:
+            d2 = distances[idx] ** 2
         # Equal rows have equal norms, so the norms narrow the exact check.
         same = np.flatnonzero(row_sq_norms == row_sq_norms[idx])
         d2[same[(matrix[same] == matrix[idx]).all(axis=1)]] = 0.0
         return d2
 
-    d2_min = zero_copies(
-        pairwise_sq_distances(matrix, matrix[chosen[:1]], row_sq_norms)[:, 0], int(chosen[0])
-    )
+    d2_min = center_d2(int(chosen[0]))
     for c in range(1, k):
         total = d2_min.sum()
         if total <= 0.0:
@@ -120,10 +136,9 @@ def kmeanspp_init(
             )
         # choice() inverts the weights' cumulative sum with a right-sided
         # search, so it never returns a zero-weight row.
-        idx = int(rng.choice(n, p=d2_min / total))
-        chosen[c] = idx
-        d2_new = pairwise_sq_distances(matrix, matrix[idx : idx + 1], row_sq_norms)[:, 0]
-        np.minimum(d2_min, zero_copies(d2_new, idx), out=d2_min)
+        chosen[c] = rng.choice(n, p=d2_min / total)
+        if c + 1 < k:
+            np.minimum(d2_min, center_d2(int(chosen[c])), out=d2_min)
     return matrix[chosen].copy()
 
 
@@ -131,8 +146,14 @@ def fit(
     matrix: np.ndarray,
     config: KMeansConfig,
     initial_centers: np.ndarray | None = None,
+    distances: np.ndarray | None = None,
 ) -> ClusteringResult:
     """Run Lloyd iterations from a k-means++ (or explicitly given) start.
+
+    distances, when given, must be pairwise_distances(matrix) of the same
+    float64 matrix (ValueError unless it is n x n); k-means++ reads its
+    centers' squared distances from it (see kmeanspp_init). Lloyd's steps do
+    not use it.
 
     Alternates nearest-center assignment and centroid-mean updates until the
     total squared centroid movement drops to the tolerance or the iteration
@@ -151,6 +172,8 @@ def fit(
     k = config.k
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points {n}")
+    if distances is not None:
+        distances = check_distances(distances, n)
 
     tolerance = config.tolerance
     if tolerance is None:
@@ -160,7 +183,7 @@ def fit(
     row_sq_norms = np.einsum("ij,ij->i", matrix, matrix)
     if initial_centers is None:
         rng = derive_rng(config.seed, _INIT_STREAM)
-        centers = kmeanspp_init(matrix, k, rng, row_sq_norms)
+        centers = kmeanspp_init(matrix, k, rng, row_sq_norms, distances)
     else:
         centers = np.asarray(initial_centers, dtype=np.float64).copy()
         if centers.shape != (k, d):

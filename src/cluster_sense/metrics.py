@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import dense_remap
-from .distance import distance_rows, pairwise_sq_distances, row_blocks
+from .distance import check_distances, distance_rows, pairwise_sq_distances, row_blocks
 from .distance import pairwise_distances  # noqa: F401  (unused; perfbench traces this name)
 
 METRIC_NAMES = ("nmi", "ri", "ari", "silhouette", "davies_bouldin")
@@ -164,7 +164,9 @@ def _labeling_stack(assignments) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(stack), stack.ndim == 2
 
 
-def silhouette(matrix: np.ndarray, assignments: np.ndarray) -> float | list[float]:
+def silhouette(
+    matrix: np.ndarray, assignments: np.ndarray, distances: np.ndarray | None = None
+) -> float | list[float]:
     """Mean silhouette value: (d_n - d_w) / max(d_n, d_w) per point.
 
     d_w is the mean distance to the point's own cluster (itself excluded),
@@ -177,6 +179,12 @@ def silhouette(matrix: np.ndarray, assignments: np.ndarray) -> float | list[floa
     block is reduced to per-cluster sums with one product per labeling. So
     memory is O(block * n + R * n * k) rather than O(n^2), and each value has
     the same bits as a call with that labeling alone.
+
+    distances, when given, must be pairwise_distances(matrix) of the same
+    float64 matrix (ValueError unless it is n x n). Its row blocks are read
+    in place of computing them, and it is not written to; since
+    pairwise_distances is filled with those same blocks, every value keeps
+    its bits.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     labelings, stacked = _labeling_stack(assignments)
@@ -188,11 +196,16 @@ def silhouette(matrix: np.ndarray, assignments: np.ndarray) -> float | list[floa
         raise ValueError("silhouette requires at least 2 points")
     if any(counts.size < 2 for _, counts in present):
         raise ValueError("silhouette requires at least 2 distinct clusters")
+    if distances is not None:
+        distances = check_distances(distances, n)
 
     onehots = [np.eye(counts.size)[dense] for dense, counts in present]
     all_sums = [np.empty_like(onehot) for onehot in onehots]
     for start, stop in row_blocks(n):
-        rows = distance_rows(matrix, start, stop)
+        if distances is None:
+            rows = distance_rows(matrix, start, stop)
+        else:
+            rows = distances[start:stop]
         for cluster_sums, onehot in zip(all_sums, onehots):
             cluster_sums[start:stop] = rows @ onehot
 
@@ -270,17 +283,22 @@ class MetricReport:
 
 
 def evaluate_clustering(
-    matrix: np.ndarray, assignments: np.ndarray, truth: np.ndarray
+    matrix: np.ndarray,
+    assignments: np.ndarray,
+    truth: np.ndarray,
+    distances: np.ndarray | None = None,
 ) -> MetricReport | list[MetricReport]:
     """All five metrics for one clustering (external ones against `truth`).
 
     Like `silhouette`, takes one labeling (n,), giving a report, or a stack
     (R, n) of clusterings of the same matrix, giving a list of R reports, each
-    equal to the report of that clustering alone.
+    equal to the report of that clustering alone. distances, when given, is
+    pairwise_distances(matrix), passed on to `silhouette`; the reports are
+    the same either way.
     """
     labelings, stacked = _labeling_stack(assignments)
     pairs = [PartitionPair.from_labels(labels, truth) for labels in labelings]
-    silhouettes = silhouette(matrix, labelings)
+    silhouettes = silhouette(matrix, labelings, distances)
     reports = [
         MetricReport(
             nmi=nmi(pair),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cluster_sense import cli, distance, experiment
+from cluster_sense import metrics as metrics_module
 from cluster_sense.cli import raw_csv_text, summary_csv_text
 from cluster_sense.dataset import generate_dim_like, save_dataset
 from cluster_sense.experiment import (
@@ -330,12 +331,15 @@ class TestRunSweep:
         )
 
     def test_row_block_budget_does_not_change_summary_bytes(self, tmp_path, monkeypatch):
-        # A file dataset with per-repeat noise: every silhouette runs the
-        # blocked kernel, once per drawn matrix above level 0 and once for the
-        # shared level-0 matrix of each cell's repeats. n = 96 is a multiple of
-        # 8, where blocks round like the whole matrix (see
-        # cluster_sense.distance), so forcing 40-row blocks (40, 40, 16) must
-        # leave the summary bytes unchanged.
+        # A file dataset with per-repeat noise: every silhouette runs once
+        # per drawn matrix above level 0 and once for the shared level-0
+        # matrix of each cell's repeats. In one block the sweep builds the
+        # whole distance matrix and k-means++ squares its rows; in 40-row
+        # blocks (40, 40, 16) silhouette computes each block itself and
+        # k-means++ its own squared distances. So this also compares the two
+        # D^2 sources of k-means++. n = 96 is a multiple of 8, where blocks
+        # round like the whole matrix (see cluster_sense.distance), and the
+        # summary bytes must not change.
         ds = generate_dim_like(4, 6, 16, 4.0, seed=5)
         save_dataset(ds, tmp_path / "d.txt", tmp_path / "l.txt")
         source = FileSource(
@@ -393,9 +397,9 @@ class TestRunSweep:
                 unscaled.append(weakref.ref(matrix))
             return original_scaling(matrix, kind)
 
-        def checked_fit(matrix, kmeans_config):
+        def checked_fit(matrix, kmeans_config, **kwargs):
             assert [ref for ref in unscaled if ref() is not None] == []
-            return original_fit(matrix, kmeans_config)
+            return original_fit(matrix, kmeans_config, **kwargs)
 
         monkeypatch.setattr(experiment, "append_noise", tracked_append)
         monkeypatch.setattr(experiment, "apply_scaling", tracked_scaling)
@@ -403,6 +407,69 @@ class TestRunSweep:
         result = run_sweep(_toy_config(redraw_noise_per_repeat=redraw, workers=1))
         assert all(c.status == "ok" for c in result.cells)
         assert len(unscaled) > 0
+
+    def test_each_matrix_is_freed_before_the_next_is_drawn(self, monkeypatch):
+        # With per-repeat noise a cell draws one matrix per repeat. Neither
+        # the scaled matrix nor its distance matrix may still be alive when
+        # the next one is drawn.
+        held = []
+        original_append = experiment.append_noise
+        draws = []
+
+        def tracked(original):
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                held.append(weakref.ref(result))
+                return result
+
+            return wrapper
+
+        def checked_append(*args, **kwargs):
+            assert [ref for ref in held if ref() is not None] == []
+            draws.append(1)
+            return original_append(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "append_noise", checked_append)
+        for name in ("apply_scaling", "pairwise_distances"):
+            monkeypatch.setattr(experiment, name, tracked(getattr(experiment, name)))
+        result = run_sweep(_toy_config(redraw_noise_per_repeat=True, workers=1))
+        assert all(c.status == "ok" for c in result.cells)
+        assert len(draws) > 1 and len(held) > len(draws)
+
+    def _count_distance_work(self, monkeypatch):
+        calls = {"pairwise_distances": 0, "distance_rows": 0, "apply_scaling": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(experiment, "pairwise_distances")
+        counted(experiment, "apply_scaling")
+        counted(metrics_module, "distance_rows")
+        return calls
+
+    def test_single_block_matrix_is_built_once_per_scaled_matrix(self, monkeypatch):
+        calls = self._count_distance_work(monkeypatch)
+        result = run_sweep(_toy_config(redraw_noise_per_repeat=True, workers=1))
+        assert all(c.status == "ok" for c in result.cells)
+        assert calls["apply_scaling"] > 0
+        assert calls["pairwise_distances"] == calls["apply_scaling"]
+        assert calls["distance_rows"] == 0
+
+    def test_matrix_of_several_blocks_is_never_built(self, monkeypatch):
+        calls = self._count_distance_work(monkeypatch)
+        n = TOY.clusters * TOY.per_cluster
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 24 * 8 * n)
+        assert len(distance.row_blocks(n)) >= 2
+        result = run_sweep(_toy_config(workers=1))
+        assert all(c.status == "ok" for c in result.cells)
+        assert calls["pairwise_distances"] == 0
+        assert calls["distance_rows"] > 0
 
     def test_provenance_echo(self):
         config = _toy_config()
@@ -634,8 +701,8 @@ class TestErrorHandling:
         )
         original = experiment.fit
 
-        def patched_fit(matrix, kmeans_config):
-            result = original(matrix, kmeans_config)
+        def patched_fit(matrix, kmeans_config, **kwargs):
+            result = original(matrix, kmeans_config, **kwargs)
             return outcome(result) if kmeans_config.seed == target else result
 
         monkeypatch.setattr(experiment, "fit", patched_fit)
@@ -720,3 +787,25 @@ class TestLayerTrace:
         cells = len(result.cells) // len(METRIC_NAMES)
         assert metrics["experiment.cells"] == cells
         assert metrics["kmeans.fit_calls"] == cells * config.repeats
+        # Every toy matrix fits one distance block: the sweep builds it once
+        # per scaled matrix and every silhouette reads it.
+        assert metrics["scale.calls"] > 0
+        assert metrics["distance.matrices_built"] == metrics["scale.calls"]
+        assert metrics["metrics.silhouette_reuse_frac"] == 1.0
+
+    def test_matrices_of_several_blocks_trace_no_built_matrix(self, monkeypatch):
+        layertrace = _load_layertrace()
+        n = TOY.clusters * TOY.per_cluster
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 24 * 8 * n)
+        assert len(distance.row_blocks(n)) >= 2
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            cli.run_sweep(_toy_config(workers=1))
+        finally:
+            left = tracer.uninstall()
+        assert left == []
+        metrics = layertrace.analyse(tracer.spans)
+        assert metrics["distance.matrices_built"] == 0
+        assert metrics["distance.matrix_gb"] == 0.0
+        assert metrics["metrics.silhouette_reuse_frac"] == 0.0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cluster_sense import kmeans
-from cluster_sense.dataset import generate_dim_like
+from cluster_sense.dataset import compute_stats, generate_dim_like
+from cluster_sense.distance import pairwise_distances
 from cluster_sense.kmeans import (
     ClusteringResult,
     KMeansConfig,
@@ -13,6 +14,8 @@ from cluster_sense.kmeans import (
     fit,
     kmeanspp_init,
 )
+from cluster_sense.perturb import NoiseKind, NoiseSpec, append_noise
+from cluster_sense.scale import ScalingKind, apply_scaling
 from cluster_sense.seeding import derive_rng
 from oracles import lloyd_reference
 
@@ -106,15 +109,22 @@ def _matrix_with_duplicates(draw):
     return matrix, draw(st.integers(1, distinct)), draw(st.integers(0, 2**32 - 1))
 
 
+def _d2_sources(matrix):
+    """kmeanspp_init keyword arguments for each source of squared distances:
+    its own expansion, and the rows of a precomputed distance matrix."""
+    return [{}, {"distances": pairwise_distances(matrix)}]
+
+
 class TestKMeansPlusPlusDistinct:
     @FIXED_EXAMPLES
     @given(_matrix_with_duplicates())
     def test_picks_are_pairwise_distinct(self, case):
         # Generator.choice never returns a zero-weight index, so no row that
-        # duplicates a chosen center is picked again.
+        # duplicates a chosen center is picked again, whichever the D^2 source.
         matrix, k, seed = case
-        centers = kmeanspp_init(matrix, k, derive_rng(seed))
-        assert len(np.unique(centers, axis=0)) == k
+        for source in _d2_sources(matrix):
+            centers = kmeanspp_init(matrix, k, derive_rng(seed), **source)
+            assert len(np.unique(centers, axis=0)) == k
 
     def test_far_duplicates_are_never_picked_twice(self):
         # Four distinct 16-feature rows offset by 1e7, each repeated 50 times.
@@ -124,9 +134,49 @@ class TestKMeansPlusPlusDistinct:
             rng = np.random.default_rng(dataset)
             values = rng.normal(size=(4, 16)) + 1e7
             matrix = np.repeat(values, 50, axis=0)[rng.permutation(200)]
-            for seed in range(100):
-                centers = kmeanspp_init(matrix, 4, derive_rng(seed))
-                assert len(np.unique(centers, axis=0)) == 4
+            for source in _d2_sources(matrix):
+                for seed in range(100):
+                    centers = kmeanspp_init(matrix, 4, derive_rng(seed), **source)
+                    assert len(np.unique(centers, axis=0)) == 4
+
+    @pytest.mark.parametrize("scaling", list(ScalingKind))
+    def test_distance_matrix_leaves_dim_like_fits_unchanged(self, scaling):
+        # The sweep's regime: a Dim-style matrix with noise columns, scaled.
+        # There the squared rows of the distance matrix pick the same centers
+        # as the expansion, so the whole fit is the same.
+        base = generate_dim_like(32, 16, 16, 10.0, seed=2)
+        for kind, level in ((NoiseKind.GAUSSIAN, 32), (NoiseKind.UNIFORM, 96)):
+            spec = NoiseSpec.from_stats(kind, compute_stats(base), seed=5)
+            matrix = apply_scaling(append_noise(base, spec, level).matrix, scaling)
+            distances = pairwise_distances(matrix)
+            for seed in range(4):
+                config = KMeansConfig(k=16, seed=seed)
+                plain = fit(matrix, config)
+                shared = fit(matrix, config, distances=distances)
+                assert np.array_equal(shared.assignments, plain.assignments)
+                assert shared.centroids.tobytes() == plain.centroids.tobytes()
+                assert shared.inertia == plain.inertia
+                assert shared.iterations == plain.iterations
+                assert shared.converged == plain.converged
+                assert shared.inertia_history == plain.inertia_history
+
+
+class TestDistancesShape:
+    MATRIX = np.arange(12.0).reshape(6, 2)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (5, 5), (6,), (6, 6, 1)])
+    def test_wrong_shape_is_rejected(self, shape):
+        distances = np.zeros(shape)
+        with pytest.raises(ValueError, match="distances must have shape"):
+            kmeanspp_init(self.MATRIX, 2, derive_rng(0), distances=distances)
+        with pytest.raises(ValueError, match="distances must have shape"):
+            fit(self.MATRIX, KMeansConfig(k=2), distances=distances)
+
+    def test_matrix_is_only_read(self):
+        distances = pairwise_distances(self.MATRIX)
+        before = distances.copy()
+        fit(self.MATRIX, KMeansConfig(k=3), distances=distances)
+        assert distances.tobytes() == before.tobytes()
 
 
 class TestFit:
@@ -332,10 +382,18 @@ class TestDistanceCallCount:
     BLOBS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [50.0, 50.0], [50.0, 51.0]])
 
     @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_kmeanspp_makes_k_calls_from_two_centers_on(self, monkeypatch, k):
+    def test_kmeanspp_makes_k_minus_1_calls(self, monkeypatch, k):
+        # One call per center but the last, whose distances nothing reads.
         calls = _count_distance_calls(monkeypatch)
         kmeanspp_init(self.BLOBS, k, derive_rng(3))
-        assert len(calls) == (0 if k == 1 else k)
+        assert len(calls) == k - 1
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_kmeanspp_reads_a_given_distance_matrix(self, monkeypatch, k):
+        distances = pairwise_distances(self.BLOBS)
+        calls = _count_distance_calls(monkeypatch)
+        kmeanspp_init(self.BLOBS, k, derive_rng(3), distances=distances)
+        assert calls == []
 
     def test_explicit_centers_skip_seeding(self, monkeypatch):
         calls = _count_distance_calls(monkeypatch)
@@ -344,11 +402,19 @@ class TestDistanceCallCount:
         assert result.iterations == 2
         assert len(calls) == result.iterations
 
-    def test_seeded_fit_adds_k_calls(self, monkeypatch):
+    def test_seeded_fit_adds_k_minus_1_calls(self, monkeypatch):
         calls = _count_distance_calls(monkeypatch)
         result = fit(self.BLOBS, KMeansConfig(k=2, tolerance=0.0, seed=4))
         assert result.converged
-        assert len(calls) == 2 + result.iterations
+        assert len(calls) == 1 + result.iterations
+
+    def test_fit_with_distances_makes_only_lloyd_calls(self, monkeypatch):
+        config = KMeansConfig(k=2, tolerance=0.0, seed=4)
+        distances = pairwise_distances(self.BLOBS)
+        calls = _count_distance_calls(monkeypatch)
+        result = fit(self.BLOBS, config, distances=distances)
+        assert result.converged
+        assert len(calls) == result.iterations
 
     def test_single_cluster_stops_on_the_second_assignment(self, monkeypatch):
         calls = _count_distance_calls(monkeypatch)

@@ -338,9 +338,12 @@ class TestSilhouetteStack:
         with mock.patch.object(distance, "BLOCK_BYTES", rows * 8 * n):
             stacked = silhouette(matrix, stack)
             singles = [silhouette(matrix, labels) for labels in stack]
+            # A precomputed matrix holds the same blocks the call would compute.
+            given = silhouette(matrix, stack, pairwise_distances(matrix))
         assert len(stacked) == len(stack)
         # Bit for bit: the same float, not merely a close one.
         assert [v.hex() for v in stacked] == [v.hex() for v in singles]
+        assert [v.hex() for v in given] == [v.hex() for v in singles]
 
     def test_evaluate_clustering_stack_equals_single_reports(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -351,6 +354,8 @@ class TestSilhouetteStack:
         monkeypatch.setattr(distance, "BLOCK_BYTES", 16 * 8 * 60)
         reports = evaluate_clustering(matrix, stack, truth)
         assert reports == [evaluate_clustering(matrix, labels, truth) for labels in stack]
+        distances = pairwise_distances(matrix)
+        assert evaluate_clustering(matrix, stack, truth, distances=distances) == reports
 
     def test_one_collapsed_labeling_rejects_the_stack(self):
         matrix = np.arange(8.0).reshape(4, 2)
@@ -360,6 +365,12 @@ class TestSilhouetteStack:
     def test_rejects_other_shapes(self):
         with pytest.raises(ValueError, match=r"\(n,\) or \(R, n\)"):
             silhouette(np.zeros((2, 1)), np.zeros((1, 1, 2), dtype=int))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 3), (4,), (4, 4, 1)])
+    def test_rejects_distances_of_another_shape(self, shape):
+        matrix = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match="distances must have shape"):
+            silhouette(matrix, [0, 0, 1, 1], np.zeros(shape))
 
 
 class TestDaviesBouldin:
