@@ -1,16 +1,17 @@
-"""Shared Euclidean distance kernels.
+"""Shared Euclidean distance kernels and the BLAS threading they run under.
 
 Both the clusterer and the geometry metrics go through these helpers so that
 a metric computed inside a sweep is bit-identical to one computed by calling
 the metric function directly on the same matrix.
 
-The n x n distance matrix is computed in row blocks of at most BLOCK_BYTES,
-so a caller that only reduces the rows (silhouette, for all clusterings of
-one matrix at once) needs O(block * n) memory for them instead of O(n^2).
-pairwise_distances assembles the whole matrix: the sweep builds it for a
-matrix that fits one block, where it is that block, and shares it between
-k-means++ and silhouette. A matrix that fits one block is computed in a
-single call, exactly as the one-shot formula sqrt(pairwise_sq_distances(x, x))
+The n x n distance matrix is computed in row blocks (row_blocks), so a caller
+that only reduces the rows (silhouette, for all clusterings of one matrix at
+once) needs O(block * n) memory for them instead of O(n^2). A matrix that
+fits BLOCK_BYTES is one block; a larger one is split into blocks of half that
+budget. pairwise_distances assembles the whole matrix: the sweep builds it
+for a matrix that fits one block, where it is that block, and shares it
+between k-means++ and silhouette. A matrix that fits one block is computed in
+a single call, exactly as the one-shot formula sqrt(pairwise_sq_distances(x, x))
 would. Blocks reproduce that one-shot matrix bit for bit only where the BLAS
 GEMM rounds every element the same way whatever the operand shape. With
 OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU that holds when n is a multiple of 8
@@ -19,36 +20,141 @@ otherwise some entries may differ in the last bits, and the blocked matrix
 is symmetric only to within rounding.
 A given n always splits into the same blocks, so results stay reproducible
 either way.
+
+Distance work always runs on one BLAS thread. OpenBLAS rounds a product
+differently at different thread counts, so a distance block computed on
+several BLAS threads by a serial sweep would not have the bits of the same
+block computed by a pooled sweep, which runs on one. Instead, a matrix of
+several blocks spreads its blocks over as many threads as BLAS had, one
+whole block per thread (for_each_row_block); the partition never depends on
+the thread count, so neither do the bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Optional
+
 import numpy as np
 
-# Byte budget of one block of float64 distance rows: one n = 1024 matrix.
+# Byte budget of a distance matrix computed as one block: one n = 1024
+# matrix. A larger matrix is split into blocks of half this budget, so that
+# two blocks in flight on two threads take what one block took.
 BLOCK_BYTES = 8 * 1024 * 1024
 # Byte budget of the |a|^2 + |b|^2 temporary in pairwise_sq_distances.
 _SUM_CHUNK_BYTES = 1024 * 1024
 
 
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS numpy has loaded.
+
+    Finds the library among this process's mapped files and opens it without
+    loading anything new; returns None for another BLAS or where there is no
+    /proc/self/maps.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted(
+                {
+                    fields[5]
+                    for fields in (line.rstrip("\n").split(maxsplit=5) for line in maps)
+                    if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
+                }
+            )
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def blas_thread_count() -> Optional[int]:
+    """Current OpenBLAS thread count, or None if it cannot be controlled."""
+    controls = _openblas_thread_controls()
+    return None if controls is None else controls[0]()
+
+
+# The BLAS thread count is process-wide, so the pin's bookkeeping is too.
+_blas_pin_lock = threading.Lock()
+_blas_pin_depth = 0
+_blas_pin_saved = 0
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Limit OpenBLAS to one thread for the body, then restore its count.
+
+    Used around distance work (see the module docstring) and around a sweep's
+    worker pool, whose threads already use every core; letting each of them
+    also start BLAS threads oversubscribes the CPUs. Nested or overlapping
+    uses share one pin, and the count seen on first entry comes back on last
+    exit. Yields the thread count the body runs with, or None (and changes
+    nothing) when the BLAS cannot be controlled.
+    """
+    global _blas_pin_depth, _blas_pin_saved
+    controls = _openblas_thread_controls()
+    if controls is None:
+        yield None
+        return
+    get, set_ = controls
+    with _blas_pin_lock:
+        if _blas_pin_depth == 0:
+            _blas_pin_saved = get()
+            set_(1)
+        _blas_pin_depth += 1
+    try:
+        yield 1
+    finally:
+        with _blas_pin_lock:
+            _blas_pin_depth -= 1
+            if _blas_pin_depth == 0:
+                set_(_blas_pin_saved)
+
+
 def pairwise_sq_distances(
-    a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None
+    a: np.ndarray,
+    b: np.ndarray,
+    a_sq: np.ndarray | None = None,
+    b_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared Euclidean distances between rows of `a` and rows of `b`.
 
     Uses the |a|^2 + |b|^2 - 2ab expansion (BLAS-backed); tiny negative
     values from cancellation are clipped to zero.
 
-    a_sq, when given, must be the squared row norms of `a` as computed by
-    np.einsum("ij,ij->i", a, a) on the same float64 array; a caller that
-    measures many `b` against one `a` (a k-means fit) computes it once
+    a_sq and b_sq, when given, must be the squared row norms of `a` and `b`
+    as computed by np.einsum("ij,ij->i", y, y) on the same float64 array (or
+    on an array of which it is a row slice: a row's norm does not depend on
+    the rows around it). A caller that measures many `b` against one `a` (a
+    k-means fit), or many row blocks against one matrix, computes them once
     instead of once per call. The result is bit-identical either way.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a_sq is None:
         a_sq = np.einsum("ij,ij->i", a, a)
-    b_sq = np.einsum("ij,ij->i", b, b)
+    if b_sq is None:
+        b_sq = np.einsum("ij,ij->i", b, b)
     # In place; (-2ab) + (|a|^2 + |b|^2) rounds exactly like
     # (|a|^2 + |b|^2) - 2ab. The norm sums are added a few rows at a time, so
     # the only result-sized buffer is the result itself.
@@ -64,24 +170,60 @@ def pairwise_sq_distances(
 def row_blocks(n: int) -> list[tuple[int, int]]:
     """(start, stop) row ranges covering an n x n float64 matrix.
 
-    Each block holds BLOCK_BYTES // (8 n) rows (at least one); the last block
-    may be shorter.
+    One block when the whole matrix fits BLOCK_BYTES; otherwise blocks of
+    BLOCK_BYTES // 2 // (8 n) rows (at least one), the last possibly shorter.
+    The partition depends on n alone.
     """
-    step = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+    row_bytes = 8 * max(n, 1)
+    budget = BLOCK_BYTES if row_bytes * n <= BLOCK_BYTES else BLOCK_BYTES // 2
+    step = max(1, budget // row_bytes)
     return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def distance_rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+def distance_rows(
+    x: np.ndarray, start: int, stop: int, sq_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Rows start:stop of the n x n Euclidean distance matrix of `x`.
 
-    The self-distance entries (i, i) are exactly zero.
+    The self-distance entries (i, i) are exactly zero. sq_norms, when given,
+    is np.einsum("ij,ij->i", x, x) of the float64 `x`; a caller computing
+    several blocks of one matrix computes it once. The rows are the same
+    either way.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = pairwise_sq_distances(x[start:stop], x)
+    if sq_norms is None:
+        sq_norms = np.einsum("ij,ij->i", x, x)
+    d = pairwise_sq_distances(x[start:stop], x, sq_norms[start:stop], sq_norms)
     np.sqrt(d, out=d)
     rows = np.arange(stop - start)
     d[rows, start + rows] = 0.0
     return d
+
+
+def for_each_row_block(n: int, work: Callable[[int, int], None]) -> None:
+    """Call work(start, stop) for every block of row_blocks(n), on one BLAS thread.
+
+    With several blocks they run on min(blocks, T) threads, T being the
+    OpenBLAS thread count before the pin (1 inside another pin, such as a
+    pooled sweep's, and when BLAS cannot be controlled), one whole block per
+    thread. So work may run concurrently with itself and must write only
+    what belongs to its own rows. The first exception it raises propagates;
+    blocks not yet started are dropped, and the count is restored once the
+    running ones finish.
+    """
+    blocks = row_blocks(n)
+    threads = min(len(blocks), blas_thread_count() or 1)
+    with _single_blas_thread():
+        if threads <= 1:
+            for start, stop in blocks:
+                work(start, stop)
+            return
+        with ThreadPoolExecutor(threads) as pool:
+            try:
+                list(pool.map(lambda block: work(*block), blocks))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
 
 
 def pairwise_distances(x: np.ndarray) -> np.ndarray:
@@ -91,12 +233,16 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    blocks = row_blocks(n)
-    if len(blocks) == 1:
-        return distance_rows(x, 0, n)
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    if len(row_blocks(n)) == 1:
+        with _single_blas_thread():
+            return distance_rows(x, 0, n, sq_norms)
     d = np.empty((n, n))
-    for start, stop in blocks:
-        d[start:stop] = distance_rows(x, start, stop)
+
+    def fill(start, stop):
+        d[start:stop] = distance_rows(x, start, stop, sq_norms)
+
+    for_each_row_block(n, fill)
     return d
 
 

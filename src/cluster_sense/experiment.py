@@ -9,11 +9,8 @@ are independent of scheduling and of which other cells run.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
-from .distance import pairwise_distances, row_blocks
+from .distance import _single_blas_thread, blas_thread_count, pairwise_distances, row_blocks
 from .kmeans import KMeansConfig, default_tolerance, fit
 from .metrics import METRIC_NAMES, MetricReport, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
@@ -152,8 +149,9 @@ class SweepResult:
     config: SweepConfig
     version: str = __version__
     raw: Optional[tuple[RawValue, ...]] = None
-    # Resolved worker count and the BLAS thread count the cells ran with
-    # (None when the BLAS thread count cannot be read or set).
+    # Resolved worker count and the BLAS thread count the cells' Lloyd steps
+    # ran with (None when the BLAS thread count cannot be read or set);
+    # distance work always runs on one BLAS thread.
     workers: int = 1
     blas_threads: Optional[int] = None
 
@@ -202,87 +200,6 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     if value == 0:
         return os.cpu_count() or 1
     return value
-
-
-@functools.cache
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of the OpenBLAS numpy has loaded.
-
-    Finds the library among this process's mapped files and opens it without
-    loading anything new; returns None for another BLAS or where there is no
-    /proc/self/maps.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted(
-                {
-                    fields[5]
-                    for fields in (line.rstrip("\n").split(maxsplit=5) for line in maps)
-                    if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
-                }
-            )
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                try:
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-def blas_thread_count() -> Optional[int]:
-    """Current OpenBLAS thread count, or None if it cannot be controlled."""
-    controls = _openblas_thread_controls()
-    return None if controls is None else controls[0]()
-
-
-# The BLAS thread count is process-wide, so the pin's bookkeeping is too.
-_blas_pin_lock = threading.Lock()
-_blas_pin_depth = 0
-_blas_pin_saved = 0
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Limit OpenBLAS to one thread for the body, then restore its count.
-
-    Pool workers already use every core; letting each of them also start
-    BLAS threads oversubscribes the CPUs. Nested or overlapping uses share
-    one pin, and the count seen on first entry comes back on last exit.
-    Yields the thread count the body runs with, or None (and changes
-    nothing) when the BLAS cannot be controlled.
-    """
-    global _blas_pin_depth, _blas_pin_saved
-    controls = _openblas_thread_controls()
-    if controls is None:
-        yield None
-        return
-    get, set_ = controls
-    with _blas_pin_lock:
-        if _blas_pin_depth == 0:
-            _blas_pin_saved = get()
-            set_(1)
-        _blas_pin_depth += 1
-    try:
-        yield 1
-    finally:
-        with _blas_pin_lock:
-            _blas_pin_depth -= 1
-            if _blas_pin_depth == 0:
-                set_(_blas_pin_saved)
 
 
 def _error_code(exc: Exception) -> str:
@@ -430,7 +347,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     With more than one worker the cells run on a thread pool, and OpenBLAS
     (if that is numpy's BLAS) is held to one thread meanwhile, its previous
-    count restored afterwards.
+    count restored afterwards. Distance work (k-means++ center distances,
+    the single-block distance matrix and silhouette's blocks) always runs on
+    one BLAS thread, so a serial sweep computes the same distance products
+    as a pooled one.
     """
     workers = resolve_workers(config.workers)
 

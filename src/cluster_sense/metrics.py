@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import dense_remap
-from .distance import check_distances, distance_rows, pairwise_sq_distances, row_blocks
+from .distance import check_distances, distance_rows, for_each_row_block, pairwise_sq_distances
 from .distance import pairwise_distances  # noqa: F401  (unused; perfbench traces this name)
 
 METRIC_NAMES = ("nmi", "ri", "ari", "silhouette", "davies_bouldin")
@@ -176,9 +176,11 @@ def silhouette(
     `assignments` is one labeling (n,), giving a float, or a stack (R, n) of
     labelings of the same points, giving a list of R floats. Distance rows
     are computed one row block at a time, once for the whole stack, and each
-    block is reduced to per-cluster sums with one product per labeling. So
-    memory is O(block * n + R * n * k) rather than O(n^2), and each value has
-    the same bits as a call with that labeling alone.
+    block is reduced to per-cluster sums with one product per labeling, all
+    on one BLAS thread and with blocks spread over threads (see
+    distance.for_each_row_block). So memory is O(T * block * n + R * n * k)
+    for T threads rather than O(n^2), and each value has the same bits as a
+    call with that labeling alone, whatever the thread counts.
 
     distances, when given, must be pairwise_distances(matrix) of the same
     float64 matrix (ValueError unless it is n x n). Its row blocks are read
@@ -201,13 +203,17 @@ def silhouette(
 
     onehots = [np.eye(counts.size)[dense] for dense, counts in present]
     all_sums = [np.empty_like(onehot) for onehot in onehots]
-    for start, stop in row_blocks(n):
+    sq_norms = np.einsum("ij,ij->i", matrix, matrix) if distances is None else None
+
+    def reduce_block(start, stop):
         if distances is None:
-            rows = distance_rows(matrix, start, stop)
+            rows = distance_rows(matrix, start, stop, sq_norms)
         else:
             rows = distances[start:stop]
         for cluster_sums, onehot in zip(all_sums, onehots):
             cluster_sums[start:stop] = rows @ onehot
+
+    for_each_row_block(n, reduce_block)
 
     values = []
     for cluster_sums, (dense, counts) in zip(all_sums, present):

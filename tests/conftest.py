@@ -1,0 +1,43 @@
+"""Fixtures shared by the test modules: OpenBLAS thread-count control."""
+
+import pytest
+
+from cluster_sense import distance
+
+
+@pytest.fixture(autouse=True)
+def blas_state_is_restored():
+    """Fail any test that leaves OpenBLAS's thread count, or the depth of the
+    one-thread pin, other than it found them."""
+    before = (distance.blas_thread_count(), distance._blas_pin_depth)
+    yield
+    after = (distance.blas_thread_count(), distance._blas_pin_depth)
+    if after != before:
+        pytest.fail(f"BLAS (thread count, pin depth) left at {after}, found at {before}")
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS set to two threads for the test and back afterwards.
+
+    A known count other than 1 shows whether a sweep restored it. Yields None,
+    changing nothing, when the BLAS cannot be controlled.
+    """
+    controls = distance._openblas_thread_controls()
+    if controls is None:
+        yield None
+        return
+    get, set_ = controls
+    original = get()
+    set_(2)
+    try:
+        yield 2
+    finally:
+        set_(original)
+
+
+@pytest.fixture
+def controlled_blas(blas_threads):
+    if blas_threads is None:
+        pytest.skip("no OpenBLAS thread-count control symbol in this process")
+    return blas_threads

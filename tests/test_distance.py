@@ -1,5 +1,7 @@
-"""Row-block distance kernel tests: block layout, one-shot equivalence, memory shape."""
+"""Row-block distance kernel tests: block layout, one-shot equivalence, memory
+shape, and the BLAS threading blocks run under."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,7 +33,9 @@ def _traced_peak(fn):
 
 
 def _budget_for_rows(monkeypatch, rows, n):
-    monkeypatch.setattr(distance, "BLOCK_BYTES", rows * 8 * n)
+    """A budget that splits an n x n matrix (n > 2 rows) into blocks of `rows`
+    rows: a matrix of several blocks gets half the budget per block."""
+    monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * rows * 8 * n)
 
 
 class TestSquaredDistances:
@@ -71,6 +75,17 @@ class TestSquaredDistances:
         textbook = np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
         assert np.array_equal(whole, textbook)
 
+    def test_norms_of_a_row_slice_are_the_slice_of_the_norms(self):
+        # distance_rows takes its blocks' norms from the whole matrix's.
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(300, 37)) * 40.0 + 7.0
+        x_sq = np.einsum("ij,ij->i", x, x)
+        for start, stop in [(0, 300), (0, 1), (5, 6), (17, 250), (128, 256), (299, 300)]:
+            part = x[start:stop]
+            assert np.einsum("ij,ij->i", part, part).tobytes() == x_sq[start:stop].tobytes()
+            shared = distance_rows(x, start, stop, x_sq)
+            assert shared.tobytes() == distance_rows(x, start, stop).tobytes()
+
     def test_peak_memory_is_the_result_plus_one_chunk(self):
         # The textbook formula holds two more result-sized temporaries.
         n = 1024
@@ -82,8 +97,9 @@ class TestRowBlocks:
     def test_default_budget_is_one_n1024_matrix(self):
         assert distance.BLOCK_BYTES == 8 * 1024 * 1024
         assert row_blocks(1024) == [(0, 1024)]
-        assert row_blocks(1025) == [(0, 1023), (1023, 1025)]
-        assert row_blocks(8192) == [(s, s + 128) for s in range(0, 8192, 128)]
+        # Above one block, each block holds half the budget.
+        assert row_blocks(1025) == [(0, 511), (511, 1022), (1022, 1025)]
+        assert row_blocks(8192) == [(s, s + 64) for s in range(0, 8192, 64)]
 
     def test_blocks_cover_rows_once_with_short_last_block(self, monkeypatch):
         _budget_for_rows(monkeypatch, 7, 40)
@@ -163,3 +179,62 @@ class TestBlockedMatrix:
     def test_tiny_inputs(self, n):
         x = np.arange(n * 2, dtype=float).reshape(n, 2)
         assert np.array_equal(pairwise_distances(x), _one_shot(x))
+
+
+class TestForEachRowBlock:
+    N = 40
+
+    def _run(self):
+        """(start, stop, thread, BLAS thread count) of each block, in call order."""
+        seen = []
+        lock = threading.Lock()
+
+        def work(start, stop):
+            with lock:
+                seen.append(
+                    (start, stop, threading.get_ident(), distance.blas_thread_count())
+                )
+
+        distance.for_each_row_block(self.N, work)
+        return seen
+
+    def test_blocks_run_once_each_pinned_on_up_to_blas_threads(self, monkeypatch, controlled_blas):
+        _budget_for_rows(monkeypatch, 4, self.N)
+        seen = self._run()
+        assert sorted((start, stop) for start, stop, _, _ in seen) == row_blocks(self.N)
+        assert {count for *_, count in seen} == {1}
+        threads = {thread for _, _, thread, _ in seen}
+        assert len(threads) <= controlled_blas and threading.get_ident() not in threads
+        assert distance.blas_thread_count() == controlled_blas
+
+    def test_inside_a_pin_blocks_run_on_the_calling_thread(self, monkeypatch, controlled_blas):
+        _budget_for_rows(monkeypatch, 4, self.N)
+        with distance._single_blas_thread():
+            seen = self._run()
+        assert [(start, stop) for start, stop, _, _ in seen] == row_blocks(self.N)
+        assert {thread for _, _, thread, _ in seen} == {threading.get_ident()}
+
+    def test_uncontrollable_blas_runs_blocks_serially_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(distance, "_openblas_thread_controls", lambda: None)
+        monkeypatch.setattr(distance, "ThreadPoolExecutor", no_pool)
+        _budget_for_rows(monkeypatch, 4, self.N)
+        seen = self._run()
+        assert [(start, stop) for start, stop, _, _ in seen] == row_blocks(self.N)
+        assert {thread for _, _, thread, _ in seen} == {threading.get_ident()}
+        assert {count for *_, count in seen} == {None}
+
+    def test_single_block_matrix_is_computed_pinned(self, monkeypatch, controlled_blas):
+        counts = []
+        original = distance.distance_rows
+
+        def recording_rows(*args, **kwargs):
+            counts.append(distance.blas_thread_count())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(distance, "distance_rows", recording_rows)
+        x = np.random.default_rng(14).normal(size=(self.N, 3))
+        assert np.array_equal(pairwise_distances(x), _one_shot(x))
+        assert counts == [1]

@@ -68,33 +68,6 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.fixture
-def blas_threads():
-    """OpenBLAS set to two threads for the test and back afterwards.
-
-    A known count other than 1 shows whether a sweep restored it. Yields None,
-    changing nothing, when the BLAS cannot be controlled.
-    """
-    controls = experiment._openblas_thread_controls()
-    if controls is None:
-        yield None
-        return
-    get, set_ = controls
-    original = get()
-    set_(2)
-    try:
-        yield 2
-    finally:
-        set_(original)
-
-
-@pytest.fixture
-def controlled_blas(blas_threads):
-    if blas_threads is None:
-        pytest.skip("no OpenBLAS thread-count control symbol in this process")
-    return blas_threads
-
-
 class TestSources:
     def test_generator_source(self):
         ds = TOY.load()
@@ -349,7 +322,7 @@ class TestRunSweep:
             datasets=(source,), max_ratio=Fraction(1), redraw_noise_per_repeat=True, repeats=2
         )
         one_block = summary_csv_text(run_sweep(config))
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 40 * 8 * ds.n_points)
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * 40 * 8 * ds.n_points)
         assert len(distance.row_blocks(ds.n_points)) == 3
         many_blocks = summary_csv_text(run_sweep(config))
         assert many_blocks == one_block
@@ -366,7 +339,7 @@ class TestRunSweep:
         )
         config = _toy_config(datasets=(source,), max_ratio=Fraction(1, 2), repeats=2, workers=1)
         n = ds.n_points
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 64 * 8 * n)
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * 64 * 8 * n)
         assert len(distance.row_blocks(n)) >= 4
         tracemalloc.start()
         try:
@@ -594,10 +567,46 @@ class TestGoldenBytes:
         )
 
 
+def _criterion8_config(case, tmp_path, monkeypatch):
+    """A sweep config whose serial bytes must equal its pooled bytes.
+
+    n1003 is one distance block, n = 1003. blocked_file is n = 999 read from
+    a file, split into eight 128-row blocks, which a serial sweep runs on two
+    threads. Both wrote different silhouette bytes serially while OpenBLAS ran
+    their distance products on two threads.
+    """
+    if case == "wide":
+        return _wide_config()
+    if case == "n1003":
+        source = GeneratorSource(name="n1003", dims=256, clusters=17, per_cluster=59, seed=3)
+        kind, scaling, step = NoiseKind.GAUSSIAN, ScalingKind.STANDARDIZED, 64
+    else:
+        ds = generate_dim_like(128, 27, 37, 10.0, seed=3)
+        save_dataset(ds, tmp_path / "d.txt", tmp_path / "l.txt")
+        source = FileSource(
+            name="file", data_path=str(tmp_path / "d.txt"), labels_path=str(tmp_path / "l.txt")
+        )
+        kind, scaling, step = NoiseKind.UNIFORM, ScalingKind.NONE, 32
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * 128 * 8 * ds.n_points)
+        assert len(distance.row_blocks(ds.n_points)) == 8
+    return _toy_config(
+        datasets=(source,),
+        noise_kinds=(kind,),
+        scalings=(scaling,),
+        max_ratio=Fraction(1, 4),
+        ratio_step=step,
+        repeats=2,
+    )
+
+
 class TestWorkersAndBlas:
-    def test_wide_config_bytes_independent_of_workers(self):
-        serial = run_sweep(_wide_config(workers=1))
-        pooled = run_sweep(_wide_config(workers=2))
+    @pytest.mark.parametrize("case", ["wide", "n1003", "blocked_file"])
+    def test_wide_config_bytes_independent_of_workers(
+        self, case, blas_threads, tmp_path, monkeypatch
+    ):
+        config = _criterion8_config(case, tmp_path, monkeypatch)
+        serial = run_sweep(replace(config, workers=1))
+        pooled = run_sweep(replace(config, workers=2))
         assert summary_csv_text(pooled) == summary_csv_text(serial)
         assert all(c.status == "ok" for c in serial.cells)
 
@@ -632,8 +641,8 @@ class TestWorkersAndBlas:
         assert experiment.blas_thread_count() == controlled_blas
 
     def test_overlapping_pins_restore_the_first_count(self, controlled_blas):
-        outer = experiment._single_blas_thread()
-        inner = experiment._single_blas_thread()
+        outer = distance._single_blas_thread()
+        inner = distance._single_blas_thread()
         assert outer.__enter__() == 1
         assert inner.__enter__() == 1
         outer.__exit__(None, None, None)
@@ -646,7 +655,7 @@ class TestWorkersAndBlas:
 
         def pin_repeatedly():
             for _ in range(200):
-                with experiment._single_blas_thread():
+                with distance._single_blas_thread():
                     seen.append(experiment.blas_thread_count())
 
         interval = sys.getswitchinterval()
@@ -664,7 +673,7 @@ class TestWorkersAndBlas:
         assert experiment.blas_thread_count() == controlled_blas
 
     def test_uncontrollable_blas_is_left_alone(self, monkeypatch):
-        monkeypatch.setattr(experiment, "_openblas_thread_controls", lambda: None)
+        monkeypatch.setattr(distance, "_openblas_thread_controls", lambda: None)
         result = run_sweep(_toy_config(workers=2))
         assert result.blas_threads is None
         assert all(c.status == "ok" for c in result.cells)
@@ -750,6 +759,27 @@ class TestErrorHandling:
         with pytest.raises(TypeError, match="bug in the clusterer"):
             run_sweep(config)
         assert experiment.blas_thread_count() == blas_threads
+
+    def test_programming_error_in_a_distance_block_propagates(self, monkeypatch, blas_threads):
+        # Eight blocks per matrix, run on two threads: the third block raises
+        # while others may be running, and the pin is still undone.
+        n = TOY.clusters * TOY.per_cluster
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * 8 * 8 * n)
+        assert len(distance.row_blocks(n)) == 8
+        original = metrics_module.distance_rows
+        calls = []
+
+        def failing_rows(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise TypeError("bug in a distance block")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "distance_rows", failing_rows)
+        with pytest.raises(TypeError, match="bug in a distance block"):
+            run_sweep(_toy_config(workers=1))
+        assert experiment.blas_thread_count() == blas_threads
+        assert distance._blas_pin_depth == 0
 
     def test_programming_error_in_noise_draw_propagates(self, monkeypatch):
         def broken_append(*args, **kwargs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cluster_sense import kmeans
+from cluster_sense import distance, kmeans
 from cluster_sense.dataset import compute_stats, generate_dim_like
 from cluster_sense.distance import pairwise_distances
 from cluster_sense.kmeans import (
@@ -22,6 +22,16 @@ from oracles import lloyd_reference
 # Property tests run a fixed example sequence and keep no example database,
 # so every run checks the same cases.
 FIXED_EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+def _assert_same_fit(a, b):
+    """Two ClusteringResults equal field for field, floats bit for bit."""
+    assert np.array_equal(a.assignments, b.assignments)
+    assert a.centroids.tobytes() == b.centroids.tobytes()
+    assert a.inertia == b.inertia
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged
+    assert a.inertia_history == b.inertia_history
 
 
 class TestKMeansConfig:
@@ -153,12 +163,20 @@ class TestKMeansPlusPlusDistinct:
                 config = KMeansConfig(k=16, seed=seed)
                 plain = fit(matrix, config)
                 shared = fit(matrix, config, distances=distances)
-                assert np.array_equal(shared.assignments, plain.assignments)
-                assert shared.centroids.tobytes() == plain.centroids.tobytes()
-                assert shared.inertia == plain.inertia
-                assert shared.iterations == plain.iterations
-                assert shared.converged == plain.converged
-                assert shared.inertia_history == plain.inertia_history
+                _assert_same_fit(shared, plain)
+
+    @pytest.mark.parametrize("n, d", [(1924, 266), (2444, 229), (2741, 213)])
+    def test_fit_at_two_blas_threads_equals_pinned_fit(self, blas_threads, n, d):
+        # n above one distance block and not a multiple of 8, d wide enough
+        # for OpenBLAS to thread k-means++'s one-row products, and points so
+        # far from the origin that D^2 is rounding noise: a product rounded
+        # on two threads moves picks here.
+        matrix = np.random.default_rng(n).normal(size=(n, d)) + 1e8
+        config = KMeansConfig(k=16, seed=5, max_iterations=5)
+        threaded = fit(matrix, config)
+        with distance._single_blas_thread():
+            pinned = fit(matrix, config)
+        _assert_same_fit(threaded, pinned)
 
 
 class TestDistancesShape:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cluster_sense import distance, metrics
 from cluster_sense.distance import pairwise_distances
@@ -198,7 +198,9 @@ def _silhouette_from_matrix(monkeypatch, matrix, labels):
     matrix instead of computed block by block."""
     full = pairwise_distances(matrix)
     with monkeypatch.context() as patch:
-        patch.setattr(metrics, "distance_rows", lambda x, start, stop: full[start:stop])
+        patch.setattr(
+            metrics, "distance_rows", lambda x, start, stop, sq_norms: full[start:stop]
+        )
         return silhouette(matrix, labels)
 
 
@@ -263,7 +265,8 @@ class TestBlockedSilhouette:
 
     @staticmethod
     def _shrink_budget(monkeypatch, rows, n):
-        monkeypatch.setattr(distance, "BLOCK_BYTES", rows * 8 * n)
+        # Blocks of a matrix of several blocks hold half the budget.
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * rows * 8 * n)
 
     @pytest.mark.parametrize("n, rows", [(40, 7), (45, 8), (33, 1)])
     def test_blocked_equals_cached_and_oracle(self, monkeypatch, n, rows):
@@ -330,9 +333,11 @@ def _matrix_and_labelings(draw):
 
 
 class TestSilhouetteStack:
-    @FIXED_EXAMPLES
+    # blas_threads holds OpenBLAS at two threads for every example, so blocks
+    # run on two threads; a caller's one-thread pin must change no bit.
+    @settings(FIXED_EXAMPLES, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_matrix_and_labelings())
-    def test_stack_equals_single_labelings(self, case):
+    def test_stack_equals_single_labelings(self, blas_threads, case):
         matrix, stack, rows = case
         n = matrix.shape[0]
         with mock.patch.object(distance, "BLOCK_BYTES", rows * 8 * n):
@@ -340,10 +345,13 @@ class TestSilhouetteStack:
             singles = [silhouette(matrix, labels) for labels in stack]
             # A precomputed matrix holds the same blocks the call would compute.
             given = silhouette(matrix, stack, pairwise_distances(matrix))
+            with distance._single_blas_thread():
+                pinned = silhouette(matrix, stack)
         assert len(stacked) == len(stack)
         # Bit for bit: the same float, not merely a close one.
         assert [v.hex() for v in stacked] == [v.hex() for v in singles]
         assert [v.hex() for v in given] == [v.hex() for v in singles]
+        assert [v.hex() for v in pinned] == [v.hex() for v in singles]
 
     def test_evaluate_clustering_stack_equals_single_reports(self, monkeypatch):
         rng = np.random.default_rng(13)
