@@ -4,47 +4,15 @@ The package builds well-separated Gaussian benchmark datasets, appends
 irrelevant (label-independent) random features in increasing proportions,
 clusters with k-means++, and tracks how NMI, Rand index, ARI, Silhouette
 and Davies-Bouldin respond across noise distributions and scaling regimes.
+The sweep's entry points are re-exported here; the lower-level pieces are
+imported from their own modules.
 """
 
 __version__ = "0.1.0"
 
-from .dataset import (
-    DatasetStats,
-    LabeledDataset,
-    compute_stats,
-    generate_dim_like,
-    load_dataset,
-    save_dataset,
-)
-from .perturb import (
-    AugmentedDataset,
-    GaussianFeatureParams,
-    NoiseKind,
-    NoiseSpec,
-    append_noise,
-    draw_gaussian_params,
-    gaussian_feature,
-    uniform_feature,
-)
-from .scale import ScalingKind, apply_scaling
-from .kmeans import ClusteringResult, KMeansConfig, fit, kmeanspp_init
-from .metrics import (
-    MetricReport,
-    PairCounts,
-    PartitionPair,
-    adjusted_rand_index,
-    contingency,
-    davies_bouldin,
-    evaluate_clustering,
-    nmi,
-    pair_counts,
-    rand_index,
-    silhouette,
-)
 from .experiment import (
     FileSource,
     GeneratorSource,
-    SweepCell,
     SweepConfig,
     SweepResult,
     run_sweep,
@@ -52,42 +20,10 @@ from .experiment import (
 )
 
 __all__ = [
-    "AugmentedDataset",
-    "ClusteringResult",
-    "DatasetStats",
     "FileSource",
-    "GaussianFeatureParams",
     "GeneratorSource",
-    "KMeansConfig",
-    "LabeledDataset",
-    "MetricReport",
-    "NoiseKind",
-    "NoiseSpec",
-    "PairCounts",
-    "PartitionPair",
-    "ScalingKind",
-    "SweepCell",
     "SweepConfig",
     "SweepResult",
-    "adjusted_rand_index",
-    "append_noise",
-    "apply_scaling",
-    "compute_stats",
-    "contingency",
-    "davies_bouldin",
-    "draw_gaussian_params",
-    "evaluate_clustering",
-    "fit",
-    "gaussian_feature",
-    "generate_dim_like",
-    "kmeanspp_init",
-    "load_dataset",
-    "nmi",
-    "pair_counts",
-    "rand_index",
     "run_sweep",
-    "save_dataset",
-    "silhouette",
     "summarize_tipping",
-    "uniform_feature",
 ]

@@ -29,7 +29,7 @@ from .experiment import (
     run_sweep,
 )
 from .metrics import METRIC_NAMES
-from .perturb import NoiseKind
+from .perturb import _STATS_MODES, NoiseKind
 from .scale import ScalingKind
 from .svgplot import Series, render_panel
 
@@ -132,7 +132,7 @@ _TOP_KEYS: _Table = {
     "repeats": ("repeats", _integer(minimum=1)),
     "master_seed": ("master_seed", _integer()),
     "redraw_noise_per_repeat": ("redraw_noise_per_repeat", _boolean),
-    "noise_stats": ("noise_stats_mode", _choice("pooled", "per-feature")),
+    "noise_stats": ("noise_stats_mode", _choice(*_STATS_MODES)),
     "workers": ("workers", _integer(minimum=0)),
 }
 # Generator keys are GeneratorSource fields; data and labels are FileSource
@@ -238,48 +238,24 @@ def _dataset_source(path: Path, index: int, section: _Scope) -> DatasetSource:
 
 # -- CSV emission ------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _csv_text(header: tuple[str, ...], records) -> str:
+    """A header row, then each record's attributes named by the header;
+    floats are written as their repr, so they read back bit for bit."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for record in records:
+        values = (getattr(record, name) for name in header)
+        writer.writerow(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
+    return out.getvalue()
 
 
 def summary_csv_text(result: SweepResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SUMMARY_HEADER)
-    for cell in result.cells:
-        writer.writerow(
-            (
-                cell.dataset,
-                cell.noise,
-                cell.scaling,
-                _fmt(cell.ratio),
-                cell.metric,
-                _fmt(cell.mean),
-                _fmt(cell.std),
-                str(cell.repeats),
-                cell.status,
-            )
-        )
-    return out.getvalue()
+    return _csv_text(SUMMARY_HEADER, result.cells)
 
 
 def raw_csv_text(result: SweepResult) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RAW_HEADER)
-    for value in result.raw or ():
-        writer.writerow(
-            (
-                value.dataset,
-                value.noise,
-                value.scaling,
-                _fmt(value.ratio),
-                str(value.repeat),
-                value.metric,
-                _fmt(value.value),
-            )
-        )
-    return out.getvalue()
+    return _csv_text(RAW_HEADER, result.raw or ())
 
 
 # -- subcommands -------------------------------------------------------------
@@ -413,8 +389,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written = 0
     for (metric, noise, scaling), by_dataset in sorted(panels.items()):
-        mean_series = []
-        std_series = []
+        series: dict[str, list[Series]] = {"mean": [], "std": []}
         for dataset in dataset_order:
             if dataset not in by_dataset:
                 continue
@@ -422,30 +397,18 @@ def cmd_report(args: argparse.Namespace) -> int:
             x = tuple(row["ratio"] for row in points)
             means = tuple(row["mean"] for row in points)
             stds = tuple(row["std"] for row in points)
-            mean_series.append(
-                Series(
-                    label=dataset,
-                    x=x,
-                    y=means,
-                    band=tuple((m - s, m + s) for m, s in zip(means, stds)),
-                )
+            band = tuple((m - s, m + s) for m, s in zip(means, stds))
+            series["mean"].append(Series(label=dataset, x=x, y=means, band=band))
+            series["std"].append(Series(label=dataset, x=x, y=stds))
+        for stat, stat_series in series.items():
+            svg = render_panel(
+                tuple(stat_series),
+                title=f"{metric} {stat} ({noise} noise, {scaling} scaling)",
+                x_label="noise columns per baseline column",
+                y_label=f"{metric} {stat}",
             )
-            std_series.append(Series(label=dataset, x=x, y=stds))
-        mean_svg = render_panel(
-            tuple(mean_series),
-            title=f"{metric} mean ({noise} noise, {scaling} scaling)",
-            x_label="noise columns per baseline column",
-            y_label=f"{metric} mean",
-        )
-        std_svg = render_panel(
-            tuple(std_series),
-            title=f"{metric} std ({noise} noise, {scaling} scaling)",
-            x_label="noise columns per baseline column",
-            y_label=f"{metric} std",
-        )
-        (out / f"mean_{metric}_{noise}_{scaling}.svg").write_text(mean_svg, encoding="utf-8")
-        (out / f"std_{metric}_{noise}_{scaling}.svg").write_text(std_svg, encoding="utf-8")
-        written += 2
+            (out / f"{stat}_{metric}_{noise}_{scaling}.svg").write_text(svg, encoding="utf-8")
+            written += 1
     print(f"wrote {written} panels to {out}")
     return 0
 

@@ -37,7 +37,7 @@ import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -200,6 +200,24 @@ def distance_rows(
     return d
 
 
+def map_on_one_blas_thread(work: Callable, items: Sequence, threads: int) -> list:
+    """[work(item) for item in items], with OpenBLAS pinned to one thread.
+
+    With threads > 1 the items run on a pool of that many threads. The first
+    exception work raises propagates; items not yet started are dropped, and
+    the BLAS count is restored once the running ones finish.
+    """
+    with _single_blas_thread():
+        if threads <= 1:
+            return [work(item) for item in items]
+        with ThreadPoolExecutor(threads) as pool:
+            try:
+                return list(pool.map(work, items))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+
+
 def for_each_row_block(n: int, work: Callable[[int, int], None]) -> None:
     """Call work(start, stop) for every block of row_blocks(n), on one BLAS thread.
 
@@ -207,23 +225,12 @@ def for_each_row_block(n: int, work: Callable[[int, int], None]) -> None:
     OpenBLAS thread count before the pin (1 inside another pin, such as a
     pooled sweep's, and when BLAS cannot be controlled), one whole block per
     thread. So work may run concurrently with itself and must write only
-    what belongs to its own rows. The first exception it raises propagates;
-    blocks not yet started are dropped, and the count is restored once the
-    running ones finish.
+    what belongs to its own rows. Errors propagate as in
+    map_on_one_blas_thread.
     """
     blocks = row_blocks(n)
     threads = min(len(blocks), blas_thread_count() or 1)
-    with _single_blas_thread():
-        if threads <= 1:
-            for start, stop in blocks:
-                work(start, stop)
-            return
-        with ThreadPoolExecutor(threads) as pool:
-            try:
-                list(pool.map(lambda block: work(*block), blocks))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+    map_on_one_blas_thread(lambda block: work(*block), blocks, threads)
 
 
 def pairwise_distances(x: np.ndarray) -> np.ndarray:

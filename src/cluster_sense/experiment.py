@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
-from .distance import _single_blas_thread, blas_thread_count, pairwise_distances, row_blocks
+from .distance import blas_thread_count, map_on_one_blas_thread, pairwise_distances, row_blocks
 from .kmeans import KMeansConfig, default_tolerance, fit
 from .metrics import METRIC_NAMES, MetricReport, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
@@ -185,7 +184,11 @@ def cell_kmeans_seed(
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit value, else CLUSTER_SENSE_THREADS, else 1 (0 = auto)."""
+    """Worker count: explicit value, else CLUSTER_SENSE_THREADS, else 1.
+
+    0 means one worker per CPU this process may run on (its affinity set,
+    where the platform reports one).
+    """
     value = explicit
     if value is None:
         raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
@@ -198,6 +201,8 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     if value < 0:
         raise ValueError(f"worker count must be nonnegative, got {value}")
     if value == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return value
 
@@ -254,9 +259,10 @@ def _cell_matrices(plan, base, noise_columns, spec, config):
     """Yield (scaled matrix, k-means seeds of the repeats clustered on it).
 
     A fixed-noise cell, and level 0 of any sweep, is one matrix for all its
-    repeats; a redraw cell above level 0 draws one matrix per repeat. No name
-    holds an unscaled matrix across a yield, so only the scaled copy is alive
-    while the repeats are fitted and scored.
+    repeats; a redraw cell above level 0 draws one matrix per repeat. Each
+    matrix is the baseline with its noise columns stacked to the right. No
+    name holds an unscaled matrix or a per-repeat draw across a yield, so only
+    the scaled copy is alive while the repeats are fitted and scored.
     """
     seeds = [
         cell_kmeans_seed(
@@ -264,18 +270,17 @@ def _cell_matrices(plan, base, noise_columns, spec, config):
         )
         for repeat in range(config.repeats)
     ]
-    if config.redraw_noise_per_repeat and plan.level > 0:
-        for repeat, seed in enumerate(seeds):
-            yield apply_scaling(
-                append_noise(base, spec, plan.level, seed=(spec.seed, repeat)).matrix,
-                plan.scaling,
-            ), [seed]
-    elif plan.level == 0:
+
+    def stacked(columns):
+        return apply_scaling(np.hstack([base.points, columns]), plan.scaling)
+
+    if plan.level == 0:
         yield apply_scaling(base.points, plan.scaling), seeds
+    elif config.redraw_noise_per_repeat:
+        for repeat, seed in enumerate(seeds):
+            yield stacked(append_noise(base, spec, plan.level, seed=(spec.seed, repeat))), [seed]
     else:
-        yield apply_scaling(
-            np.hstack([base.points, noise_columns[:, : plan.level]]), plan.scaling
-        ), seeds
+        yield stacked(noise_columns[:, : plan.level]), seeds
 
 
 def _run_cell(
@@ -371,7 +376,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             noise_error: Optional[Exception] = None
             if not config.redraw_noise_per_repeat:
                 try:
-                    noise_columns = append_noise(base, spec, max_level).appended
+                    noise_columns = append_noise(base, spec, max_level)
                 except ValueError as exc:
                     noise_error = exc
             for scaling in config.scalings:
@@ -392,17 +397,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         plan, base, noise_columns, noise_error, spec = task
         return _run_cell(plan, base, noise_columns, noise_error, spec, config)
 
+    blas_threads = blas_thread_count()
     if workers <= 1:
-        blas_threads = blas_thread_count()
         outcomes = [execute(task) for task in tasks]
     else:
-        with _single_blas_thread() as blas_threads, ThreadPoolExecutor(workers) as pool:
-            try:
-                outcomes = list(pool.map(execute, tasks))
-            except BaseException:
-                # A bug in one cell ends the sweep without running the queued ones.
-                pool.shutdown(cancel_futures=True)
-                raise
+        # A bug in one cell ends the sweep without running the queued ones.
+        outcomes = map_on_one_blas_thread(execute, tasks, workers)
+        blas_threads = None if blas_threads is None else 1
 
     cells: list[SweepCell] = []
     raws: list[RawValue] = []

@@ -49,18 +49,6 @@ class PartitionPair:
         return self.predicted.size
 
 
-@dataclass(frozen=True)
-class PairCounts:
-    """Point-pair agreement counts between two partitions.
-
-    a: pairs grouped together in both partitions; b: pairs separated in both.
-    """
-
-    a: int
-    b: int
-    total_pairs: int
-
-
 def contingency(pair: PartitionPair) -> np.ndarray:
     """k_x by k_y table; cell (i, j) counts points with predicted=i, truth=j."""
     kx = int(pair.predicted.max()) + 1
@@ -114,19 +102,19 @@ def _pair_sums(table: np.ndarray) -> tuple[int, int, int]:
     return comb2_sum(table), comb2_sum(table.sum(axis=1)), comb2_sum(table.sum(axis=0))
 
 
-def pair_counts(pair: PartitionPair) -> PairCounts:
-    """Count agreeing pairs from the contingency table in O(k_x * k_y)."""
+def rand_index(pair: PartitionPair) -> float:
+    """(a + b) / C(n, 2): the fraction of point pairs the partitions agree on.
+
+    a is the sum of C(v, 2) over the contingency cells (pairs together in
+    both) and b = C(n, 2) + a - rows - cols, rows and cols being the same sum
+    over the row and column margins (pairs apart in both). The numerator is
+    an exact integer, so the result is correctly rounded.
+    """
     if pair.n < 2:
-        raise ValueError("pair counts require at least 2 points")
+        raise ValueError("rand index requires at least 2 points")
     cells, rows, cols = _pair_sums(contingency(pair))
     total = pair.n * (pair.n - 1) // 2
-    return PairCounts(a=cells, b=total + cells - rows - cols, total_pairs=total)
-
-
-def rand_index(pair: PartitionPair) -> float:
-    """(a + b) / C(n, 2): the fraction of point pairs the partitions agree on."""
-    counts = pair_counts(pair)
-    return (counts.a + counts.b) / counts.total_pairs
+    return (total + 2 * cells - rows - cols) / total
 
 
 def adjusted_rand_index(pair: PartitionPair) -> float:
@@ -257,8 +245,12 @@ def davies_bouldin(matrix: np.ndarray, assignments: np.ndarray) -> float:
 
     big_delta = np.sqrt(pairwise_sq_distances(centroids, centroids))
     off_diag = ~np.eye(kp, dtype=bool)
-    if np.any(big_delta[off_diag] == 0.0):
-        i, j = [int(v[0]) for v in np.nonzero((big_delta == 0.0) & off_diag)]
+    # The |a|^2 + |b|^2 - 2ab expansion can leave bit-equal centroids a
+    # rounding residue instead of 0, so equal rows count as coincident too.
+    equal_rows = (centroids[:, None, :] == centroids[None, :, :]).all(axis=2)
+    coincident = off_diag & ((big_delta == 0.0) | equal_rows)
+    if np.any(coincident):
+        i, j = [int(v[0]) for v in np.nonzero(coincident)]
         warnings.warn(
             f"coincident centroids for clusters {i} and {j}; davies-bouldin is +inf",
             RuntimeWarning,

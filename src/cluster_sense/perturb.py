@@ -143,39 +143,6 @@ def uniform_feature(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.nda
     return rng.uniform(-bound, bound, size=n)
 
 
-@dataclass(frozen=True)
-class AugmentedDataset:
-    """A baseline dataset plus appended noise columns (to the right)."""
-
-    base: LabeledDataset
-    appended: np.ndarray
-
-    def __post_init__(self):
-        appended = np.asarray(self.appended, dtype=np.float64)
-        if appended.ndim != 2 or appended.shape[0] != self.base.n_points:
-            raise ValueError(
-                f"appended must have {self.base.n_points} rows, got shape {appended.shape}"
-            )
-        object.__setattr__(self, "appended", appended)
-
-    @property
-    def ratio(self) -> tuple[int, int]:
-        """(appended columns, baseline columns) -- the m:D bookkeeping pair."""
-        return self.appended.shape[1], self.base.n_features
-
-    @property
-    def ratio_value(self) -> float:
-        m, d = self.ratio
-        return m / d
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Baseline and noise columns stacked, noise to the right."""
-        if self.appended.shape[1] == 0:
-            return self.base.points.copy()
-        return np.hstack([self.base.points, self.appended])
-
-
 def column_rng(seed, column_index: int) -> np.random.Generator:
     """Derived RNG stream for noise column `column_index` of sequence `seed`."""
     parts = seed if isinstance(seed, tuple) else (seed,)
@@ -187,9 +154,10 @@ def append_noise(
     spec: NoiseSpec,
     count: int,
     seed=None,
-) -> AugmentedDataset:
-    """Append `count` noise columns of the spec's kind to the baseline.
+) -> np.ndarray:
+    """`count` noise columns of the spec's kind, as an (n, count) array.
 
+    The sweep stacks them to the right of the baseline's n points.
     Column j is drawn from its own RNG stream keyed by (seed, j), so for a
     fixed seed the first m columns of any longer augmentation equal the
     m-column augmentation exactly. `seed` defaults to spec.seed; passing a
@@ -206,4 +174,4 @@ def append_noise(
             columns[:, j] = gaussian_feature(spec, n, rng)
         else:
             columns[:, j] = uniform_feature(spec, n, rng)
-    return AugmentedDataset(base=base, appended=columns)
+    return columns

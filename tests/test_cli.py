@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cluster_sense
 from cluster_sense import cli, experiment
 from cluster_sense.experiment import FileSource, GeneratorSource, SweepConfig
 from cluster_sense.perturb import NoiseKind
@@ -515,3 +516,11 @@ def test_readme_lists_exactly_the_top_level_keys():
     table = readme.split("Top-level keys:", 1)[1].lstrip("\n").split("\n\n", 1)[0]
     keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
     assert sorted(keys) == sorted(cli._TOP_KEYS)
+
+
+def test_readme_imports_exactly_the_package_exports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library entry points", 1)[1].split("```python", 1)[1]
+    imported = re.search(r"from cluster_sense import \(([^)]*)\)", block.split("```", 1)[0])
+    names = [name.strip() for name in imported.group(1).split(",") if name.strip()]
+    assert sorted(names) == sorted(cluster_sense.__all__)

@@ -161,6 +161,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="CLUSTER_SENSE_THREADS"):
             resolve_workers(None)
 
+    def test_auto_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert resolve_workers(0) == 2
+        monkeypatch.delattr(experiment.os, "sched_getaffinity")
+        assert resolve_workers(0) == 8
+
     def test_baseline_cells_equal_manual_pipeline(self):
         config = _toy_config(retain_raw=True)
         result = run_sweep(config)
@@ -200,7 +207,7 @@ class TestRunSweep:
             seed=noise_sequence_seed(config.master_seed, 0, NoiseKind.GAUSSIAN),
         )
         level = 4
-        matrix = append_noise(base, spec, level).matrix
+        matrix = np.hstack([base.points, append_noise(base, spec, level)])
         scaled = apply_scaling(matrix, ScalingKind.NONE)
         raw = {
             (v.scaling, v.level, v.metric, v.repeat): v.value
@@ -354,16 +361,18 @@ class TestRunSweep:
     def test_unscaled_matrix_is_freed_before_fitting(self, monkeypatch, redraw):
         # Only the scaled copy of a cell's matrix may be alive while its
         # repeats are fitted: every unscaled matrix wider than the base
-        # points, and every AugmentedDataset, must be gone by then.
+        # points, and every per-repeat noise draw, must be gone by then. The
+        # fixed-noise columns are shared by all cells and stay alive.
         unscaled = []
         original_append = experiment.append_noise
         original_scaling = experiment.apply_scaling
         original_fit = experiment.fit
 
         def tracked_append(*args, **kwargs):
-            augmented = original_append(*args, **kwargs)
-            unscaled.append(weakref.ref(augmented))
-            return augmented
+            columns = original_append(*args, **kwargs)
+            if kwargs.get("seed") is not None:
+                unscaled.append(weakref.ref(columns))
+            return columns
 
         def tracked_scaling(matrix, kind):
             if matrix.shape[1] > TOY.dims:
@@ -564,6 +573,30 @@ class TestGoldenBytes:
         )
         assert _sha256(raw_csv_text(result)) == (
             "94aeb4f36c95604f517b3c6d89c4973a283bdf5b5688262cb10d08408554a86f"
+        )
+
+    def test_toy_redraw_summary_raw_and_report(self, tmp_path):
+        # Per-repeat noise draws a fresh matrix for each repeat; the report's
+        # SVG panels are digested name by name in sorted order.
+        result = run_sweep(_toy_config(redraw_noise_per_repeat=True, retain_raw=True))
+        summary = summary_csv_text(result)
+        assert _sha256(summary) == (
+            "22955d5f594d1229c23c9e89fde99c977c1440fe8168d622296e1b1abb33b95e"
+        )
+        assert _sha256(raw_csv_text(result)) == (
+            "cd3a21baae0b21caa5c8374fb704a22ac6a6be587139bf88b2091de394f827ef"
+        )
+        summary_path, out = tmp_path / "summary.csv", tmp_path / "report"
+        summary_path.write_text(summary, encoding="utf-8")
+        assert cli.main(["report", "--summary", str(summary_path), "--out", str(out)]) == 0
+        panels = sorted(out.iterdir())
+        assert len(panels) == 40
+        digest = hashlib.sha256()
+        for panel in panels:
+            digest.update(panel.name.encode("utf-8"))
+            digest.update(panel.read_bytes())
+        assert digest.hexdigest() == (
+            "788ec518e2a5ade2caf13751f073da27cb2a53016d4a9e818dbc0603bbf2324b"
         )
 
 

@@ -157,7 +157,8 @@ class TestKMeansPlusPlusDistinct:
         base = generate_dim_like(32, 16, 16, 10.0, seed=2)
         for kind, level in ((NoiseKind.GAUSSIAN, 32), (NoiseKind.UNIFORM, 96)):
             spec = NoiseSpec.from_stats(kind, compute_stats(base), seed=5)
-            matrix = apply_scaling(append_noise(base, spec, level).matrix, scaling)
+            columns = append_noise(base, spec, level)
+            matrix = apply_scaling(np.hstack([base.points, columns]), scaling)
             distances = pairwise_distances(matrix)
             for seed in range(4):
                 config = KMeansConfig(k=16, seed=seed)

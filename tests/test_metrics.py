@@ -18,7 +18,6 @@ from cluster_sense.metrics import (
     davies_bouldin,
     evaluate_clustering,
     nmi,
-    pair_counts,
     rand_index,
     silhouette,
 )
@@ -102,30 +101,38 @@ class TestNmi:
 
 
 class TestPairCounts:
+    """The pair counts behind RI and ARI: the C(v, 2) sums over the contingency
+    cells (pairs together in both partitions), rows and columns."""
+
+    def _sums(self, x, y):
+        return metrics._pair_sums(contingency(_pair(x, y)))
+
     def test_identical_partitions(self):
-        counts = pair_counts(_pair([0, 0, 1, 1], [0, 0, 1, 1]))
-        assert (counts.a, counts.b, counts.total_pairs) == (2, 4, 6)
+        assert self._sums([0, 0, 1, 1], [0, 0, 1, 1]) == (2, 2, 2)
 
     def test_crossed_partitions(self):
-        counts = pair_counts(_pair([0, 0, 1, 1], [0, 1, 0, 1]))
-        assert (counts.a, counts.b) == (0, 2)
+        assert self._sums([0, 0, 1, 1], [0, 1, 0, 1]) == (0, 2, 2)
 
     def test_single_cluster_both(self):
-        counts = pair_counts(_pair([0, 0, 0], [0, 0, 0]))
-        assert counts.a == counts.total_pairs
-        assert counts.b == 0
+        # Every one of the C(3, 2) = 3 pairs is together in both partitions.
+        assert self._sums([0, 0, 0], [0, 0, 0]) == (3, 3, 3)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             pair = _random_pair(rng)
-            a, b, total = pair_enumeration(pair.predicted.tolist(), pair.truth.tolist())
-            counts = pair_counts(pair)
-            assert (counts.a, counts.b, counts.total_pairs) == (a, b, total)
+            predicted, truth = pair.predicted.tolist(), pair.truth.tolist()
+            a, b, total = pair_enumeration(predicted, truth)
+            cells, rows, cols = metrics._pair_sums(contingency(pair))
+            assert cells == a
+            # A partition paired with itself has its together-pairs as a.
+            assert rows == pair_enumeration(predicted, predicted)[0]
+            assert cols == pair_enumeration(truth, truth)[0]
+            assert rand_index(pair) == (a + b) / total
 
     def test_rejects_single_point(self):
-        with pytest.raises(ValueError):
-            pair_counts(_pair([0], [0]))
+        with pytest.raises(ValueError, match="at least 2 points"):
+            rand_index(_pair([0], [0]))
 
     @FIXED_EXAMPLES
     @given(st.data())
@@ -395,6 +402,21 @@ class TestDaviesBouldin:
         with pytest.warns(RuntimeWarning, match="coincident"):
             value = davies_bouldin(matrix, [0, 0, 1, 1])
         assert value == math.inf
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_bit_equal_centroids_give_inf_despite_rounding(self, offset):
+        # Two 2-point clusters in 3-D holding the same two values per
+        # coordinate, so both centroids are the same float sums. The
+        # |a|^2 + |b|^2 - 2ab expansion can still leave their distance a
+        # rounding residue above 0.
+        rng = np.random.default_rng(7)
+        swap = np.array([True, False, True])
+        for _ in range(100):
+            a, b = rng.normal(size=(2, 3)) + offset
+            matrix = np.array([a, b, np.where(swap, b, a), np.where(swap, a, b)])
+            with pytest.warns(RuntimeWarning, match="coincident"):
+                value = davies_bouldin(matrix, [0, 0, 1, 1])
+            assert value == math.inf
 
     def test_three_cluster_oracle(self):
         rng = np.random.default_rng(6)

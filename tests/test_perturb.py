@@ -153,37 +153,36 @@ class TestUniformFeature:
 class TestAppendNoise:
     def test_count_zero_is_identity(self):
         base = generate_dim_like(4, 2, 8, 10.0, seed=1)
-        aug = append_noise(base, _gaussian_spec(seed=2), 0)
-        assert aug.ratio == (0, 4)
-        assert aug.ratio_value == 0.0
-        assert np.array_equal(aug.matrix, base.points)
+        columns = append_noise(base, _gaussian_spec(seed=2), 0)
+        assert columns.shape == (base.n_points, 0)
+        assert np.array_equal(np.hstack([base.points, columns]), base.points)
 
     def test_two_to_one_ratio(self):
         base = generate_dim_like(32, 4, 8, 10.0, seed=1)
-        aug = append_noise(base, _gaussian_spec(seed=2), 64)
-        assert aug.ratio == (64, 32)
-        assert aug.ratio_value == 2.0
-        assert aug.matrix.shape == (32, 96)
+        columns = append_noise(base, _gaussian_spec(seed=2), 64)
+        assert columns.shape == (32, 64)
+        assert columns.shape[1] / base.n_features == 2.0
+        assert np.hstack([base.points, columns]).shape == (32, 96)
 
     def test_dim128_example_ratio(self):
         base = generate_dim_like(128, 2, 4, 10.0, seed=1)
-        aug = append_noise(base, _gaussian_spec(seed=2), 256)
-        assert aug.ratio == (256, 128)
-        assert aug.ratio_value == 2.0
+        columns = append_noise(base, _gaussian_spec(seed=2), 256)
+        assert (columns.shape[1], base.n_features) == (256, 128)
+        assert columns.shape[1] / base.n_features == 2.0
 
     def test_prefix_property_gaussian(self):
         base = generate_dim_like(4, 2, 16, 10.0, seed=1)
         spec = _gaussian_spec(mu=1.0, sigma=2.0, seed=77)
         short = append_noise(base, spec, 5)
         long = append_noise(base, spec, 12)
-        assert np.array_equal(long.appended[:, :5], short.appended)
+        assert np.array_equal(long[:, :5], short)
 
     def test_prefix_property_uniform(self):
         base = generate_dim_like(4, 2, 16, 10.0, seed=1)
         spec = _uniform_spec(mu=2.0, sigma=1.0, seed=77)
         short = append_noise(base, spec, 3)
         long = append_noise(base, spec, 9)
-        assert np.array_equal(long.appended[:, :3], short.appended)
+        assert np.array_equal(long[:, :3], short)
 
     def test_explicit_seed_overrides_spec_seed(self):
         base = generate_dim_like(4, 2, 16, 10.0, seed=1)
@@ -192,9 +191,9 @@ class TestAppendNoise:
         same = append_noise(base, spec, 4, seed=77)
         other = append_noise(base, spec, 4, seed=78)
         tupled = append_noise(base, spec, 4, seed=(77, 1))
-        assert np.array_equal(default.appended, same.appended)
-        assert not np.array_equal(default.appended, other.appended)
-        assert not np.array_equal(default.appended, tupled.appended)
+        assert np.array_equal(default, same)
+        assert not np.array_equal(default, other)
+        assert not np.array_equal(default, tupled)
 
     def test_label_independence(self):
         base = generate_dim_like(4, 2, 16, 10.0, seed=1)
@@ -205,14 +204,13 @@ class TestAppendNoise:
         )
         spec = _gaussian_spec(mu=1.0, sigma=2.0, seed=5)
         assert np.array_equal(
-            append_noise(base, spec, 6).appended, append_noise(permuted, spec, 6).appended
+            append_noise(base, spec, 6), append_noise(permuted, spec, 6)
         )
 
     def test_gaussian_columns_have_distinct_means(self):
         base = generate_dim_like(4, 4, 128, 10.0, seed=1)
         spec = NoiseSpec.from_stats(NoiseKind.GAUSSIAN, compute_stats(base), seed=13)
-        aug = append_noise(base, spec, 64)
-        column_means = aug.appended.mean(axis=0)
+        column_means = append_noise(base, spec, 64).mean(axis=0)
         # Per-column mu_r values spread over +-(mu+sigma); if all columns
         # shared one mean, the spread would be the standard error ~sigma/sqrt(n).
         standard_error = spec.sigma / np.sqrt(base.n_points)
