@@ -21,13 +21,22 @@ is symmetric only to within rounding.
 A given n always splits into the same blocks, so results stay reproducible
 either way.
 
-Distance work always runs on one BLAS thread. OpenBLAS rounds a product
-differently at different thread counts, so a distance block computed on
-several BLAS threads by a serial sweep would not have the bits of the same
-block computed by a pooled sweep, which runs on one. Instead, a matrix of
-several blocks spreads its blocks over as many threads as BLAS had, one
-whole block per thread (for_each_row_block); the partition never depends on
-the thread count, so neither do the bits.
+Distance work always runs on one BLAS thread: k-means++'s center distances,
+the single-block matrix, silhouette's blocks and Davies-Bouldin's centroid
+distances. OpenBLAS rounds a product differently at different thread counts,
+so a distance block computed on several BLAS threads by a serial sweep would
+not have the bits of the same block computed by a pooled sweep, which runs
+on one. Instead, a matrix of several blocks spreads its blocks over as many
+threads as BLAS had, one whole block per thread (for_each_row_block); the
+partition never depends on the thread count, so neither do the bits.
+
+The k-means fits of a matrix of several blocks run on one BLAS thread too
+(experiment._run_cell). Their Lloyd products have the same bits at any
+thread count, but OpenBLAS's own threads keep spinning for a while after a
+product, and on such a matrix that takes CPU from the threads silhouette's
+blocks run on next. The fits of a single-block matrix keep OpenBLAS's
+threads: there silhouette reads the one block it was given and starts no
+threads, and the fits' products gain from a second BLAS thread.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ are independent of scheduling and of which other cells run.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -19,7 +20,13 @@ import numpy as np
 
 from . import __version__
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
-from .distance import blas_thread_count, map_on_one_blas_thread, pairwise_distances, row_blocks
+from .distance import (
+    _single_blas_thread,
+    blas_thread_count,
+    map_on_one_blas_thread,
+    pairwise_distances,
+    row_blocks,
+)
 from .kmeans import KMeansConfig, default_tolerance, fit
 from .metrics import METRIC_NAMES, MetricReport, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
@@ -148,9 +155,10 @@ class SweepResult:
     config: SweepConfig
     version: str = __version__
     raw: Optional[tuple[RawValue, ...]] = None
-    # Resolved worker count and the BLAS thread count the cells' Lloyd steps
-    # ran with (None when the BLAS thread count cannot be read or set);
-    # distance work always runs on one BLAS thread.
+    # Resolved worker count and the BLAS thread count the Lloyd steps of
+    # single-block cells ran with (None when the BLAS thread count cannot be
+    # read or set); distance work, and the fits of a matrix of several
+    # distance blocks, always run on one BLAS thread.
     workers: int = 1
     blas_threads: Optional[int] = None
 
@@ -299,21 +307,26 @@ def _run_cell(
     # A matrix whose distances fit one block gets that block up front, and
     # k-means++ reads its centers' distances from it too. Both names are
     # dropped before the next matrix is drawn, so one matrix is alive at a time.
+    # A matrix of several blocks is fitted on one BLAS thread, so that no
+    # OpenBLAS thread still spins when silhouette's blocks take every core
+    # (see cluster_sense.distance); a single-block matrix keeps BLAS threads.
     reports = []
     try:
         for scaled, seeds in _cell_matrices(plan, base, noise_columns, spec, config):
             one_block = len(row_blocks(scaled.shape[0])) == 1
             distances = pairwise_distances(scaled) if one_block else None
             tolerance = default_tolerance(scaled)
-            fits = (
-                fit(
-                    scaled,
-                    KMeansConfig(k=base.n_clusters, tolerance=tolerance, seed=seed),
-                    distances=distances,
+            with contextlib.nullcontext() if one_block else _single_blas_thread():
+                assignments = np.stack(
+                    [
+                        fit(
+                            scaled,
+                            KMeansConfig(k=base.n_clusters, tolerance=tolerance, seed=seed),
+                            distances=distances,
+                        ).assignments
+                        for seed in seeds
+                    ]
                 )
-                for seed in seeds
-            )
-            assignments = np.stack([result.assignments for result in fits])
             reports.extend(
                 evaluate_clustering(scaled, assignments, base.labels, distances=distances)
             )
@@ -353,9 +366,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     With more than one worker the cells run on a thread pool, and OpenBLAS
     (if that is numpy's BLAS) is held to one thread meanwhile, its previous
     count restored afterwards. Distance work (k-means++ center distances,
-    the single-block distance matrix and silhouette's blocks) always runs on
-    one BLAS thread, so a serial sweep computes the same distance products
-    as a pooled one.
+    the single-block distance matrix, silhouette's blocks and Davies-Bouldin's
+    centroid distances) always runs on one BLAS thread, so a serial sweep
+    computes the same distance products as a pooled one. A serial sweep also
+    fits a matrix of several distance blocks on one BLAS thread, so that
+    OpenBLAS's idling threads leave both cores to silhouette's block threads;
+    Lloyd's bits do not depend on the thread count.
     """
     workers = resolve_workers(config.workers)
 

@@ -34,7 +34,7 @@ def apply_scaling(matrix: np.ndarray, kind: ScalingKind) -> np.ndarray:
 
     none: identity copy. centered: subtract each column's mean.
     standardized: centered, then divided by the column's population standard
-    deviation; zero-variance columns are centered only.
+    deviation; constant columns become exactly 0.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -49,6 +49,11 @@ def apply_scaling(matrix: np.ndarray, kind: ScalingKind) -> np.ndarray:
     centered = matrix - matrix.mean(axis=0)
     if kind is ScalingKind.CENTERED:
         return centered
+    # A constant column's mean can round off its value, leaving a residue
+    # with a std of about 1e-16 that would be scaled up to unit size.
+    constant = (matrix == matrix[0]).all(axis=0)
     sigma = matrix.std(axis=0)
-    sigma[sigma == 0.0] = 1.0
-    return centered / sigma
+    sigma[constant] = 1.0
+    scaled = centered / sigma
+    scaled[:, constant] = 0.0
+    return scaled

@@ -1,4 +1,5 @@
-"""Fixtures shared by the test modules: OpenBLAS thread-count control."""
+"""Fixtures shared by the test modules: OpenBLAS thread-count control and the
+distance row-block budget."""
 
 import pytest
 
@@ -41,3 +42,28 @@ def controlled_blas(blas_threads):
     if blas_threads is None:
         pytest.skip("no OpenBLAS thread-count control symbol in this process")
     return blas_threads
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """set(n, rows): patch distance.BLOCK_BYTES for the test so that an n x n
+    matrix splits into blocks of `rows` rows, the last possibly shorter, or
+    is one block when rows >= n.
+
+    A matrix of several blocks gets half the budget per block, so blocks of
+    n / 2 rows or more, short of the whole matrix, cannot be made; asking for
+    them fails the test.
+    """
+
+    def set_rows(n, rows):
+        if rows >= n:
+            budget = 8 * n * n
+        elif rows > 1:
+            budget = 2 * rows * 8 * n
+        else:
+            budget = 8 * n  # half a row: every block still gets one row
+        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
+        expected = [(start, min(start + rows, n)) for start in range(0, n, rows)]
+        assert distance.row_blocks(n) == expected, f"no budget splits {n} rows into {rows}"
+
+    return set_rows

@@ -32,12 +32,6 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def _budget_for_rows(monkeypatch, rows, n):
-    """A budget that splits an n x n matrix (n > 2 rows) into blocks of `rows`
-    rows: a matrix of several blocks gets half the budget per block."""
-    monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * rows * 8 * n)
-
-
 class TestSquaredDistances:
     def test_in_place_expansion_rounds_like_the_textbook_formula(self):
         rng = np.random.default_rng(6)
@@ -101,8 +95,8 @@ class TestRowBlocks:
         assert row_blocks(1025) == [(0, 511), (511, 1022), (1022, 1025)]
         assert row_blocks(8192) == [(s, s + 64) for s in range(0, 8192, 64)]
 
-    def test_blocks_cover_rows_once_with_short_last_block(self, monkeypatch):
-        _budget_for_rows(monkeypatch, 7, 40)
+    def test_blocks_cover_rows_once_with_short_last_block(self, block_rows):
+        block_rows(40, 7)
         blocks = row_blocks(40)
         assert blocks == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 35), (35, 40)]
 
@@ -123,15 +117,15 @@ class TestBlockedMatrix:
     def _matrix(self, seed=0):
         return np.random.default_rng(seed).normal(size=(self.N, self.D)) * 3.0 + 1.0
 
-    def test_several_blocks_equal_one_shot_bit_for_bit(self, monkeypatch):
+    def test_several_blocks_equal_one_shot_bit_for_bit(self, block_rows):
         x = self._matrix()
-        _budget_for_rows(monkeypatch, self.ROWS, self.N)
+        block_rows(self.N, self.ROWS)
         assert row_blocks(self.N) == [(0, 128), (128, 256), (256, 320)]
         assert np.array_equal(pairwise_distances(x), _one_shot(x))
 
-    def test_several_blocks_symmetric_with_zero_diagonal(self, monkeypatch):
+    def test_several_blocks_symmetric_with_zero_diagonal(self, block_rows):
         x = self._matrix(1)
-        _budget_for_rows(monkeypatch, self.ROWS, self.N)
+        block_rows(self.N, self.ROWS)
         d = pairwise_distances(x)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
@@ -142,9 +136,9 @@ class TestBlockedMatrix:
         assert len(row_blocks(1024)) == 1
         assert np.array_equal(pairwise_distances(x), _one_shot(x))
 
-    def test_rows_are_slices_of_the_matrix(self, monkeypatch):
+    def test_rows_are_slices_of_the_matrix(self, block_rows):
         x = self._matrix(3)
-        _budget_for_rows(monkeypatch, self.ROWS, self.N)
+        block_rows(self.N, self.ROWS)
         full = pairwise_distances(x)
         for start, stop in [(0, 128), (256, 320), (5, 7), (17, 250)]:
             rows = distance_rows(x, start, stop)
@@ -154,25 +148,25 @@ class TestBlockedMatrix:
         np.testing.assert_allclose(distance_rows(x, 5, 6), full[5:6], rtol=1e-13, atol=0.0)
         assert distance_rows(x, 5, 6)[0, 5] == 0.0
 
-    def test_any_n_matches_one_shot_within_rounding(self, monkeypatch):
+    def test_any_n_matches_one_shot_within_rounding(self, block_rows):
         # For n that is not a multiple of the GEMM tile width the edge columns
         # may round differently from the one-shot matrix; only the last bits.
         x = np.random.default_rng(4).normal(size=(301, 9))
-        _budget_for_rows(monkeypatch, 64, 301)
+        block_rows(301, 64)
         assert row_blocks(301)[-1] == (256, 301)
         d = pairwise_distances(x)
         np.testing.assert_allclose(d, _one_shot(x), rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(d, d.T, rtol=1e-13, atol=0.0)
         assert np.all(np.diag(d) == 0.0)
 
-    def test_peak_memory_is_one_matrix_plus_blocks(self, monkeypatch):
+    def test_peak_memory_is_one_matrix_plus_blocks(self, block_rows):
         # numpy reports its buffers to tracemalloc. The one-shot formula peaks
         # at two n x n matrices; the blocked fill at one plus a few blocks.
         n = 1024
         x = np.random.default_rng(5).normal(size=(n, 8))
         matrix_bytes = n * n * 8
         assert _traced_peak(lambda: _one_shot(x)) >= 2 * matrix_bytes
-        _budget_for_rows(monkeypatch, 32, n)
+        block_rows(n, 32)
         assert _traced_peak(lambda: pairwise_distances(x)) < 1.25 * matrix_bytes
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -198,8 +192,8 @@ class TestForEachRowBlock:
         distance.for_each_row_block(self.N, work)
         return seen
 
-    def test_blocks_run_once_each_pinned_on_up_to_blas_threads(self, monkeypatch, controlled_blas):
-        _budget_for_rows(monkeypatch, 4, self.N)
+    def test_blocks_run_once_each_pinned_on_up_to_blas_threads(self, block_rows, controlled_blas):
+        block_rows(self.N, 4)
         seen = self._run()
         assert sorted((start, stop) for start, stop, _, _ in seen) == row_blocks(self.N)
         assert {count for *_, count in seen} == {1}
@@ -207,20 +201,20 @@ class TestForEachRowBlock:
         assert len(threads) <= controlled_blas and threading.get_ident() not in threads
         assert distance.blas_thread_count() == controlled_blas
 
-    def test_inside_a_pin_blocks_run_on_the_calling_thread(self, monkeypatch, controlled_blas):
-        _budget_for_rows(monkeypatch, 4, self.N)
+    def test_inside_a_pin_blocks_run_on_the_calling_thread(self, block_rows, controlled_blas):
+        block_rows(self.N, 4)
         with distance._single_blas_thread():
             seen = self._run()
         assert [(start, stop) for start, stop, _, _ in seen] == row_blocks(self.N)
         assert {thread for _, _, thread, _ in seen} == {threading.get_ident()}
 
-    def test_uncontrollable_blas_runs_blocks_serially_without_a_pool(self, monkeypatch):
+    def test_uncontrollable_blas_runs_blocks_serially_without_a_pool(self, monkeypatch, block_rows):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(distance, "_openblas_thread_controls", lambda: None)
         monkeypatch.setattr(distance, "ThreadPoolExecutor", no_pool)
-        _budget_for_rows(monkeypatch, 4, self.N)
+        block_rows(self.N, 4)
         seen = self._run()
         assert [(start, stop) for start, stop, _, _ in seen] == row_blocks(self.N)
         assert {thread for _, _, thread, _ in seen} == {threading.get_ident()}

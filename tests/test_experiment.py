@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import math
 import sys
+import tempfile
 import threading
 import tracemalloc
 import weakref
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cluster_sense import cli, distance, experiment
+from cluster_sense import kmeans as kmeans_module
 from cluster_sense import metrics as metrics_module
 from cluster_sense.cli import raw_csv_text, summary_csv_text
-from cluster_sense.dataset import generate_dim_like, save_dataset
+from cluster_sense.dataset import LabeledDataset, generate_dim_like, save_dataset
 from cluster_sense.experiment import (
     FileSource,
     GeneratorSource,
@@ -310,7 +313,7 @@ class TestRunSweep:
             fixed_values[key] != redrawn_values[key] for key in fixed_values
         )
 
-    def test_row_block_budget_does_not_change_summary_bytes(self, tmp_path, monkeypatch):
+    def test_row_block_budget_does_not_change_summary_bytes(self, tmp_path, block_rows):
         # A file dataset with per-repeat noise: every silhouette runs once
         # per drawn matrix above level 0 and once for the shared level-0
         # matrix of each cell's repeats. In one block the sweep builds the
@@ -329,13 +332,13 @@ class TestRunSweep:
             datasets=(source,), max_ratio=Fraction(1), redraw_noise_per_repeat=True, repeats=2
         )
         one_block = summary_csv_text(run_sweep(config))
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * 40 * 8 * ds.n_points)
+        block_rows(ds.n_points, 40)
         assert len(distance.row_blocks(ds.n_points)) == 3
         many_blocks = summary_csv_text(run_sweep(config))
         assert many_blocks == one_block
         assert "error" not in one_block
 
-    def test_fixed_noise_file_sweep_never_holds_an_n_by_n_matrix(self, tmp_path, monkeypatch):
+    def test_fixed_noise_file_sweep_never_holds_an_n_by_n_matrix(self, tmp_path, block_rows):
         # n = 512 in 64-row blocks (8 blocks). numpy reports its buffers to
         # tracemalloc, so one n x n float64 matrix alive anywhere in the sweep
         # (such as a per-cell distance cache) would put the peak above it.
@@ -346,7 +349,7 @@ class TestRunSweep:
         )
         config = _toy_config(datasets=(source,), max_ratio=Fraction(1, 2), repeats=2, workers=1)
         n = ds.n_points
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * 64 * 8 * n)
+        block_rows(n, 64)
         assert len(distance.row_blocks(n)) >= 4
         tracemalloc.start()
         try:
@@ -443,10 +446,10 @@ class TestRunSweep:
         assert calls["pairwise_distances"] == calls["apply_scaling"]
         assert calls["distance_rows"] == 0
 
-    def test_matrix_of_several_blocks_is_never_built(self, monkeypatch):
+    def test_matrix_of_several_blocks_is_never_built(self, monkeypatch, block_rows):
         calls = self._count_distance_work(monkeypatch)
         n = TOY.clusters * TOY.per_cluster
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 24 * 8 * n)
+        block_rows(n, 12)
         assert len(distance.row_blocks(n)) >= 2
         result = run_sweep(_toy_config(workers=1))
         assert all(c.status == "ok" for c in result.cells)
@@ -549,6 +552,82 @@ class TestRawRetention:
         assert len(result.raw) == len(result.cells) * config.repeats
 
 
+# Closed ranges of the metric means of an ok cell.
+_METRIC_RANGES = {
+    "nmi": (0.0, 1.0),
+    "ri": (0.0, 1.0),
+    "ari": (-1.0, 1.0),
+    "silhouette": (-1.0, 1.0),
+    "davies_bouldin": (0.0, math.inf),
+}
+# The status of every level-0 cell (the baseline, no noise) of each kind.
+_DEGENERATE_BASELINE = {
+    "few-distinct": "error:value-error",
+    "constant-columns": "ok",
+    "identical": "error:value-error",
+}
+
+
+@st.composite
+def _degenerate_dataset(draw, kind):
+    """A dataset of one degenerate kind, with 2 to 4 labeled clusters.
+
+    few-distinct has fewer distinct points than clusters; constant-columns
+    has one or more constant columns beside a random one (values whose mean
+    may round off them); identical has every point equal.
+    """
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    if kind == "few-distinct":
+        values = rng.normal(size=(draw(st.integers(1, k - 1)), d)) * 3.0
+        points = values[rng.integers(0, len(values), n)]
+    elif kind == "constant-columns":
+        constants = rng.normal(size=d) * 10.0
+        points = np.column_stack([rng.normal(size=n), np.tile(constants, (n, 1))])
+    else:
+        points = np.full((n, d), rng.normal() * 10.0)
+    return LabeledDataset(points=points, labels=labels, n_clusters=k)
+
+
+class TestDegenerateInputs:
+    """File datasets the sweep can only partly cluster still give a whole,
+    honest summary: each cell is ok with its metrics in range, or error:<code>."""
+
+    @pytest.mark.parametrize("kind", sorted(_DEGENERATE_BASELINE))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(data=st.data())
+    def test_every_cell_is_ok_in_range_or_an_error(self, kind, data):
+        dataset = data.draw(_degenerate_dataset(kind))
+        with tempfile.TemporaryDirectory() as directory:
+            data_path, labels_path = Path(directory) / "d.txt", Path(directory) / "l.txt"
+            save_dataset(dataset, data_path, labels_path)
+            source = FileSource(
+                name="degenerate", data_path=str(data_path), labels_path=str(labels_path)
+            )
+            config = _toy_config(
+                datasets=(source,),
+                scalings=tuple(ScalingKind),
+                max_ratio=Fraction(1),
+                ratio_step=1,
+                repeats=2,
+            )
+            result = run_sweep(config)
+        assert len(result.cells) == 2 * 3 * (dataset.n_features + 1) * len(METRIC_NAMES)
+        for cell in result.cells:
+            if cell.status == "ok":
+                low, high = _METRIC_RANGES[cell.metric]
+                assert low - 1e-12 <= cell.mean <= high + 1e-12, cell
+                assert math.isfinite(cell.mean) and 0.0 <= cell.std < math.inf, cell
+            else:
+                assert cell.status.startswith("error:") and len(cell.status) > 6, cell
+                assert math.isnan(cell.mean) and math.isnan(cell.std), cell
+        baseline = {cell.status for cell in result.cells if cell.level == 0}
+        assert baseline == {_DEGENERATE_BASELINE[kind]}
+
+
 class TestGoldenBytes:
     """Output bytes pinned from the code before BLAS pinning and shared row norms.
 
@@ -600,7 +679,7 @@ class TestGoldenBytes:
         )
 
 
-def _criterion8_config(case, tmp_path, monkeypatch):
+def _criterion8_config(case, tmp_path, block_rows):
     """A sweep config whose serial bytes must equal its pooled bytes.
 
     n1003 is one distance block, n = 1003. blocked_file is n = 999 read from
@@ -620,7 +699,7 @@ def _criterion8_config(case, tmp_path, monkeypatch):
             name="file", data_path=str(tmp_path / "d.txt"), labels_path=str(tmp_path / "l.txt")
         )
         kind, scaling, step = NoiseKind.UNIFORM, ScalingKind.NONE, 32
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * 128 * 8 * ds.n_points)
+        block_rows(ds.n_points, 128)
         assert len(distance.row_blocks(ds.n_points)) == 8
     return _toy_config(
         datasets=(source,),
@@ -635,9 +714,9 @@ def _criterion8_config(case, tmp_path, monkeypatch):
 class TestWorkersAndBlas:
     @pytest.mark.parametrize("case", ["wide", "n1003", "blocked_file"])
     def test_wide_config_bytes_independent_of_workers(
-        self, case, blas_threads, tmp_path, monkeypatch
+        self, case, blas_threads, tmp_path, block_rows
     ):
-        config = _criterion8_config(case, tmp_path, monkeypatch)
+        config = _criterion8_config(case, tmp_path, block_rows)
         serial = run_sweep(replace(config, workers=1))
         pooled = run_sweep(replace(config, workers=2))
         assert summary_csv_text(pooled) == summary_csv_text(serial)
@@ -672,6 +751,33 @@ class TestWorkersAndBlas:
         run_sweep(_toy_config(workers=1))
         assert seen == {controlled_blas}
         assert experiment.blas_thread_count() == controlled_blas
+
+    def test_serial_sweep_fits_a_matrix_of_several_blocks_on_one_blas_thread(
+        self, monkeypatch, controlled_blas, block_rows
+    ):
+        # Every k-means product of such a matrix runs pinned, and the pin is
+        # gone again when silhouette reads the thread count to spread its
+        # blocks over.
+        block_rows(TOY.clusters * TOY.per_cluster, 8)
+        kmeans_counts, silhouette_counts = [], []
+
+        def recording(module, name, counts):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts.append(distance.blas_thread_count())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(kmeans_module, "pairwise_sq_distances", kmeans_counts)
+        recording(metrics_module, "for_each_row_block", silhouette_counts)
+        result = run_sweep(_toy_config(workers=1))
+        assert all(c.status == "ok" for c in result.cells)
+        assert kmeans_counts and set(kmeans_counts) == {1}
+        assert silhouette_counts and set(silhouette_counts) == {controlled_blas}
+        assert experiment.blas_thread_count() == controlled_blas
+        assert result.blas_threads == controlled_blas
 
     def test_overlapping_pins_restore_the_first_count(self, controlled_blas):
         outer = distance._single_blas_thread()
@@ -793,11 +899,38 @@ class TestErrorHandling:
             run_sweep(config)
         assert experiment.blas_thread_count() == blas_threads
 
-    def test_programming_error_in_a_distance_block_propagates(self, monkeypatch, blas_threads):
+    @pytest.mark.parametrize("error", [TypeError, ValueError])
+    def test_fit_error_on_a_matrix_of_several_blocks_undoes_the_pin(
+        self, monkeypatch, blas_threads, block_rows, error
+    ):
+        # A serial sweep fits each matrix of several blocks inside a pin: a
+        # bug raised there propagates, a data condition degrades the cell,
+        # and either way the count and the pin depth are as they were.
+        block_rows(TOY.clusters * TOY.per_cluster, 12)
+        config = _toy_config(retain_raw=True, workers=1)
+        depths = []
+
+        def fail(result):
+            depths.append(distance._blas_pin_depth)
+            raise error("raised inside the pinned fits")
+
+        self._patch_second_repeat(monkeypatch, config, fail)
+        if error is TypeError:
+            with pytest.raises(TypeError, match="pinned fits"):
+                run_sweep(config)
+        else:
+            self._assert_only_cell_degraded(run_sweep(config), config)
+        assert depths == [0 if blas_threads is None else 1]
+        assert experiment.blas_thread_count() == blas_threads
+        assert distance._blas_pin_depth == 0
+
+    def test_programming_error_in_a_distance_block_propagates(
+        self, monkeypatch, blas_threads, block_rows
+    ):
         # Eight blocks per matrix, run on two threads: the third block raises
         # while others may be running, and the pin is still undone.
         n = TOY.clusters * TOY.per_cluster
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * 8 * 8 * n)
+        block_rows(n, 8)
         assert len(distance.row_blocks(n)) == 8
         original = metrics_module.distance_rows
         calls = []
@@ -856,10 +989,10 @@ class TestLayerTrace:
         assert metrics["distance.matrices_built"] == metrics["scale.calls"]
         assert metrics["metrics.silhouette_reuse_frac"] == 1.0
 
-    def test_matrices_of_several_blocks_trace_no_built_matrix(self, monkeypatch):
+    def test_matrices_of_several_blocks_trace_no_built_matrix(self, block_rows):
         layertrace = _load_layertrace()
         n = TOY.clusters * TOY.per_cluster
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 24 * 8 * n)
+        block_rows(n, 12)
         assert len(distance.row_blocks(n)) >= 2
         tracer = layertrace.Tracer()
         tracer.install()

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,18 +269,13 @@ class TestSilhouette:
 class TestBlockedSilhouette:
     """Silhouette over row blocks of the distance matrix (budget shrunk)."""
 
-    @staticmethod
-    def _shrink_budget(monkeypatch, rows, n):
-        # Blocks of a matrix of several blocks hold half the budget.
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 2 * rows * 8 * n)
-
     @pytest.mark.parametrize("n, rows", [(40, 7), (45, 8), (33, 1)])
-    def test_blocked_equals_cached_and_oracle(self, monkeypatch, n, rows):
+    def test_blocked_equals_cached_and_oracle(self, monkeypatch, block_rows, n, rows):
         rng = np.random.default_rng(n)
         matrix = rng.normal(size=(n, 3)) * 2.0
         labels = rng.integers(0, 4, n)
         labels[0] = 9  # a singleton cluster contributes 0
-        self._shrink_budget(monkeypatch, rows, n)
+        block_rows(n, rows)
         blocks = distance.row_blocks(n)
         assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] <= rows
         blocked = silhouette(matrix, labels)
@@ -289,22 +283,22 @@ class TestBlockedSilhouette:
         oracle = silhouette_oracle(matrix.tolist(), labels.tolist())
         assert blocked == pytest.approx(oracle, abs=1e-12)
 
-    def test_block_budget_changes_nothing_but_rounding(self, monkeypatch):
+    def test_block_budget_changes_nothing_but_rounding(self, block_rows):
         rng = np.random.default_rng(11)
         matrix = rng.normal(size=(203, 5))
         labels = rng.integers(0, 6, 203)
         whole = silhouette(matrix, labels)
-        self._shrink_budget(monkeypatch, 16, 203)
+        block_rows(203, 16)
         assert silhouette(matrix, labels) == pytest.approx(whole, abs=1e-12)
 
-    def test_memory_is_block_times_n_not_n_squared(self, monkeypatch):
+    def test_memory_is_block_times_n_not_n_squared(self, block_rows):
         # numpy reports its buffers to tracemalloc; 32-row blocks of n = 1024
         # are 1/32 of the matrix, so the peak stays far below one n x n matrix.
         n = 1024
         rng = np.random.default_rng(12)
         matrix = rng.normal(size=(n, 4))
         labels = rng.integers(0, 16, n)
-        self._shrink_budget(monkeypatch, 32, n)
+        block_rows(n, 32)
         tracemalloc.start()
         try:
             silhouette(matrix, labels)
@@ -336,7 +330,8 @@ def _matrix_and_labelings(draw):
             labels[draw(st.integers(0, n - 1))] = k  # a singleton cluster
         assume(len(set(labels)) >= 2)
         labelings.append(labels)
-    return matrix, np.array(labelings), draw(st.integers(1, n))
+    # Blocks of n / 2 rows or more are one block, the whole matrix.
+    return matrix, np.array(labelings), draw(st.integers(1, max(1, (n - 1) // 2)) | st.just(n))
 
 
 class TestSilhouetteStack:
@@ -344,29 +339,28 @@ class TestSilhouetteStack:
     # run on two threads; a caller's one-thread pin must change no bit.
     @settings(FIXED_EXAMPLES, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_matrix_and_labelings())
-    def test_stack_equals_single_labelings(self, blas_threads, case):
+    def test_stack_equals_single_labelings(self, blas_threads, block_rows, case):
         matrix, stack, rows = case
-        n = matrix.shape[0]
-        with mock.patch.object(distance, "BLOCK_BYTES", rows * 8 * n):
-            stacked = silhouette(matrix, stack)
-            singles = [silhouette(matrix, labels) for labels in stack]
-            # A precomputed matrix holds the same blocks the call would compute.
-            given = silhouette(matrix, stack, pairwise_distances(matrix))
-            with distance._single_blas_thread():
-                pinned = silhouette(matrix, stack)
+        block_rows(matrix.shape[0], rows)
+        stacked = silhouette(matrix, stack)
+        singles = [silhouette(matrix, labels) for labels in stack]
+        # A precomputed matrix holds the same blocks the call would compute.
+        given = silhouette(matrix, stack, pairwise_distances(matrix))
+        with distance._single_blas_thread():
+            pinned = silhouette(matrix, stack)
         assert len(stacked) == len(stack)
         # Bit for bit: the same float, not merely a close one.
         assert [v.hex() for v in stacked] == [v.hex() for v in singles]
         assert [v.hex() for v in given] == [v.hex() for v in singles]
         assert [v.hex() for v in pinned] == [v.hex() for v in singles]
 
-    def test_evaluate_clustering_stack_equals_single_reports(self, monkeypatch):
+    def test_evaluate_clustering_stack_equals_single_reports(self, block_rows):
         rng = np.random.default_rng(13)
         matrix = rng.normal(size=(60, 3))
         truth = rng.integers(0, 3, 60)
         stack = np.stack([rng.integers(0, k, 60) for k in (2, 3, 5)])
         stack[1, 7] = 9  # a singleton cluster
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 16 * 8 * 60)
+        block_rows(60, 8)
         reports = evaluate_clustering(matrix, stack, truth)
         assert reports == [evaluate_clustering(matrix, labels, truth) for labels in stack]
         distances = pairwise_distances(matrix)
@@ -429,6 +423,26 @@ class TestDaviesBouldin:
     def test_rejects_single_cluster(self):
         with pytest.raises(ValueError, match="2 distinct clusters"):
             davies_bouldin(np.zeros((3, 1)), [1, 1, 1])
+
+    def test_centroid_distances_run_on_one_blas_thread(self, monkeypatch, controlled_blas):
+        # 128 centroids in 256 dimensions: a product OpenBLAS would run on
+        # two threads, like every distance product it runs pinned.
+        counts = []
+        original = metrics.pairwise_sq_distances
+
+        def recording(*args, **kwargs):
+            counts.append(distance.blas_thread_count())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "pairwise_sq_distances", recording)
+        rng = np.random.default_rng(14)
+        matrix = rng.normal(size=(512, 256))
+        labels = np.arange(512) % 128
+        value = davies_bouldin(matrix, labels)
+        assert counts == [1]
+        assert distance.blas_thread_count() == controlled_blas
+        with distance._single_blas_thread():
+            assert davies_bouldin(matrix, labels).hex() == value.hex()
 
 
 class TestInvariants:

@@ -45,6 +45,17 @@ class TestApplyScaling:
         out = apply_scaling(np.array([[5.0], [5.0], [5.0]]), ScalingKind.STANDARDIZED)
         assert np.all(out == 0.0)
 
+    @pytest.mark.parametrize("value", [2.7279133916445373, -12.487488903344154, 0.1])
+    def test_constant_column_whose_mean_rounds_off_is_standardized_to_zero(self, value):
+        # The mean of three copies of these values is not the value, so the
+        # centered column is a residue of about 1e-15 with a nonzero std.
+        column = np.full(3, value)
+        assert column.std() != 0.0
+        matrix = np.column_stack([column, [1.0, 2.0, 4.0]])
+        out = apply_scaling(matrix, ScalingKind.STANDARDIZED)
+        assert np.all(out[:, 0] == 0.0)
+        assert out[:, 1].tobytes() == apply_scaling(matrix[:, 1:], ScalingKind.STANDARDIZED).tobytes()
+
     def test_standardized_moments(self):
         rng = np.random.default_rng(8)
         matrix = rng.normal(3.0, 2.5, size=(200, 6)) * np.arange(1, 7)
