@@ -110,13 +110,17 @@ def _choice(*options: str) -> Callable[[str], str]:
 
 
 def _kinds(parse_one: Callable[[str], object]) -> Callable[[str], tuple]:
-    """A comma- or space-separated, non-empty list of enum tokens."""
+    """A comma- or space-separated, non-empty list of distinct enum tokens."""
 
     def parse(value: str) -> tuple:
         tokens = value.replace(",", " ").split()
         if not tokens:
             raise ValueError("list is empty")
-        return tuple(parse_one(tok) for tok in tokens)
+        kinds = tuple(parse_one(tok) for tok in tokens)
+        for kind in kinds:
+            if kinds.count(kind) > 1:
+                raise ValueError(f"{kind.value!r} is listed more than once")
+        return kinds
 
     return parse
 
@@ -165,8 +169,8 @@ def parse_config(path: str | Path) -> SweepConfig:
     scope, table = top, _TOP_KEYS
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
             continue
         where = f"{path}:{lineno}"
         if line.startswith("["):

@@ -101,10 +101,14 @@ class SweepConfig:
         object.__setattr__(self, "max_ratio", Fraction(self.max_ratio))
         if not self.datasets:
             raise ValueError("at least one dataset source is required")
-        names = [source.name for source in self.datasets]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValueError(f"dataset name {name!r} is used more than once")
+        for what, values in (
+            ("dataset name", [source.name for source in self.datasets]),
+            ("noise kind", [kind.value for kind in self.noise_kinds]),
+            ("scaling", [scaling.value for scaling in self.scalings]),
+        ):
+            for value in values:
+                if values.count(value) > 1:
+                    raise ValueError(f"{what} {value!r} is used more than once")
         if not self.noise_kinds:
             raise ValueError("at least one noise kind is required")
         if not self.scalings:
@@ -223,47 +227,64 @@ def _error_code(exc: Exception) -> str:
     return slug
 
 
-@dataclass(frozen=True)
-class _CellPlan:
+@dataclass(frozen=True, eq=False)
+class _Cell:
+    """One sweep cell: a dataset, noise kind, scaling and augmentation level.
+
+    `noise` holds the curve's fixed noise columns up to its largest level,
+    shared by every cell of the curve, or the ValueError their draw raised;
+    it is None when noise is redrawn per repeat.
+    """
+
     dataset_index: int
-    dataset: str
-    kind: NoiseKind
+    base: LabeledDataset
+    spec: NoiseSpec
+    noise: Union[np.ndarray, ValueError, None]
     scaling: ScalingKind
     level: int
-    ratio: float
 
 
-def _summary_cells(
-    plan: _CellPlan,
-    repeats: int,
+def _cell_rows(
+    cell: _Cell,
+    config: SweepConfig,
     reports: Sequence[MetricReport] = (),
-    error: Optional[str] = None,
-) -> list[SweepCell]:
-    """The cell's row per metric: the mean and population std over its repeat
-    reports, or NaN and status error:<code> when the cell failed (`error`) or
-    the metric has a non-finite value."""
-    cells = []
+    error: Optional[Exception] = None,
+) -> tuple[list[SweepCell], list[RawValue]]:
+    """The cell's summary row per metric and, with retain_raw, its raw row per
+    metric and repeat. A summary row holds the mean and population std over
+    the repeat reports, or NaN and status error:<code> when the cell failed
+    (`error`) or the metric has a non-finite value."""
+    key = dict(
+        dataset=cell.base.name,
+        noise=cell.spec.kind.value,
+        scaling=cell.scaling.value,
+        level=cell.level,
+        ratio=cell.level / cell.base.n_features,
+    )
+    failed = None if error is None else _error_code(error)
+    rows, raws = [], []
     for metric in METRIC_NAMES:
         values = np.array([getattr(report, metric) for report in reports])
-        code = error or (None if np.all(np.isfinite(values)) else "non-finite-metric")
-        cells.append(
+        code = failed or (None if np.all(np.isfinite(values)) else "non-finite-metric")
+        rows.append(
             SweepCell(
-                dataset=plan.dataset,
-                noise=plan.kind.value,
-                scaling=plan.scaling.value,
-                level=plan.level,
-                ratio=plan.ratio,
+                **key,
                 metric=metric,
                 mean=math.nan if code else float(values.mean()),
                 std=math.nan if code else float(values.std()),
-                repeats=repeats,
+                repeats=config.repeats,
                 status=f"error:{code}" if code else "ok",
             )
         )
-    return cells
+        if config.retain_raw:
+            raws.extend(
+                RawValue(**key, repeat=repeat, metric=metric, value=float(value))
+                for repeat, value in enumerate(values)
+            )
+    return rows, raws
 
 
-def _cell_matrices(plan, base, noise_columns, spec, config):
+def _cell_matrices(cell: _Cell, config: SweepConfig):
     """Yield (scaled matrix, k-means seeds of the repeats clustered on it).
 
     A fixed-noise cell, and level 0 of any sweep, is one matrix for all its
@@ -272,35 +293,29 @@ def _cell_matrices(plan, base, noise_columns, spec, config):
     name holds an unscaled matrix or a per-repeat draw across a yield, so only
     the scaled copy is alive while the repeats are fitted and scored.
     """
+    base, spec, level = cell.base, cell.spec, cell.level
     seeds = [
         cell_kmeans_seed(
-            config.master_seed, plan.dataset_index, plan.kind, plan.scaling, plan.level, repeat
+            config.master_seed, cell.dataset_index, spec.kind, cell.scaling, level, repeat
         )
         for repeat in range(config.repeats)
     ]
 
     def stacked(columns):
-        return apply_scaling(np.hstack([base.points, columns]), plan.scaling)
+        return apply_scaling(np.hstack([base.points, columns]), cell.scaling)
 
-    if plan.level == 0:
-        yield apply_scaling(base.points, plan.scaling), seeds
+    if level == 0:
+        yield apply_scaling(base.points, cell.scaling), seeds
     elif config.redraw_noise_per_repeat:
         for repeat, seed in enumerate(seeds):
-            yield stacked(append_noise(base, spec, plan.level, seed=(spec.seed, repeat))), [seed]
+            yield stacked(append_noise(base, spec, level, seed=(spec.seed, repeat))), [seed]
     else:
-        yield stacked(noise_columns[:, : plan.level]), seeds
+        yield stacked(cell.noise[:, :level]), seeds
 
 
-def _run_cell(
-    plan: _CellPlan,
-    base: LabeledDataset,
-    noise_columns: Optional[np.ndarray],
-    noise_error: Optional[Exception],
-    spec: NoiseSpec,
-    config: SweepConfig,
-) -> tuple[list[SweepCell], list[RawValue]]:
-    if plan.level > 0 and noise_error is not None:
-        return _summary_cells(plan, config.repeats, error=_error_code(noise_error)), []
+def _run_cell(cell: _Cell, config: SweepConfig) -> tuple[list[SweepCell], list[RawValue]]:
+    if cell.level > 0 and isinstance(cell.noise, ValueError):
+        return _cell_rows(cell, config, error=cell.noise)
 
     # Each matrix's repeats are fitted first and then scored in one metrics
     # pass, which computes every silhouette distance block once per matrix.
@@ -312,7 +327,7 @@ def _run_cell(
     # (see cluster_sense.distance); a single-block matrix keeps BLAS threads.
     reports = []
     try:
-        for scaled, seeds in _cell_matrices(plan, base, noise_columns, spec, config):
+        for scaled, seeds in _cell_matrices(cell, config):
             one_block = len(row_blocks(scaled.shape[0])) == 1
             distances = pairwise_distances(scaled) if one_block else None
             tolerance = default_tolerance(scaled)
@@ -321,36 +336,19 @@ def _run_cell(
                     [
                         fit(
                             scaled,
-                            KMeansConfig(k=base.n_clusters, tolerance=tolerance, seed=seed),
+                            KMeansConfig(k=cell.base.n_clusters, tolerance=tolerance, seed=seed),
                             distances=distances,
                         ).assignments
                         for seed in seeds
                     ]
                 )
             reports.extend(
-                evaluate_clustering(scaled, assignments, base.labels, distances=distances)
+                evaluate_clustering(scaled, assignments, cell.base.labels, distances=distances)
             )
             del scaled, distances
     except ValueError as exc:  # degraded cell, sweep continues; bugs propagate
-        return _summary_cells(plan, config.repeats, error=_error_code(exc)), []
-
-    raws = []
-    if config.retain_raw:
-        raws = [
-            RawValue(
-                dataset=plan.dataset,
-                noise=plan.kind.value,
-                scaling=plan.scaling.value,
-                level=plan.level,
-                ratio=plan.ratio,
-                repeat=repeat,
-                metric=metric,
-                value=float(getattr(report, metric)),
-            )
-            for metric in METRIC_NAMES
-            for repeat, report in enumerate(reports)
-        ]
-    return _summary_cells(plan, config.repeats, reports), raws
+        return _cell_rows(cell, config, error=exc)
+    return _cell_rows(cell, config, reports)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -375,12 +373,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     workers = resolve_workers(config.workers)
 
-    tasks = []
+    cells = []
     for dataset_index, source in enumerate(config.datasets):
         base = source.load()
         stats = compute_stats(base)
         levels = sweep_levels(base.n_features, config.max_ratio, config.ratio_step)
-        max_level = levels[-1]
         for kind in config.noise_kinds:
             spec = NoiseSpec.from_stats(
                 kind,
@@ -388,46 +385,33 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 seed=noise_sequence_seed(config.master_seed, dataset_index, kind),
                 stats_mode=config.noise_stats_mode,
             )
-            noise_columns = None
-            noise_error: Optional[Exception] = None
+            noise = None
             if not config.redraw_noise_per_repeat:
                 try:
-                    noise_columns = append_noise(base, spec, max_level)
+                    noise = append_noise(base, spec, levels[-1])
                 except ValueError as exc:
-                    noise_error = exc
-            for scaling in config.scalings:
-                for level in levels:
-                    plan = _CellPlan(
-                        dataset_index=dataset_index,
-                        dataset=base.name,
-                        kind=kind,
-                        scaling=scaling,
-                        level=level,
-                        ratio=level / base.n_features,
-                    )
-                    tasks.append(
-                        (plan, base, noise_columns, noise_error, spec)
-                    )
-
-    def execute(task):
-        plan, base, noise_columns, noise_error, spec = task
-        return _run_cell(plan, base, noise_columns, noise_error, spec, config)
+                    noise = exc
+            cells.extend(
+                _Cell(dataset_index, base, spec, noise, scaling, level)
+                for scaling in config.scalings
+                for level in levels
+            )
 
     blas_threads = blas_thread_count()
     if workers <= 1:
-        outcomes = [execute(task) for task in tasks]
+        outcomes = [_run_cell(cell, config) for cell in cells]
     else:
         # A bug in one cell ends the sweep without running the queued ones.
-        outcomes = map_on_one_blas_thread(execute, tasks, workers)
+        outcomes = map_on_one_blas_thread(lambda cell: _run_cell(cell, config), cells, workers)
         blas_threads = None if blas_threads is None else 1
 
-    cells: list[SweepCell] = []
+    rows: list[SweepCell] = []
     raws: list[RawValue] = []
-    for cell_list, raw_list in outcomes:
-        cells.extend(cell_list)
-        raws.extend(raw_list)
+    for cell_rows, cell_raws in outcomes:
+        rows.extend(cell_rows)
+        raws.extend(cell_raws)
     return SweepResult(
-        cells=tuple(cells),
+        cells=tuple(rows),
         config=config,
         raw=tuple(raws) if config.retain_raw else None,
         workers=workers,

@@ -23,6 +23,8 @@ PALETTE = (
     "#7f7f7f",
 )
 
+_WIDTH = 640
+_HEIGHT = 420
 _MARGIN_LEFT = 58.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
@@ -120,14 +122,12 @@ def render_panel(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Render curves into one standalone SVG panel string."""
     series = tuple(series)
     x_lo, x_hi, y_lo, y_hi = _data_range(series)
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(value: float) -> float:
         return _MARGIN_LEFT + (value - x_lo) / (x_hi - x_lo) * plot_w
@@ -136,10 +136,10 @@ def render_panel(
         return _MARGIN_TOP + (y_hi - value) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" fill="#111111">{html.escape(title)}</text>',
     ]
 
@@ -202,7 +202,7 @@ def render_panel(
         )
 
     parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 10:.2f}" text-anchor="middle" '
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" fill="#111111">{html.escape(x_label)}</text>'
     )
     parts.append(

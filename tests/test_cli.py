@@ -311,6 +311,29 @@ class TestParseConfig:
         assert "dim4" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, repeated",
+        [("noise", "gaussian, uniform, gaussian", "gaussian"), ("scaling", "none NONE", "none")],
+    )
+    def test_repeated_kind_names_its_line(self, tmp_path, capsys, key, value, repeated):
+        # A repeated kind would run, and write, every cell of its curves twice.
+        path = _write(tmp_path / "sweep.cfg", f"# repeated\n{key} = {value}\n[dataset]\ndims = 4\n")
+        message = rf"sweep\.cfg:2: {key}: '{repeated}' is listed more than once"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.parse_config(path)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_inline_comments_are_cut(self, tmp_path):
+        path = _write(
+            tmp_path / "sweep.cfg",
+            "repeats = 2 # two\n[dataset] # first\nname = mine # my data\ndims = 4\n",
+        )
+        config = cli.parse_config(path)
+        assert config.repeats == 2
+        assert config.datasets[0].name == "mine"
+
     def test_multiple_datasets_in_order(self, tmp_path):
         path = _write(
             tmp_path / "sweep.cfg",

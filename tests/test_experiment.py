@@ -71,6 +71,18 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _negative_source(tmp_path):
+    """24 x 3 file dataset with mu + 2*sigma < 0, so uniform noise cannot be drawn."""
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(24, 3)) - 10.0
+    points[:12] += 2.0
+    ds = LabeledDataset(points=points, labels=np.repeat([0, 1], 12), n_clusters=2)
+    save_dataset(ds, tmp_path / "d.txt", tmp_path / "l.txt")
+    return FileSource(
+        name="negative", data_path=str(tmp_path / "d.txt"), labels_path=str(tmp_path / "l.txt")
+    )
+
+
 class TestSources:
     def test_generator_source(self):
         ds = TOY.load()
@@ -107,6 +119,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="'toy'"):
             _toy_config(datasets=(TOY, WIDE, twin))
         _toy_config(datasets=(TOY, WIDE))
+
+    def test_repeated_noise_kinds_and_scalings_rejected(self):
+        # A repeated kind or scaling would run, and write, every cell of its
+        # curves twice.
+        with pytest.raises(ValueError, match="noise kind 'gaussian'"):
+            _toy_config(noise_kinds=(NoiseKind.GAUSSIAN, NoiseKind.UNIFORM, NoiseKind.GAUSSIAN))
+        with pytest.raises(ValueError, match="scaling 'none'"):
+            _toy_config(scalings=(ScalingKind.NONE, ScalingKind.NONE))
 
     def test_defaults(self):
         config = SweepConfig(datasets=(TOY,))
@@ -263,19 +283,8 @@ class TestRunSweep:
             assert cell.ratio == cell.level / 8
 
     def test_uniform_inverted_range_marks_cells(self, tmp_path):
-        rng = np.random.default_rng(0)
-        points = rng.normal(size=(24, 3)) - 10.0  # mu + 2*sigma < 0
-        points[:12] += 2.0
-        labels = np.repeat([0, 1], 12)
-        from cluster_sense.dataset import LabeledDataset
-
-        ds = LabeledDataset(points=points, labels=labels, n_clusters=2)
-        save_dataset(ds, tmp_path / "d.txt", tmp_path / "l.txt")
-        source = FileSource(
-            name="negative", data_path=str(tmp_path / "d.txt"), labels_path=str(tmp_path / "l.txt")
-        )
         config = SweepConfig(
-            datasets=(source,),
+            datasets=(_negative_source(tmp_path),),
             noise_kinds=(NoiseKind.UNIFORM,),
             scalings=(ScalingKind.NONE,),
             max_ratio=Fraction(2, 3),
@@ -677,6 +686,43 @@ class TestGoldenBytes:
         assert digest.hexdigest() == (
             "788ec518e2a5ade2caf13751f073da27cb2a53016d4a9e818dbc0603bbf2324b"
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "redraw, summary_sha, raw_sha",
+        [
+            (
+                False,
+                "e588a71ddcbf62fbd9f0fcff2277e45e47a03d55f94518eeff50ab104a4ce522",
+                "30256773ae6d6bdad25b59b285d21df62490bee7cf869bbb11030bdf27502fa1",
+            ),
+            (
+                True,
+                "6e52286d00a9426555550d9cd26db5bee836103ebc53410346add83b8bcfe5d9",
+                "c23c04d6bb0dd9da6ae5f2718c4e1b85721c9d44535d4476b355484b4d063f3e",
+            ),
+        ],
+        ids=["fixed", "redraw"],
+    )
+    def test_error_cells_summary_and_raw(self, tmp_path, redraw, summary_sha, raw_sha, workers):
+        # Uniform noise cannot be drawn for this dataset, so every uniform cell
+        # above level 0 is error:uniform-range beside the gaussian curves.
+        result = run_sweep(
+            SweepConfig(
+                datasets=(_negative_source(tmp_path),),
+                noise_kinds=(NoiseKind.GAUSSIAN, NoiseKind.UNIFORM),
+                scalings=(ScalingKind.NONE, ScalingKind.STANDARDIZED),
+                max_ratio=Fraction(2, 3),
+                ratio_step=1,
+                repeats=2,
+                master_seed=1,
+                redraw_noise_per_repeat=redraw,
+                retain_raw=True,
+                workers=workers,
+            )
+        )
+        assert _sha256(summary_csv_text(result)) == summary_sha
+        assert _sha256(raw_csv_text(result)) == raw_sha
 
 
 def _criterion8_config(case, tmp_path, block_rows):

@@ -465,21 +465,18 @@ class TestInvariants:
             y = rng.integers(0, 3, n)
             perm_x = rng.permutation(4)
             relabeled = perm_x[x]
-            assert nmi(_pair(x, y)) == pytest.approx(nmi(_pair(relabeled, y)), abs=1e-12)
+            assert nmi(_pair(x, y)) == nmi(_pair(relabeled, y))
             assert rand_index(_pair(x, y)) == rand_index(_pair(relabeled, y))
             assert adjusted_rand_index(_pair(x, y)) == adjusted_rand_index(
                 _pair(relabeled, y)
             )
             matrix = rng.normal(size=(n, 3))
             if len(set(x.tolist())) >= 2:
-                # Relabeling permutes internal cluster order, which can move
-                # float summation order by an ulp; allow that and nothing more.
-                assert silhouette(matrix, x) == pytest.approx(
-                    silhouette(matrix, relabeled), abs=1e-12
-                )
-                assert davies_bouldin(matrix, x) == pytest.approx(
-                    davies_bouldin(matrix, relabeled), abs=1e-12
-                )
+                # Every metric numbers clusters by first appearance
+                # (dense_remap), so a relabeled partition sums in the same
+                # order and scores bit for bit the same.
+                assert silhouette(matrix, x) == silhouette(matrix, relabeled)
+                assert davies_bouldin(matrix, x) == davies_bouldin(matrix, relabeled)
 
     def test_bounds_on_fuzzed_inputs(self):
         rng = np.random.default_rng(9)
@@ -516,3 +513,62 @@ class TestInvariants:
         pair = _pair([10, 10, -3, 99], [5, 5, 5, 7])
         assert pair.predicted.tolist() == [0, 0, 1, 2]
         assert pair.truth.tolist() == [0, 0, 0, 1]
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+@st.composite
+def _clustering(draw):
+    """(matrix, predicted, truth): at least two predicted clusters of up to
+    five, truth of one to five, and a standard normal matrix."""
+    n = draw(st.integers(4, 40))
+    predicted = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    assume(len(set(predicted)) >= 2)
+    truth = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.normal(size=(n, draw(st.integers(1, 4))))
+    return matrix, np.array(predicted), np.array(truth)
+
+
+# Injective maps of the label ids 0..4, negative and gapped ids included.
+_INJECTIVE_IDS = st.lists(st.integers(-(10**6), 10**6), min_size=5, max_size=5, unique=True)
+
+
+class TestMetricProperties:
+    @FIXED_EXAMPLES
+    @given(case=_clustering(), data=st.data())
+    def test_injective_relabeling_leaves_every_report_bit_identical(self, case, data):
+        matrix, predicted, truth = case
+        relabeled_predicted = np.array(data.draw(_INJECTIVE_IDS))[predicted]
+        relabeled_truth = np.array(data.draw(_INJECTIVE_IDS))[truth]
+        report = evaluate_clustering(matrix, predicted, truth)
+        for other in (
+            evaluate_clustering(matrix, relabeled_predicted, truth),
+            evaluate_clustering(matrix, predicted, relabeled_truth),
+            evaluate_clustering(matrix, relabeled_predicted, relabeled_truth),
+        ):
+            for name, value in report.as_dict().items():
+                assert _bits(other.as_dict()[name]) == _bits(value), name
+
+    @FIXED_EXAMPLES
+    @given(case=_clustering())
+    def test_swapping_predicted_and_truth(self, case):
+        _, predicted, truth = case
+        pair, swapped = _pair(predicted, truth), _pair(truth, predicted)
+        assert _bits(adjusted_rand_index(swapped)) == _bits(adjusted_rand_index(pair))
+        assert _bits(rand_index(swapped)) == _bits(rand_index(pair))
+        # NMI's entropy sums run over rows and columns in swapped roles, which
+        # can move the last bits, so it is symmetric only to rounding.
+        assert nmi(swapped) == pytest.approx(nmi(pair), abs=1e-12)
+
+    @FIXED_EXAMPLES
+    @given(case=_clustering())
+    def test_every_metric_stays_in_its_range(self, case):
+        report = evaluate_clustering(*case)
+        assert 0.0 <= report.nmi <= 1.0
+        assert 0.0 <= report.ri <= 1.0
+        assert -1.0 <= report.ari <= 1.0
+        assert -1.0 <= report.silhouette <= 1.0
+        assert report.davies_bouldin >= 0.0
