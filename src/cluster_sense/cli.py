@@ -29,7 +29,7 @@ from .experiment import (
     run_sweep,
 )
 from .metrics import METRIC_NAMES
-from .perturb import _STATS_MODES, NoiseKind
+from .perturb import STATS_MODES, NoiseKind
 from .scale import ScalingKind
 from .svgplot import Series, render_panel
 
@@ -136,7 +136,7 @@ _TOP_KEYS: _Table = {
     "repeats": ("repeats", _integer(minimum=1)),
     "master_seed": ("master_seed", _integer()),
     "redraw_noise_per_repeat": ("redraw_noise_per_repeat", _boolean),
-    "noise_stats": ("noise_stats_mode", _choice(*_STATS_MODES)),
+    "noise_stats": ("noise_stats_mode", _choice(*STATS_MODES)),
     "workers": ("workers", _integer(minimum=0)),
 }
 # Generator keys are GeneratorSource fields; data and labels are FileSource
@@ -267,8 +267,11 @@ def raw_csv_text(result: SweepResult) -> str:
 def cmd_generate(args: argparse.Namespace) -> int:
     for flag in ("dims", "clusters", "per_cluster", "separation"):
         value = getattr(args, flag)
+        name = f"--{flag.replace('_', '-')}"
         if not value > 0:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be positive, got {value}")
+            raise ConfigError(f"{name} must be positive, got {value}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
     dataset = generate_dim_like(
         args.dims, args.clusters, args.per_cluster, args.separation, args.seed

@@ -21,22 +21,23 @@ is symmetric only to within rounding.
 A given n always splits into the same blocks, so results stay reproducible
 either way.
 
-Distance work always runs on one BLAS thread: k-means++'s center distances,
-the single-block matrix, silhouette's blocks and Davies-Bouldin's centroid
-distances. OpenBLAS rounds a product differently at different thread counts,
-so a distance block computed on several BLAS threads by a serial sweep would
-not have the bits of the same block computed by a pooled sweep, which runs
-on one. Instead, a matrix of several blocks spreads its blocks over as many
-threads as BLAS had, one whole block per thread (for_each_row_block); the
-partition never depends on the thread count, so neither do the bits.
-
-The k-means fits of a matrix of several blocks run on one BLAS thread too
-(experiment._run_cell). Their Lloyd products have the same bits at any
-thread count, but OpenBLAS's own threads keep spinning for a while after a
-product, and on such a matrix that takes CPU from the threads silhouette's
-blocks run on next. The fits of a single-block matrix keep OpenBLAS's
-threads: there silhouette reads the one block it was given and starts no
-threads, and the fits' products gain from a second BLAS thread.
+Every BLAS product in the package runs on one BLAS thread, under a pin
+this module holds. pairwise_sq_distances pins its own product, so
+k-means++'s center distances, Lloyd's assignment steps, the distance matrix,
+silhouette's blocks and Davies-Bouldin's centroid distances run pinned
+wherever they are called from; for_each_row_block holds the pin around the
+work it maps, which covers silhouette's per-cluster products. OpenBLAS
+rounds a product differently at different thread counts, so a product
+computed on several BLAS threads by a serial sweep would not have the bits
+of the same product computed by a pooled sweep, which runs on one; with
+every product pinned the two agree by construction, not by how one BLAS
+build happens to round. Pinned products also never wake OpenBLAS's own
+threads, which would keep spinning for a while after each product and take
+CPU from the threads that do the work. Cores are kept busy by the sweep's
+worker pool and by for_each_row_block, which spreads a matrix of several
+blocks over as many threads as BLAS had, one whole block per thread; the
+partition never depends on the thread count, so neither do the bits. A
+serial sweep of matrices that fit one block runs on one core.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ _blas_pin_saved = 0
 def _single_blas_thread():
     """Limit OpenBLAS to one thread for the body, then restore its count.
 
-    Used around distance work (see the module docstring) and around a sweep's
-    worker pool, whose threads already use every core; letting each of them
-    also start BLAS threads oversubscribes the CPUs. Nested or overlapping
-    uses share one pin, and the count seen on first entry comes back on last
-    exit. Yields the thread count the body runs with, or None (and changes
+    Entered around every BLAS product (see the module docstring) and around
+    a sweep's worker pool, whose threads already use every core; letting
+    each of them also start BLAS threads oversubscribes the CPUs. Nested or
+    overlapping uses share one pin, and the count seen on first entry comes
+    back on last exit. Yields the thread count the body runs with, or None (and changes
     nothing) when the BLAS cannot be controlled.
     """
     global _blas_pin_depth, _blas_pin_saved
@@ -166,8 +167,10 @@ def pairwise_sq_distances(
         b_sq = np.einsum("ij,ij->i", b, b)
     # In place; (-2ab) + (|a|^2 + |b|^2) rounds exactly like
     # (|a|^2 + |b|^2) - 2ab. The norm sums are added a few rows at a time, so
-    # the only result-sized buffer is the result itself.
-    d2 = a @ b.T
+    # the only result-sized buffer is the result itself. The product runs on
+    # one BLAS thread, as every product does (see the module docstring).
+    with _single_blas_thread():
+        d2 = a @ b.T
     d2 *= -2.0
     step = max(1, _SUM_CHUNK_BYTES // (8 * max(b_sq.size, 1)))
     for start in range(0, d2.shape[0], step):
@@ -251,8 +254,7 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     sq_norms = np.einsum("ij,ij->i", x, x)
     if len(row_blocks(n)) == 1:
-        with _single_blas_thread():
-            return distance_rows(x, 0, n, sq_norms)
+        return distance_rows(x, 0, n, sq_norms)
     d = np.empty((n, n))
 
     def fill(start, stop):

@@ -9,7 +9,6 @@ are independent of scheduling and of which other cells run.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ import numpy as np
 from . import __version__
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
 from .distance import (
-    _single_blas_thread,
     blas_thread_count,
     map_on_one_blas_thread,
     pairwise_distances,
@@ -159,10 +157,9 @@ class SweepResult:
     config: SweepConfig
     version: str = __version__
     raw: Optional[tuple[RawValue, ...]] = None
-    # Resolved worker count and the BLAS thread count the Lloyd steps of
-    # single-block cells ran with (None when the BLAS thread count cannot be
-    # read or set); distance work, and the fits of a matrix of several
-    # distance blocks, always run on one BLAS thread.
+    # Resolved worker count and the number of threads silhouette's distance
+    # blocks could be spread over (None when the BLAS thread count cannot be
+    # read or set); every BLAS product itself runs on one BLAS thread.
     workers: int = 1
     blas_threads: Optional[int] = None
 
@@ -322,26 +319,22 @@ def _run_cell(cell: _Cell, config: SweepConfig) -> tuple[list[SweepCell], list[R
     # A matrix whose distances fit one block gets that block up front, and
     # k-means++ reads its centers' distances from it too. Both names are
     # dropped before the next matrix is drawn, so one matrix is alive at a time.
-    # A matrix of several blocks is fitted on one BLAS thread, so that no
-    # OpenBLAS thread still spins when silhouette's blocks take every core
-    # (see cluster_sense.distance); a single-block matrix keeps BLAS threads.
     reports = []
     try:
         for scaled, seeds in _cell_matrices(cell, config):
             one_block = len(row_blocks(scaled.shape[0])) == 1
             distances = pairwise_distances(scaled) if one_block else None
             tolerance = default_tolerance(scaled)
-            with contextlib.nullcontext() if one_block else _single_blas_thread():
-                assignments = np.stack(
-                    [
-                        fit(
-                            scaled,
-                            KMeansConfig(k=cell.base.n_clusters, tolerance=tolerance, seed=seed),
-                            distances=distances,
-                        ).assignments
-                        for seed in seeds
-                    ]
-                )
+            assignments = np.stack(
+                [
+                    fit(
+                        scaled,
+                        KMeansConfig(k=cell.base.n_clusters, tolerance=tolerance, seed=seed),
+                        distances=distances,
+                    ).assignments
+                    for seed in seeds
+                ]
+            )
             reports.extend(
                 evaluate_clustering(scaled, assignments, cell.base.labels, distances=distances)
             )
@@ -363,13 +356,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     With more than one worker the cells run on a thread pool, and OpenBLAS
     (if that is numpy's BLAS) is held to one thread meanwhile, its previous
-    count restored afterwards. Distance work (k-means++ center distances,
-    the single-block distance matrix, silhouette's blocks and Davies-Bouldin's
-    centroid distances) always runs on one BLAS thread, so a serial sweep
-    computes the same distance products as a pooled one. A serial sweep also
-    fits a matrix of several distance blocks on one BLAS thread, so that
-    OpenBLAS's idling threads leave both cores to silhouette's block threads;
-    Lloyd's bits do not depend on the thread count.
+    count restored afterwards. Every BLAS product runs on one BLAS thread
+    whatever the worker count (see cluster_sense.distance), so a serial
+    sweep computes the same products, and writes the same bytes, as a pooled
+    one. A serial sweep keeps its cores busy only through silhouette's row
+    blocks of a matrix of several distance blocks, which run on as many
+    threads as OpenBLAS had.
     """
     workers = resolve_workers(config.workers)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import _single_blas_thread, check_distances, pairwise_sq_distances
+from .distance import check_distances, pairwise_sq_distances
 from .seeding import derive_rng
 
 _INIT_STREAM = 0x1217
@@ -127,21 +127,18 @@ def kmeanspp_init(
         d2[same[(matrix[same] == matrix[idx]).all(axis=1)]] = 0.0
         return d2
 
-    # Distance work runs on one BLAS thread (see cluster_sense.distance): a
-    # one-row product can round differently on several, and move a pick.
-    with _single_blas_thread():
-        d2_min = center_d2(int(chosen[0]))
-        for c in range(1, k):
-            total = d2_min.sum()
-            if total <= 0.0:
-                raise ValueError(
-                    f"cannot pick {k} distinct centers: only {c} distinct point values available"
-                )
-            # choice() inverts the weights' cumulative sum with a right-sided
-            # search, so it never returns a zero-weight row.
-            chosen[c] = rng.choice(n, p=d2_min / total)
-            if c + 1 < k:
-                np.minimum(d2_min, center_d2(int(chosen[c])), out=d2_min)
+    d2_min = center_d2(int(chosen[0]))
+    for c in range(1, k):
+        total = d2_min.sum()
+        if total <= 0.0:
+            raise ValueError(
+                f"cannot pick {k} distinct centers: only {c} distinct point values available"
+            )
+        # choice() inverts the weights' cumulative sum with a right-sided
+        # search, so it never returns a zero-weight row.
+        chosen[c] = rng.choice(n, p=d2_min / total)
+        if c + 1 < k:
+            np.minimum(d2_min, center_d2(int(chosen[c])), out=d2_min)
     return matrix[chosen].copy()
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .dataset import dense_remap
 from .distance import (
-    _single_blas_thread,
     check_distances,
     distance_rows,
     for_each_row_block,
@@ -249,9 +248,7 @@ def davies_bouldin(matrix: np.ndarray, assignments: np.ndarray) -> float:
         centroids[j] = members.mean(axis=0)
         delta[j] = float(np.sqrt(((members - centroids[j]) ** 2).sum(axis=1)).mean())
 
-    # On one BLAS thread, like all distance work (see cluster_sense.distance).
-    with _single_blas_thread():
-        big_delta = np.sqrt(pairwise_sq_distances(centroids, centroids))
+    big_delta = np.sqrt(pairwise_sq_distances(centroids, centroids))
     off_diag = ~np.eye(kp, dtype=bool)
     # The |a|^2 + |b|^2 - 2ab expansion can leave bit-equal centroids a
     # rounding residue instead of 0, so equal rows count as coincident too.

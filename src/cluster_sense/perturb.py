@@ -18,7 +18,7 @@ from .seeding import derive_rng
 
 _COLUMN_STREAM = 0xC01
 
-_STATS_MODES = ("pooled", "per-feature")
+STATS_MODES = ("pooled", "per-feature")
 
 
 class InvalidNoiseRange(ValueError):
@@ -67,8 +67,8 @@ class NoiseSpec:
         "per-feature" averages the per-feature means and sigmas instead
         (only sigma actually differs between the two).
         """
-        if stats_mode not in _STATS_MODES:
-            raise ValueError(f"unknown stats_mode {stats_mode!r} (expected one of {_STATS_MODES})")
+        if stats_mode not in STATS_MODES:
+            raise ValueError(f"unknown stats_mode {stats_mode!r} (expected one of {STATS_MODES})")
         if stats_mode == "pooled":
             mu, sigma = stats.mu, stats.sigma
         else:

@@ -1,5 +1,9 @@
-"""Fixtures shared by the test modules: OpenBLAS thread-count control and the
-distance row-block budget."""
+"""Fixtures shared by the test modules: OpenBLAS thread-count control, a
+probe of the distance kernel's pin and the distance row-block budget."""
+
+import contextlib
+import sys
+import types
 
 import pytest
 
@@ -42,6 +46,38 @@ def controlled_blas(blas_threads):
     if blas_threads is None:
         pytest.skip("no OpenBLAS thread-count control symbol in this process")
     return blas_threads
+
+
+@pytest.fixture
+def kernel_pins(monkeypatch):
+    """Probe of the pin pairwise_sq_distances holds around its product.
+
+    `.products` gets, for each product, from any thread: (name of the module
+    that called the kernel, BLAS thread count inside the pin, pin depth
+    inside the pin). `.hook`, when set, is called inside the pin with that
+    module name and may raise. Pins entered anywhere else pass through
+    unrecorded.
+    """
+    probe = types.SimpleNamespace(products=[], hook=None)
+    original = distance._single_blas_thread
+    kernel = distance.pairwise_sq_distances.__code__
+
+    @contextlib.contextmanager
+    def kernel_pin(caller):
+        with original() as pinned:
+            probe.products.append((caller, distance.blas_thread_count(), distance._blas_pin_depth))
+            if probe.hook is not None:
+                probe.hook(caller)
+            yield pinned
+
+    def pin():
+        frame = sys._getframe(1)
+        if frame.f_code is not kernel:
+            return original()
+        return kernel_pin(frame.f_back.f_globals["__name__"])
+
+    monkeypatch.setattr(distance, "_single_blas_thread", pin)
+    return probe
 
 
 @pytest.fixture

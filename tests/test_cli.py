@@ -108,6 +108,14 @@ class TestGenerate:
         assert f"{flag} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_infinite_separation_exits_2(self, tmp_path, capsys):
+        rc = cli.main(
+            ["generate", "--dims", "2", "--separation", "inf", "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert "--separation must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestParseConfig:
     def test_small_config(self, tmp_path):

@@ -220,15 +220,12 @@ class TestForEachRowBlock:
         assert {thread for _, _, thread, _ in seen} == {threading.get_ident()}
         assert {count for *_, count in seen} == {None}
 
-    def test_single_block_matrix_is_computed_pinned(self, monkeypatch, controlled_blas):
-        counts = []
-        original = distance.distance_rows
-
-        def recording_rows(*args, **kwargs):
-            counts.append(distance.blas_thread_count())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(distance, "distance_rows", recording_rows)
+    def test_single_block_matrix_is_computed_pinned(self, controlled_blas, kernel_pins):
+        # One product, inside the kernel's pin at depth 1: the caller holds
+        # no pin of its own.
         x = np.random.default_rng(14).normal(size=(self.N, 3))
-        assert np.array_equal(pairwise_distances(x), _one_shot(x))
-        assert counts == [1]
+        expected = _one_shot(x)
+        kernel_pins.products.clear()
+        assert np.array_equal(pairwise_distances(x), expected)
+        assert kernel_pins.products == [("cluster_sense.distance", 1, 1)]
+        assert distance.blas_thread_count() == controlled_blas

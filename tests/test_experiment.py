@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cluster_sense import cli, distance, experiment
-from cluster_sense import kmeans as kmeans_module
 from cluster_sense import metrics as metrics_module
 from cluster_sense.cli import raw_csv_text, summary_csv_text
 from cluster_sense.dataset import LabeledDataset, generate_dim_like, save_dataset
@@ -757,6 +756,19 @@ def _criterion8_config(case, tmp_path, block_rows):
     )
 
 
+def _record_calls(monkeypatch, module, name):
+    """Wrap module.name; the returned list gets the BLAS thread count at each call."""
+    counts = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts.append(distance.blas_thread_count())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
 class TestWorkersAndBlas:
     @pytest.mark.parametrize("case", ["wide", "n1003", "blocked_file"])
     def test_wide_config_bytes_independent_of_workers(
@@ -775,52 +787,43 @@ class TestWorkersAndBlas:
         assert pooled.workers == 2
         assert pooled.blas_threads == (None if blas_threads is None else 1)
 
-    def _record_blas_threads(self, monkeypatch):
-        seen = set()
-        original = experiment.fit
-
-        def recording_fit(*args, **kwargs):
-            seen.add(experiment.blas_thread_count())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(experiment, "fit", recording_fit)
-        return seen
-
     def test_pool_runs_cells_on_one_blas_thread(self, monkeypatch, controlled_blas):
-        seen = self._record_blas_threads(monkeypatch)
+        counts = _record_calls(monkeypatch, experiment, "fit")
         run_sweep(_toy_config(workers=2))
-        assert seen == {1}
+        assert set(counts) == {1}
         assert experiment.blas_thread_count() == controlled_blas
 
-    def test_serial_sweep_leaves_blas_threads_alone(self, monkeypatch, controlled_blas):
-        seen = self._record_blas_threads(monkeypatch)
+    def test_serial_sweep_pins_only_its_products(
+        self, monkeypatch, controlled_blas, kernel_pins
+    ):
+        # Every product runs on one BLAS thread inside the kernel's pin, at
+        # depth 1 (no caller holds a pin of its own), and the count is
+        # OpenBLAS's own between products and after the sweep.
+        fit_counts = _record_calls(monkeypatch, experiment, "fit")
+        metric_counts = _record_calls(monkeypatch, experiment, "evaluate_clustering")
         run_sweep(_toy_config(workers=1))
-        assert seen == {controlled_blas}
+        assert kernel_pins.products
+        assert {(count, depth) for _, count, depth in kernel_pins.products} == {(1, 1)}
+        assert set(fit_counts) == set(metric_counts) == {controlled_blas}
         assert experiment.blas_thread_count() == controlled_blas
 
     def test_serial_sweep_fits_a_matrix_of_several_blocks_on_one_blas_thread(
-        self, monkeypatch, controlled_blas, block_rows
+        self, monkeypatch, controlled_blas, block_rows, kernel_pins
     ):
-        # Every k-means product of such a matrix runs pinned, and the pin is
-        # gone again when silhouette reads the thread count to spread its
-        # blocks over.
+        # Every k-means product of such a matrix runs inside the kernel's pin
+        # at depth 1, so the fits hold no pin of their own, and silhouette
+        # reads OpenBLAS's own count to spread its blocks over.
         block_rows(TOY.clusters * TOY.per_cluster, 8)
-        kmeans_counts, silhouette_counts = [], []
-
-        def recording(module, name, counts):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                counts.append(distance.blas_thread_count())
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        recording(kmeans_module, "pairwise_sq_distances", kmeans_counts)
-        recording(metrics_module, "for_each_row_block", silhouette_counts)
+        silhouette_counts = _record_calls(monkeypatch, metrics_module, "for_each_row_block")
         result = run_sweep(_toy_config(workers=1))
         assert all(c.status == "ok" for c in result.cells)
-        assert kmeans_counts and set(kmeans_counts) == {1}
+        kmeans_products = [
+            (count, depth)
+            for caller, count, depth in kernel_pins.products
+            if caller == "cluster_sense.kmeans"
+        ]
+        assert kmeans_products and set(kmeans_products) == {(1, 1)}
+        assert {count for _, count, _ in kernel_pins.products} == {1}
         assert silhouette_counts and set(silhouette_counts) == {controlled_blas}
         assert experiment.blas_thread_count() == controlled_blas
         assert result.blas_threads == controlled_blas
@@ -947,26 +950,47 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("error", [TypeError, ValueError])
     def test_fit_error_on_a_matrix_of_several_blocks_undoes_the_pin(
-        self, monkeypatch, blas_threads, block_rows, error
+        self, monkeypatch, blas_threads, block_rows, kernel_pins, error
     ):
-        # A serial sweep fits each matrix of several blocks inside a pin: a
-        # bug raised there propagates, a data condition degrades the cell,
-        # and either way the count and the pin depth are as they were.
+        # The first k-means product of one fit raises inside the kernel's
+        # pin: a bug propagates, a data condition degrades the cell, and
+        # either way the count and the pin depth are as they were.
         block_rows(TOY.clusters * TOY.per_cluster, 12)
         config = _toy_config(retain_raw=True, workers=1)
+        target = cell_kmeans_seed(
+            config.master_seed, 0, NoiseKind.GAUSSIAN, ScalingKind.NONE, 2, 1
+        )
+        fitting = []
+        original = experiment.fit
+
+        def tracking_fit(matrix, kmeans_config, **kwargs):
+            fitting.append(kmeans_config.seed)
+            try:
+                return original(matrix, kmeans_config, **kwargs)
+            finally:
+                fitting.pop()
+
         depths = []
 
-        def fail(result):
-            depths.append(distance._blas_pin_depth)
-            raise error("raised inside the pinned fits")
+        def fail(caller):
+            if caller == "cluster_sense.kmeans" and fitting == [target]:
+                depths.append(distance._blas_pin_depth)
+                raise error("raised inside a pinned k-means product")
 
-        self._patch_second_repeat(monkeypatch, config, fail)
+        monkeypatch.setattr(experiment, "fit", tracking_fit)
+        kernel_pins.hook = fail
+        silhouette_counts = _record_calls(monkeypatch, metrics_module, "for_each_row_block")
         if error is TypeError:
-            with pytest.raises(TypeError, match="pinned fits"):
+            with pytest.raises(TypeError, match="pinned k-means product"):
                 run_sweep(config)
         else:
             self._assert_only_cell_degraded(run_sweep(config), config)
         assert depths == [0 if blas_threads is None else 1]
+        kmeans_counts = {
+            count for caller, count, _ in kernel_pins.products if caller == "cluster_sense.kmeans"
+        }
+        assert kmeans_counts == {None if blas_threads is None else 1}
+        assert silhouette_counts and set(silhouette_counts) == {blas_threads}
         assert experiment.blas_thread_count() == blas_threads
         assert distance._blas_pin_depth == 0
 

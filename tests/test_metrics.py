@@ -424,22 +424,15 @@ class TestDaviesBouldin:
         with pytest.raises(ValueError, match="2 distinct clusters"):
             davies_bouldin(np.zeros((3, 1)), [1, 1, 1])
 
-    def test_centroid_distances_run_on_one_blas_thread(self, monkeypatch, controlled_blas):
+    def test_centroid_distances_run_on_one_blas_thread(self, controlled_blas, kernel_pins):
         # 128 centroids in 256 dimensions: a product OpenBLAS would run on
-        # two threads, like every distance product it runs pinned.
-        counts = []
-        original = metrics.pairwise_sq_distances
-
-        def recording(*args, **kwargs):
-            counts.append(distance.blas_thread_count())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "pairwise_sq_distances", recording)
+        # two threads. It runs inside the kernel's pin at depth 1, so
+        # Davies-Bouldin holds no pin of its own.
         rng = np.random.default_rng(14)
         matrix = rng.normal(size=(512, 256))
         labels = np.arange(512) % 128
         value = davies_bouldin(matrix, labels)
-        assert counts == [1]
+        assert kernel_pins.products == [("cluster_sense.metrics", 1, 1)]
         assert distance.blas_thread_count() == controlled_blas
         with distance._single_blas_thread():
             assert davies_bouldin(matrix, labels).hex() == value.hex()
