@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
-from .dataset import DatasetFormatError, generate_dim_like, save_dataset
+from .dataset import DatasetFormatError, generate_dim_like, is_plain_ascii, save_dataset
+from .distance import blas_core_name
 from .experiment import (
     DatasetSource,
     FileSource,
@@ -50,12 +51,15 @@ class ReportError(Exception):
 # Each key maps to (dataclass field, parser). A parser takes the stripped
 # value and returns the field's value, or raises ValueError with a message
 # that parse_config prefixes with `file:line: key:`. Keys that are not set
-# keep the dataclass defaults.
+# keep the dataclass defaults. Number parsers accept ASCII forms only (see
+# dataset.is_plain_ascii).
 
 
 def _integer(minimum: Optional[int] = None) -> Callable[[str], int]:
     def parse(value: str) -> int:
         try:
+            if not is_plain_ascii(value):
+                raise ValueError
             parsed = int(value, 10)
         except ValueError:
             raise ValueError(f"expected an integer, got {value!r}") from None
@@ -68,6 +72,8 @@ def _integer(minimum: Optional[int] = None) -> Callable[[str], int]:
 
 def _positive_float(value: str) -> float:
     try:
+        if not is_plain_ascii(value):
+            raise ValueError
         parsed = float(value)
     except ValueError:
         raise ValueError(f"expected a number, got {value!r}") from None
@@ -88,6 +94,8 @@ def _boolean(value: str) -> bool:
 def _ratio(value: str) -> Fraction:
     """Accept `3`, `1.5`, or `3:1` forms; result must be positive."""
     try:
+        if not is_plain_ascii(value):
+            raise ValueError
         if ":" in value:
             num, den = value.split(":", 1)
             ratio = Fraction(num.strip()) / Fraction(den.strip())
@@ -322,6 +330,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "created": datetime.now(timezone.utc).isoformat(),
         "workers": result.workers,
         "blas_threads": result.blas_threads,
+        # The OpenBLAS kernel; summary.csv's bits depend on it (None: another BLAS).
+        "blas_core": blas_core_name(),
         "emitted_files": [{"kind": kind, "path": rel} for kind, rel in emitted]
         + [{"kind": "manifest", "path": "manifest.json"}],
     }

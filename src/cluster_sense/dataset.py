@@ -7,6 +7,8 @@ any two centers are at least one grid spacing apart on every axis.
 
 from __future__ import annotations
 
+import math
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +26,17 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 class DatasetFormatError(ValueError):
     """Raised when a data or label file does not match the text format."""
+
+
+def is_plain_ascii(text: str) -> bool:
+    """True when `text` is ASCII and holds no underscore.
+
+    Python's int(), float() and Fraction() also read other scripts' digits,
+    Unicode whitespace and `_` digit separators (`1_0` is 10). A number read
+    from a file passes this check before it is parsed, so that only ASCII
+    base-10 forms are accepted.
+    """
+    return text.isascii() and "_" not in text
 
 
 def dense_remap(labels: np.ndarray) -> np.ndarray:
@@ -113,8 +126,8 @@ def generate_dim_like(
         raise ValueError(f"n_clusters must be positive, got {n_clusters}")
     if points_per_cluster < 1:
         raise ValueError(f"points_per_cluster must be positive, got {points_per_cluster}")
-    if not separation > 0:
-        raise ValueError(f"separation must be positive, got {separation}")
+    if not 0 < separation < math.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
 
     rng = derive_rng(seed, _GENERATOR_STREAM)
     # One independent cluster->grid-row assignment per axis.
@@ -156,8 +169,9 @@ def load_dataset(data_path: str | Path, labels_path: str | Path, name: str | Non
     """Read the plain-text point/label file pair.
 
     Data file: one point per line, features split on ASCII whitespace.
-    Label file: one base-10 integer per line. Labels are remapped to a dense
-    [0, k) range in order of first appearance.
+    Label file: one base-10 integer per line. Both files are ASCII, with no
+    `_` digit separators, and lines end at "\n", "\r\n" or "\r". Labels are
+    remapped to a dense [0, k) range in order of first appearance.
     """
     data_path = Path(data_path)
     labels_path = Path(labels_path)
@@ -186,7 +200,14 @@ def save_dataset(data: LabeledDataset, data_path: str | Path, labels_path: str |
     Path(labels_path).write_text("\n".join(label_lines) + "\n", encoding="utf-8")
 
 
-def _strip_trailing_blanks(lines: list[str]) -> list[str]:
+def _lines(text: str) -> list[str]:
+    """Lines of text read by read_text, trailing blank lines dropped.
+
+    read_text has turned "\r\n" and "\r" into "\n", so split there alone:
+    str.splitlines would also split at U+2028 and other separators, which a
+    line must not contain.
+    """
+    lines = text.split("\n")
     end = len(lines)
     while end > 0 and not lines[end - 1].strip():
         end -= 1
@@ -198,7 +219,7 @@ def _parse_data_lines(path: Path) -> np.ndarray:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read data file: {exc}") from exc
-    lines = _strip_trailing_blanks(text.splitlines())
+    lines = _lines(text)
     if not lines:
         raise DatasetFormatError(f"{path}: data file is empty")
 
@@ -209,9 +230,14 @@ def _parse_data_lines(path: Path) -> np.ndarray:
         if not tokens:
             raise DatasetFormatError(f"{path}: line {lineno}: blank line inside data")
         try:
+            if not is_plain_ascii(line):
+                raise ValueError
             row = [float(tok) for tok in tokens]
         except ValueError:
-            bad = next(tok for tok in tokens if not _is_number(tok))
+            # bytes.split splits at ASCII whitespace only, so a token joined
+            # by a no-break space is reported whole.
+            ascii_tokens = [tok.decode("utf-8") for tok in line.encode("utf-8").split()]
+            bad = next(tok for tok in ascii_tokens if not _is_number(tok))
             raise DatasetFormatError(
                 f"{path}: line {lineno}: invalid numeric token {bad!r}"
             ) from None
@@ -236,14 +262,16 @@ def _parse_label_lines(path: Path) -> list[int]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read labels file: {exc}") from exc
-    lines = _strip_trailing_blanks(text.splitlines())
+    lines = _lines(text)
     if not lines:
         raise DatasetFormatError(f"{path}: labels file is empty")
 
     labels = []
     for lineno, line in enumerate(lines, start=1):
-        token = line.strip()
+        token = line.strip(string.whitespace)
         try:
+            if not is_plain_ascii(line):
+                raise ValueError
             label = int(token, 10)
         except ValueError:
             raise DatasetFormatError(
@@ -258,6 +286,8 @@ def _parse_label_lines(path: Path) -> list[int]:
 
 
 def _is_number(token: str) -> bool:
+    if not is_plain_ascii(token):
+        return False
     try:
         float(token)
         return True

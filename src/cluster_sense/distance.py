@@ -43,6 +43,7 @@ serial sweep of matrices that fit one block runs on one core.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import os
 import threading
@@ -60,15 +61,13 @@ _SUM_CHUNK_BYTES = 1024 * 1024
 
 
 @functools.cache
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of the OpenBLAS numpy has loaded.
+def _openblas():
+    """(library, symbol prefix, symbol suffix) of the OpenBLAS numpy has loaded.
 
     Finds the library among this process's mapped files and opens it without
     loading anything new; returns None for another BLAS or where there is no
     /proc/self/maps.
     """
-    import ctypes
-
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = sorted(
@@ -87,15 +86,39 @@ def _openblas_thread_controls():
             continue
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
-                try:
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                    return lib, prefix, suffix
     return None
+
+
+def _openblas_function(name: str, argtypes: list, restype):
+    """OpenBLAS's `name` function (symbol prefix and suffix added), typed; or None."""
+    found = _openblas()
+    if found is None:
+        return None
+    lib, prefix, suffix = found
+    function = getattr(lib, f"{prefix}_{name}{suffix}", None)
+    if function is not None:
+        function.argtypes, function.restype = argtypes, restype
+    return function
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS numpy has loaded, or None."""
+    get = _openblas_function("get_num_threads", [], ctypes.c_int)
+    set_ = _openblas_function("set_num_threads", [ctypes.c_int], None)
+    return None if get is None or set_ is None else (get, set_)
+
+
+def blas_core_name() -> Optional[str]:
+    """Name of the kernel OpenBLAS chose for this CPU, such as "SkylakeX".
+
+    Products round differently on different kernels (AVX-512 against AVX2,
+    say), so this names what a run's bits depend on. None for another BLAS.
+    """
+    corename = _openblas_function("get_corename", [], ctypes.c_char_p)
+    return None if corename is None else corename().decode("ascii")
 
 
 def blas_thread_count() -> Optional[int]:

@@ -1,8 +1,10 @@
 """Cluster-validity metrics: NMI, Rand index, ARI, Silhouette, Davies-Bouldin.
 
-The label-comparison metrics run off a shared contingency table; the two
-geometric metrics use Euclidean distances from the shared distance kernels so
-values computed inside a sweep match direct calls exactly.
+The three label-comparison metrics score one contingency table: a labeling is
+counted against the truth once, by contingency, and nmi, rand_index and
+adjusted_rand_index each take that table, not the labels. The two geometric
+metrics use Euclidean distances from the shared distance kernels so values
+computed inside a sweep match direct calls exactly.
 """
 
 from __future__ import annotations
@@ -25,42 +27,27 @@ from .distance import pairwise_distances  # noqa: F401  (unused; perfbench trace
 METRIC_NAMES = ("nmi", "ri", "ari", "silhouette", "davies_bouldin")
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """Two dense partitions of the same n points (predicted vs truth)."""
+def contingency(predicted, truth) -> np.ndarray:
+    """k_x by k_y table; cell (i, j) counts points with predicted=i, truth=j.
 
-    predicted: np.ndarray
-    truth: np.ndarray
-
-    def __post_init__(self):
-        predicted = np.asarray(self.predicted, dtype=np.int64)
-        truth = np.asarray(self.truth, dtype=np.int64)
-        if predicted.ndim != 1 or predicted.shape != truth.shape:
-            raise ValueError(
-                f"partitions must be equal-length vectors, got {predicted.shape} and {truth.shape}"
-            )
-        if predicted.size == 0:
-            raise ValueError("partitions must be non-empty")
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "truth", truth)
-
-    @classmethod
-    def from_labels(cls, predicted, truth) -> "PartitionPair":
-        """Build a pair, remapping both label vectors to dense [0, k) ranges."""
-        return cls(predicted=dense_remap(predicted), truth=dense_remap(truth))
-
-    @property
-    def n(self) -> int:
-        return self.predicted.size
-
-
-def contingency(pair: PartitionPair) -> np.ndarray:
-    """k_x by k_y table; cell (i, j) counts points with predicted=i, truth=j."""
-    kx = int(pair.predicted.max()) + 1
-    ky = int(pair.truth.max()) + 1
-    table = np.zeros((kx, ky), dtype=np.int64)
-    np.add.at(table, (pair.predicted, pair.truth), 1)
-    return table
+    Both label vectors are remapped to dense [0, k) ranges by first
+    appearance, so any integer ids are accepted. They must be equal-length,
+    non-empty vectors.
+    """
+    predicted = np.asarray(predicted)
+    truth = np.asarray(truth)
+    if predicted.ndim != 1 or predicted.shape != truth.shape:
+        raise ValueError(
+            f"partitions must be equal-length vectors, got {predicted.shape} and {truth.shape}"
+        )
+    if predicted.size == 0:
+        raise ValueError("partitions must be non-empty")
+    predicted = dense_remap(predicted)
+    truth = dense_remap(truth)
+    kx = int(predicted.max()) + 1
+    ky = int(truth.max()) + 1
+    counts = np.bincount(predicted * ky + truth, minlength=kx * ky)
+    return counts.reshape(kx, ky)
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -68,14 +55,13 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def nmi(pair: PartitionPair) -> float:
+def nmi(table: np.ndarray) -> float:
     """Mutual information over the arithmetic mean of the two entropies.
 
     Natural-log entropies (the log base cancels). Returns 1.0 when both
     partitions are single-cluster, 0.0 when the mutual information is zero.
     """
-    table = contingency(pair)
-    n = pair.n
+    n = int(table.sum())
     rows = table.sum(axis=1)
     cols = table.sum(axis=0)
     h_x = _entropy(rows, n)
@@ -107,7 +93,7 @@ def _pair_sums(table: np.ndarray) -> tuple[int, int, int]:
     return comb2_sum(table), comb2_sum(table.sum(axis=1)), comb2_sum(table.sum(axis=0))
 
 
-def rand_index(pair: PartitionPair) -> float:
+def rand_index(table: np.ndarray) -> float:
     """(a + b) / C(n, 2): the fraction of point pairs the partitions agree on.
 
     a is the sum of C(v, 2) over the contingency cells (pairs together in
@@ -115,24 +101,26 @@ def rand_index(pair: PartitionPair) -> float:
     over the row and column margins (pairs apart in both). The numerator is
     an exact integer, so the result is correctly rounded.
     """
-    if pair.n < 2:
+    n = int(table.sum())
+    if n < 2:
         raise ValueError("rand index requires at least 2 points")
-    cells, rows, cols = _pair_sums(contingency(pair))
-    total = pair.n * (pair.n - 1) // 2
+    cells, rows, cols = _pair_sums(table)
+    total = n * (n - 1) // 2
     return (total + 2 * cells - rows - cols) / total
 
 
-def adjusted_rand_index(pair: PartitionPair) -> float:
+def adjusted_rand_index(table: np.ndarray) -> float:
     """Rand index adjusted by its permutation-model expectation.
 
     Closed form over the contingency margins: the expected pair agreement is
     E = sum_i C(row_i,2) * sum_j C(col_j,2) / C(n,2) and the maximum is the
     mean of the two marginal sums. Identical trivial partitions score 1.0.
     """
-    if pair.n < 2:
+    n = int(table.sum())
+    if n < 2:
         raise ValueError("adjusted rand index requires at least 2 points")
-    cells, rows, cols = _pair_sums(contingency(pair))
-    total = pair.n * (pair.n - 1) // 2
+    cells, rows, cols = _pair_sums(table)
+    total = n * (n - 1) // 2
     # Multiply numerator and denominator by 2*total: exact integers all the
     # way, so the result is the correctly rounded value of the true rational.
     numerator = 2 * (cells * total - rows * cols)
@@ -300,16 +288,16 @@ def evaluate_clustering(
     the same either way.
     """
     labelings, stacked = _labeling_stack(assignments)
-    pairs = [PartitionPair.from_labels(labels, truth) for labels in labelings]
+    tables = [contingency(labels, truth) for labels in labelings]
     silhouettes = silhouette(matrix, labelings, distances)
     reports = [
         MetricReport(
-            nmi=nmi(pair),
-            ri=rand_index(pair),
-            ari=adjusted_rand_index(pair),
+            nmi=nmi(table),
+            ri=rand_index(table),
+            ari=adjusted_rand_index(table),
             silhouette=value,
             davies_bouldin=davies_bouldin(matrix, labels),
         )
-        for pair, value, labels in zip(pairs, silhouettes, labelings)
+        for table, value, labels in zip(tables, silhouettes, labelings)
     ]
     return reports if stacked else reports[0]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cluster_sense
-from cluster_sense import cli, experiment
+from cluster_sense import cli, distance, experiment
 from cluster_sense.experiment import FileSource, GeneratorSource, SweepConfig
 from cluster_sense.perturb import NoiseKind
 from cluster_sense.scale import ScalingKind
@@ -291,6 +291,13 @@ class TestParseConfig:
             ("separation", "0"),
             ("separation", "nan"),
             ("seed", "x"),
+            # int(), float() and Fraction() read these; numbers are ASCII base-10.
+            ("repeats", "1_0"),
+            ("ratio_step", "\u0662"),
+            ("master_seed", "\u0661"),
+            ("max_ratio", "1_5"),
+            ("separation", "1_0"),
+            ("separation", "\u0661"),
         ],
     )
     def test_rejected_value_names_its_line(self, tmp_path, key, value):
@@ -407,6 +414,17 @@ class TestRun:
         assert manifests["1"]["blas_threads"] == default
         assert manifests["2"]["workers"] == 2
         assert manifests["2"]["blas_threads"] == (None if default is None else 1)
+
+    def test_manifest_names_the_blas_kernel_beside_the_summary(self, tmp_path):
+        config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config_path, "--out", str(out)]) == 0
+        core = distance.blas_core_name()
+        assert json.loads((out / "manifest.json").read_text())["blas_core"] == core
+        summary = (out / "summary.csv").read_text()
+        assert summary.splitlines()[0] == ",".join(cli.SUMMARY_HEADER)
+        if core is not None:
+            assert core not in summary
 
     def test_raw_flag_emits_raw_csv(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)

@@ -1,5 +1,8 @@
 """Dataset generator, text loader, and stats tests."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from cluster_sense.dataset import (
     save_dataset,
 )
 from cluster_sense.kmeans import KMeansConfig, fit
-from cluster_sense.metrics import PartitionPair, adjusted_rand_index
+from cluster_sense.metrics import adjusted_rand_index, contingency
 
 
 class TestLabeledDataset:
@@ -74,8 +77,7 @@ class TestGenerator:
     def test_two_well_separated_blobs_recoverable(self):
         ds = generate_dim_like(2, 2, 50, 20.0, seed=1)
         result = fit(ds.points, KMeansConfig(k=2, seed=0))
-        pair = PartitionPair.from_labels(result.assignments, ds.labels)
-        assert adjusted_rand_index(pair) == 1.0
+        assert adjusted_rand_index(contingency(result.assignments, ds.labels)) == 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -86,6 +88,12 @@ class TestGenerator:
             generate_dim_like(2, 2, 0, 10.0, seed=0)
         with pytest.raises(ValueError):
             generate_dim_like(2, 2, 5, 0.0, seed=0)
+
+    @pytest.mark.parametrize("separation", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_separation(self, separation):
+        # An infinite spacing used to reach rng.uniform and overflow there.
+        with pytest.raises(ValueError, match="separation must be positive and finite"):
+            generate_dim_like(2, 2, 5, separation, seed=0)
 
 
 class TestStats:
@@ -174,6 +182,42 @@ class TestLoader:
         data.write_text("1 2\n3 oops\n")
         labels.write_text("0\n1\n")
         with pytest.raises(DatasetFormatError, match="line 2.*'oops'"):
+            load_dataset(data, labels)
+
+    @pytest.mark.parametrize(
+        "line, token",
+        [
+            ("3 1_0.5", "1_0.5"),
+            ("3\u00a04", "3\u00a04"),
+            ("\u0663 4", "\u0663"),
+            ("3\u20284", "3\u20284"),
+        ],
+        ids=["underscore", "no-break-space", "arabic-indic-digit", "line-separator"],
+    )
+    def test_data_numbers_are_ascii_only(self, tmp_path, line, token):
+        # float() reads all of these; the format is ASCII base-10 split on
+        # ASCII whitespace, with lines ending at a newline only.
+        data = tmp_path / "d.txt"
+        labels = tmp_path / "l.txt"
+        data.write_text(f"1 2\n{line}\n", encoding="utf-8")
+        labels.write_text("0\n1\n")
+        message = "line 2: invalid numeric token " + re.escape(repr(token))
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(data, labels)
+
+    @pytest.mark.parametrize(
+        "label",
+        ["1_0", "\u0661", "\u00a01"],
+        ids=["underscore", "arabic-indic-digit", "no-break-space"],
+    )
+    def test_labels_are_ascii_base_10_only(self, tmp_path, label):
+        # int(label, 10) reads 1_0 as 10 and the Arabic-Indic one as 1.
+        data = tmp_path / "d.txt"
+        labels = tmp_path / "l.txt"
+        data.write_text("1\n2\n")
+        labels.write_text(f"0\n{label}\n", encoding="utf-8")
+        message = "line 2: invalid integer label " + re.escape(repr(label))
+        with pytest.raises(DatasetFormatError, match=message):
             load_dataset(data, labels)
 
     def test_non_finite_names_first_offending_line(self, tmp_path):

@@ -229,3 +229,15 @@ class TestForEachRowBlock:
         assert np.array_equal(pairwise_distances(x), expected)
         assert kernel_pins.products == [("cluster_sense.distance", 1, 1)]
         assert distance.blas_thread_count() == controlled_blas
+
+
+class TestBlasCoreName:
+    def test_names_the_kernel_of_the_loaded_openblas(self, controlled_blas):
+        # The same library whose thread count the pin controls reports it.
+        name = distance.blas_core_name()
+        assert isinstance(name, str) and name and name.isprintable()
+        assert name == distance.blas_core_name()
+
+    def test_none_for_another_blas(self, monkeypatch):
+        monkeypatch.setattr(distance, "_openblas", lambda: None)
+        assert distance.blas_core_name() is None

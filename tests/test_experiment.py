@@ -636,31 +636,42 @@ class TestDegenerateInputs:
         assert baseline == {_DEGENERATE_BASELINE[kind]}
 
 
+# The message of every golden-digest assertion: the goldens' kernel and the
+# one this run's products ran on.
+_GOLDEN_KERNEL = (
+    "goldens recorded on OpenBLAS's SkylakeX kernel; this run's BLAS kernel is "
+    f"{distance.blas_core_name()!r}"
+)
+
+
 class TestGoldenBytes:
     """Output bytes pinned from the code before BLAS pinning and shared row norms.
 
-    Recorded with numpy 2.4 on its bundled OpenBLAS 0.3.31 (x86-64, AVX-512);
-    another BLAS build may round differently and need its own record.
+    Recorded with numpy 2.4 on its bundled OpenBLAS 0.3.31, whose SkylakeX
+    (AVX-512) kernel ran every product. Another kernel or BLAS build may
+    round differently and need its own record: on the Haswell (AVX2) kernel
+    only the wide cases match. Each failure names the kernel that ran
+    (distance.blas_core_name), so a mismatch on another CPU explains itself.
     """
 
     def test_toy_summary_and_raw(self):
         result = run_sweep(_toy_config(retain_raw=True))
         assert _sha256(summary_csv_text(result)) == (
             "6c445a72955c30638ae63e47eed1ae2cc7d5597f9f409ab610cb6f62e9fa5482"
-        )
+        ), _GOLDEN_KERNEL
         assert _sha256(raw_csv_text(result)) == (
             "3103c482587dbc166a43f32655c19998fef36bbdc84b70c77748cc596a945bd6"
-        )
+        ), _GOLDEN_KERNEL
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_wide_summary_and_raw(self, workers):
         result = run_sweep(_wide_config(retain_raw=True, workers=workers))
         assert _sha256(summary_csv_text(result)) == (
             "a4dcea6fd9b3b0aebfaabc406d277afd7148ff7b2875ac0790bfde4085f9758f"
-        )
+        ), _GOLDEN_KERNEL
         assert _sha256(raw_csv_text(result)) == (
             "94aeb4f36c95604f517b3c6d89c4973a283bdf5b5688262cb10d08408554a86f"
-        )
+        ), _GOLDEN_KERNEL
 
     def test_toy_redraw_summary_raw_and_report(self, tmp_path):
         # Per-repeat noise draws a fresh matrix for each repeat; the report's
@@ -669,10 +680,10 @@ class TestGoldenBytes:
         summary = summary_csv_text(result)
         assert _sha256(summary) == (
             "22955d5f594d1229c23c9e89fde99c977c1440fe8168d622296e1b1abb33b95e"
-        )
+        ), _GOLDEN_KERNEL
         assert _sha256(raw_csv_text(result)) == (
             "cd3a21baae0b21caa5c8374fb704a22ac6a6be587139bf88b2091de394f827ef"
-        )
+        ), _GOLDEN_KERNEL
         summary_path, out = tmp_path / "summary.csv", tmp_path / "report"
         summary_path.write_text(summary, encoding="utf-8")
         assert cli.main(["report", "--summary", str(summary_path), "--out", str(out)]) == 0
@@ -684,7 +695,7 @@ class TestGoldenBytes:
             digest.update(panel.read_bytes())
         assert digest.hexdigest() == (
             "788ec518e2a5ade2caf13751f073da27cb2a53016d4a9e818dbc0603bbf2324b"
-        )
+        ), _GOLDEN_KERNEL
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -720,8 +731,8 @@ class TestGoldenBytes:
                 workers=workers,
             )
         )
-        assert _sha256(summary_csv_text(result)) == summary_sha
-        assert _sha256(raw_csv_text(result)) == raw_sha
+        assert _sha256(summary_csv_text(result)) == summary_sha, _GOLDEN_KERNEL
+        assert _sha256(raw_csv_text(result)) == raw_sha, _GOLDEN_KERNEL
 
 
 def _criterion8_config(case, tmp_path, block_rows):

@@ -11,7 +11,6 @@ from cluster_sense import distance, metrics
 from cluster_sense.distance import pairwise_distances
 from cluster_sense.metrics import (
     MetricReport,
-    PartitionPair,
     adjusted_rand_index,
     contingency,
     davies_bouldin,
@@ -36,67 +35,96 @@ from oracles import (
 FIXED_EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
 
-def _pair(x, y):
-    return PartitionPair.from_labels(x, y)
-
-
-def _random_pair(rng, n=None):
-    n = n if n is not None else int(rng.integers(4, 61))
+def _random_labels(rng):
+    """(predicted, truth): 4 to 60 points, each vector with 2 to 6 label ids."""
+    n = int(rng.integers(4, 61))
     kx = int(rng.integers(2, 7))
     ky = int(rng.integers(2, 7))
-    return _pair(rng.integers(0, kx, n), rng.integers(0, ky, n))
+    return rng.integers(0, kx, n), rng.integers(0, ky, n)
 
 
 class TestContingency:
     def test_identical_partitions(self):
-        table = contingency(_pair([0, 0, 1, 1], [0, 0, 1, 1]))
+        table = contingency([0, 0, 1, 1], [0, 0, 1, 1])
         assert np.array_equal(table, [[2, 0], [0, 2]])
 
     def test_crossed_partitions(self):
-        table = contingency(_pair([0, 0, 1, 1], [0, 1, 0, 1]))
+        table = contingency([0, 0, 1, 1], [0, 1, 0, 1])
         assert np.array_equal(table, [[1, 1], [1, 1]])
 
     def test_singleton_columns(self):
-        table = contingency(_pair([0, 1, 2], [0, 0, 0]))
+        table = contingency([0, 1, 2], [0, 0, 0])
         assert table.shape == (3, 1)
         assert np.array_equal(table, [[1], [1], [1]])
 
     def test_cells_sum_to_n(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            pair = _random_pair(rng)
-            assert contingency(pair).sum() == pair.n
+            x, y = _random_labels(rng)
+            assert contingency(x, y).sum() == x.size
+
+    def test_matches_pairs_counted_one_by_one(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            x, y = _random_labels(rng)
+            expected = np.zeros((len(set(x.tolist())), len(set(y.tolist()))), dtype=np.int64)
+            rows = {v: i for i, v in enumerate(dict.fromkeys(x.tolist()))}
+            cols = {v: j for j, v in enumerate(dict.fromkeys(y.tolist()))}
+            for a, b in zip(x.tolist(), y.tolist()):
+                expected[rows[a], cols[b]] += 1
+            table = contingency(x, y)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, expected)
+
+    def test_swapping_arguments_transposes(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            x, y = _random_labels(rng)
+            assert np.array_equal(contingency(y, x), contingency(x, y).T)
+
+    @pytest.mark.parametrize(
+        "predicted, truth, message",
+        [
+            ([[0, 1], [1, 0]], [[0, 1], [1, 0]], "equal-length vectors"),
+            ([0, 1, 1], [0, 1], "equal-length vectors"),
+            ([], [], "non-empty"),
+        ],
+        ids=["2-D", "unequal", "empty"],
+    )
+    def test_rejects_bad_input(self, predicted, truth, message):
+        with pytest.raises(ValueError, match=message):
+            contingency(predicted, truth)
 
 
 class TestNmi:
     def test_identical_partitions(self):
-        assert nmi(_pair([0, 0, 1, 1, 2], [0, 0, 1, 1, 2])) == 1.0
+        assert nmi(contingency([0, 0, 1, 1, 2], [0, 0, 1, 1, 2])) == 1.0
 
     def test_independent_partitions(self):
-        assert nmi(_pair([0, 0, 1, 1], [0, 1, 0, 1])) == 0.0
+        assert nmi(contingency([0, 0, 1, 1], [0, 1, 0, 1])) == 0.0
 
     def test_partial_overlap_matches_oracle(self):
         x = [0, 0, 1, 1]
         y = [0, 0, 0, 1]
-        value = nmi(_pair(x, y))
+        value = nmi(contingency(x, y))
         assert 0.0 < value < 1.0
         assert value == pytest.approx(nmi_oracle(x, y), abs=1e-12)
 
     def test_both_single_cluster(self):
-        assert nmi(_pair([0, 0, 0], [0, 0, 0])) == 1.0
+        assert nmi(contingency([0, 0, 0], [0, 0, 0])) == 1.0
 
     def test_one_single_cluster(self):
         # One trivial partition carries no information: MI = 0.
-        assert nmi(_pair([0, 0, 0, 0], [0, 1, 0, 1])) == 0.0
+        assert nmi(contingency([0, 0, 0, 0], [0, 1, 0, 1])) == 0.0
 
     def test_base_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            pair = _random_pair(rng)
-            x = pair.predicted.tolist()
-            y = pair.truth.tolist()
+            predicted, truth = _random_labels(rng)
+            x = predicted.tolist()
+            y = truth.tolist()
             assert nmi_oracle(x, y) == pytest.approx(nmi_oracle_base2(x, y), abs=1e-12)
-            assert nmi(pair) == pytest.approx(nmi_oracle_base2(x, y), abs=1e-12)
+            assert nmi(contingency(x, y)) == pytest.approx(nmi_oracle_base2(x, y), abs=1e-12)
 
 
 class TestPairCounts:
@@ -104,7 +132,7 @@ class TestPairCounts:
     cells (pairs together in both partitions), rows and columns."""
 
     def _sums(self, x, y):
-        return metrics._pair_sums(contingency(_pair(x, y)))
+        return metrics._pair_sums(contingency(x, y))
 
     def test_identical_partitions(self):
         assert self._sums([0, 0, 1, 1], [0, 0, 1, 1]) == (2, 2, 2)
@@ -119,19 +147,19 @@ class TestPairCounts:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            pair = _random_pair(rng)
-            predicted, truth = pair.predicted.tolist(), pair.truth.tolist()
+            predicted, truth = (labels.tolist() for labels in _random_labels(rng))
             a, b, total = pair_enumeration(predicted, truth)
-            cells, rows, cols = metrics._pair_sums(contingency(pair))
+            table = contingency(predicted, truth)
+            cells, rows, cols = metrics._pair_sums(table)
             assert cells == a
             # A partition paired with itself has its together-pairs as a.
             assert rows == pair_enumeration(predicted, predicted)[0]
             assert cols == pair_enumeration(truth, truth)[0]
-            assert rand_index(pair) == (a + b) / total
+            assert rand_index(table) == (a + b) / total
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError, match="at least 2 points"):
-            rand_index(_pair([0], [0]))
+            rand_index(contingency([0], [0]))
 
     @FIXED_EXAMPLES
     @given(st.data())
@@ -158,26 +186,26 @@ class TestPairCounts:
 
 class TestRandIndex:
     def test_identical(self):
-        assert rand_index(_pair([0, 1, 0, 1], [0, 1, 0, 1])) == 1.0
+        assert rand_index(contingency([0, 1, 0, 1], [0, 1, 0, 1])) == 1.0
 
     def test_crossed(self):
-        assert rand_index(_pair([0, 0, 1, 1], [0, 1, 0, 1])) == pytest.approx(1.0 / 3.0)
+        assert rand_index(contingency([0, 0, 1, 1], [0, 1, 0, 1])) == pytest.approx(1.0 / 3.0)
 
     def test_two_points_disagreeing(self):
-        assert rand_index(_pair([0, 1], [0, 0])) == 0.0
+        assert rand_index(contingency([0, 1], [0, 0])) == 0.0
 
 
 class TestAdjustedRandIndex:
     def test_identical_and_relabeled(self):
-        assert adjusted_rand_index(_pair([0, 1, 2, 0], [0, 1, 2, 0])) == 1.0
-        assert adjusted_rand_index(_pair([0, 1, 2, 0], [2, 0, 1, 2])) == 1.0
+        assert adjusted_rand_index(contingency([0, 1, 2, 0], [0, 1, 2, 0])) == 1.0
+        assert adjusted_rand_index(contingency([0, 1, 2, 0], [2, 0, 1, 2])) == 1.0
 
     def test_crossed_is_minus_half(self):
-        assert adjusted_rand_index(_pair([0, 0, 1, 1], [0, 1, 0, 1])) == -0.5
+        assert adjusted_rand_index(contingency([0, 0, 1, 1], [0, 1, 0, 1])) == -0.5
 
     def test_trivial_identical_partitions(self):
-        assert adjusted_rand_index(_pair([0, 0, 0], [0, 0, 0])) == 1.0
-        assert adjusted_rand_index(_pair([0, 1, 2], [0, 1, 2])) == 1.0
+        assert adjusted_rand_index(contingency([0, 0, 0], [0, 0, 0])) == 1.0
+        assert adjusted_rand_index(contingency([0, 1, 2], [0, 1, 2])) == 1.0
 
     def test_expected_agreement_matches_permutation_resampling(self):
         # The closed-form E = rows*cols/total is the permutation-model mean
@@ -189,11 +217,10 @@ class TestAdjustedRandIndex:
         for _ in range(3000):
             a, _, _ = pair_enumeration(x.tolist(), rng.permutation(y).tolist())
             a_samples.append(a)
-        pair = _pair(x, y)
-        table = contingency(pair)
+        table = contingency(x, y)
         rows = sum(int(v) * (int(v) - 1) // 2 for v in table.sum(axis=1))
         cols = sum(int(v) * (int(v) - 1) // 2 for v in table.sum(axis=0))
-        closed_form = rows * cols / pair.n / (pair.n - 1) * 2
+        closed_form = rows * cols / x.size / (x.size - 1) * 2
         estimate = float(np.mean(a_samples))
         spread = float(np.std(a_samples)) / math.sqrt(len(a_samples))
         assert abs(estimate - closed_form) < 5 * spread + 1e-9
@@ -366,6 +393,33 @@ class TestSilhouetteStack:
         distances = pairwise_distances(matrix)
         assert evaluate_clustering(matrix, stack, truth, distances=distances) == reports
 
+    def test_evaluate_clustering_builds_one_table_per_labeling(self, monkeypatch):
+        # Each labeling is counted against the truth once, and that one table
+        # is what nmi, rand_index and adjusted_rand_index all score. The
+        # metrics are looked up by their module names, which a tracer wraps.
+        rng = np.random.default_rng(17)
+        matrix = rng.normal(size=(50, 2))
+        truth = rng.integers(0, 3, 50)
+        stack = np.stack([rng.integers(0, k, 50) for k in (2, 3, 4, 5)])
+        built, scored = [], {"nmi": [], "rand_index": [], "adjusted_rand_index": []}
+
+        def recording(name, function, record):
+            def wrapper(*args):
+                value = function(*args)
+                record(value if name == "contingency" else args[0])
+                return value
+
+            monkeypatch.setattr(metrics, name, wrapper)
+
+        recording("contingency", metrics.contingency, built.append)
+        for name, tables in scored.items():
+            recording(name, getattr(metrics, name), tables.append)
+        reports = evaluate_clustering(matrix, stack, truth)
+        assert len(built) == len(stack)
+        for tables in scored.values():
+            assert [id(table) for table in tables] == [id(table) for table in built]
+        assert reports == [evaluate_clustering(matrix, labels, truth) for labels in stack]
+
     def test_one_collapsed_labeling_rejects_the_stack(self):
         matrix = np.arange(8.0).reshape(4, 2)
         with pytest.raises(ValueError, match="2 distinct clusters"):
@@ -442,11 +496,11 @@ class TestInvariants:
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            pair = _random_pair(rng)
-            flipped = _pair(pair.truth, pair.predicted)
-            assert nmi(pair) == pytest.approx(nmi(flipped), abs=1e-12)
-            assert rand_index(pair) == pytest.approx(rand_index(flipped), abs=1e-12)
-            assert adjusted_rand_index(pair) == pytest.approx(
+            x, y = _random_labels(rng)
+            table, flipped = contingency(x, y), contingency(y, x)
+            assert nmi(table) == pytest.approx(nmi(flipped), abs=1e-12)
+            assert rand_index(table) == pytest.approx(rand_index(flipped), abs=1e-12)
+            assert adjusted_rand_index(table) == pytest.approx(
                 adjusted_rand_index(flipped), abs=1e-12
             )
 
@@ -458,10 +512,10 @@ class TestInvariants:
             y = rng.integers(0, 3, n)
             perm_x = rng.permutation(4)
             relabeled = perm_x[x]
-            assert nmi(_pair(x, y)) == nmi(_pair(relabeled, y))
-            assert rand_index(_pair(x, y)) == rand_index(_pair(relabeled, y))
-            assert adjusted_rand_index(_pair(x, y)) == adjusted_rand_index(
-                _pair(relabeled, y)
+            assert nmi(contingency(x, y)) == nmi(contingency(relabeled, y))
+            assert rand_index(contingency(x, y)) == rand_index(contingency(relabeled, y))
+            assert adjusted_rand_index(contingency(x, y)) == adjusted_rand_index(
+                contingency(relabeled, y)
             )
             matrix = rng.normal(size=(n, 3))
             if len(set(x.tolist())) >= 2:
@@ -474,13 +528,12 @@ class TestInvariants:
     def test_bounds_on_fuzzed_inputs(self):
         rng = np.random.default_rng(9)
         for _ in range(60):
-            pair = _random_pair(rng)
-            assert 0.0 <= nmi(pair) <= 1.0
-            assert 0.0 <= rand_index(pair) <= 1.0
-            assert adjusted_rand_index(pair) <= 1.0
-            n = pair.n
-            matrix = rng.normal(size=(n, 2))
-            labels = pair.predicted
+            labels, truth = _random_labels(rng)
+            table = contingency(labels, truth)
+            assert 0.0 <= nmi(table) <= 1.0
+            assert 0.0 <= rand_index(table) <= 1.0
+            assert adjusted_rand_index(table) <= 1.0
+            matrix = rng.normal(size=(labels.size, 2))
             if len(set(labels.tolist())) >= 2:
                 assert -1.0 <= silhouette(matrix, labels) <= 1.0
                 assert davies_bouldin(matrix, labels) >= 0.0
@@ -494,18 +547,18 @@ class TestInvariants:
         assert isinstance(report, MetricReport)
         out = report.as_dict()
         assert list(out) == ["nmi", "ri", "ari", "silhouette", "davies_bouldin"]
-        pair = _pair(assignments, truth)
-        assert out["nmi"] == nmi(pair)
-        assert out["ri"] == rand_index(pair)
-        assert out["ari"] == adjusted_rand_index(pair)
+        table = contingency(assignments, truth)
+        assert out["nmi"] == nmi(table)
+        assert out["ri"] == rand_index(table)
+        assert out["ari"] == adjusted_rand_index(table)
         assert out["silhouette"] == silhouette(matrix, assignments)
         assert out["davies_bouldin"] == davies_bouldin(matrix, assignments)
 
     def test_non_dense_labels_accepted(self):
-        # from_labels densifies arbitrary ids, including negatives and gaps.
-        pair = _pair([10, 10, -3, 99], [5, 5, 5, 7])
-        assert pair.predicted.tolist() == [0, 0, 1, 2]
-        assert pair.truth.tolist() == [0, 0, 0, 1]
+        # contingency densifies arbitrary ids, including negatives and gaps,
+        # by first appearance: predicted [0, 0, 1, 2] against truth [0, 0, 0, 1].
+        table = contingency([10, 10, -3, 99], [5, 5, 5, 7])
+        assert table.tolist() == [[2, 0], [1, 0], [0, 1]]
 
 
 def _bits(value):
@@ -549,12 +602,12 @@ class TestMetricProperties:
     @given(case=_clustering())
     def test_swapping_predicted_and_truth(self, case):
         _, predicted, truth = case
-        pair, swapped = _pair(predicted, truth), _pair(truth, predicted)
-        assert _bits(adjusted_rand_index(swapped)) == _bits(adjusted_rand_index(pair))
-        assert _bits(rand_index(swapped)) == _bits(rand_index(pair))
+        table, swapped = contingency(predicted, truth), contingency(truth, predicted)
+        assert _bits(adjusted_rand_index(swapped)) == _bits(adjusted_rand_index(table))
+        assert _bits(rand_index(swapped)) == _bits(rand_index(table))
         # NMI's entropy sums run over rows and columns in swapped roles, which
         # can move the last bits, so it is symmetric only to rounding.
-        assert nmi(swapped) == pytest.approx(nmi(pair), abs=1e-12)
+        assert nmi(swapped) == pytest.approx(nmi(table), abs=1e-12)
 
     @FIXED_EXAMPLES
     @given(case=_clustering())
