@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
-from .dataset import DatasetFormatError, generate_dim_like, is_plain_ascii, save_dataset
+from .dataset import DatasetFormatError, is_plain_ascii, save_dataset, text_lines
 from .distance import blas_core_name
 from .experiment import (
     DatasetSource,
@@ -176,7 +176,7 @@ def parse_config(path: str | Path) -> SweepConfig:
     sections: list[_Scope] = []
     scope, table = top, _TOP_KEYS
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text_lines(text), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -273,17 +273,15 @@ def raw_csv_text(result: SweepResult) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    for flag in ("dims", "clusters", "per_cluster", "separation"):
-        value = getattr(args, flag)
-        name = f"--{flag.replace('_', '-')}"
-        if not value > 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-
-    dataset = generate_dim_like(
-        args.dims, args.clusters, args.per_cluster, args.separation, args.seed
-    )
+    # Flags follow the [dataset] keys' parsers, so they take the same forms.
+    fields = {}
+    for key in ("dims", "clusters", "per_cluster", "separation", "seed"):
+        field, parse = _DATASET_KEYS[key]
+        try:
+            fields[field] = parse(getattr(args, key))
+        except ValueError as exc:
+            raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from None
+    dataset = GeneratorSource(name=f"dim{fields['dims']}", **fields).load()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "data.txt"
@@ -374,12 +372,15 @@ def _read_summary(path: Path) -> list[dict]:
             ScalingKind.parse(row["scaling"])
         except ValueError as exc:
             raise ReportError(f"{path}: line {lineno}: {exc}") from None
-        try:
-            row["ratio"] = float(row["ratio"])
-            row["mean"] = float(row["mean"])
-            row["std"] = float(row["std"])
-        except ValueError as exc:
-            raise ReportError(f"{path}: line {lineno}: {exc}") from None
+        for key in ("ratio", "mean", "std"):
+            try:
+                if not is_plain_ascii(row[key]):
+                    raise ValueError
+                row[key] = float(row[key])
+            except ValueError:
+                raise ReportError(
+                    f"{path}: line {lineno}: {key}: expected a number, got {row[key]!r}"
+                ) from None
         if not (row["status"] == "ok" or row["status"].startswith("error:")):
             raise ReportError(f"{path}: line {lineno}: bad status {row['status']!r}")
         rows.append(row)
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic benchmark dataset as text files")
-    gen.add_argument("--dims", type=int, required=True, help="number of features")
+    gen.add_argument("--dims", required=True, help="number of features")
     for flag, meaning in (
         ("--clusters", "number of clusters"),
         ("--per-cluster", "points per cluster"),
@@ -449,9 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--seed", "generator seed"),
     ):
         default = getattr(GeneratorSource, flag[2:].replace("-", "_"))
-        gen.add_argument(
-            flag, type=type(default), default=default, help=f"{meaning} (default %(default)s)"
-        )
+        gen.add_argument(flag, default=str(default), help=f"{meaning} (default %(default)s)")
     gen.add_argument("--out", required=True, help="output directory for data.txt and labels.txt")
     gen.set_defaults(func=cmd_generate)
 

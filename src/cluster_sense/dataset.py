@@ -200,7 +200,7 @@ def save_dataset(data: LabeledDataset, data_path: str | Path, labels_path: str |
     Path(labels_path).write_text("\n".join(label_lines) + "\n", encoding="utf-8")
 
 
-def _lines(text: str) -> list[str]:
+def text_lines(text: str) -> list[str]:
     """Lines of text read by read_text, trailing blank lines dropped.
 
     read_text has turned "\r\n" and "\r" into "\n", so split there alone:
@@ -219,7 +219,7 @@ def _parse_data_lines(path: Path) -> np.ndarray:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read data file: {exc}") from exc
-    lines = _lines(text)
+    lines = text_lines(text)
     if not lines:
         raise DatasetFormatError(f"{path}: data file is empty")
 
@@ -262,7 +262,7 @@ def _parse_label_lines(path: Path) -> list[int]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read labels file: {exc}") from exc
-    lines = _lines(text)
+    lines = text_lines(text)
     if not lines:
         raise DatasetFormatError(f"{path}: labels file is empty")
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
+from .dataset import LabeledDataset, compute_stats, generate_dim_like, is_plain_ascii, load_dataset
 from .distance import (
     blas_thread_count,
     map_on_one_blas_thread,
@@ -196,15 +196,18 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     """Worker count: explicit value, else CLUSTER_SENSE_THREADS, else 1.
 
     0 means one worker per CPU this process may run on (its affinity set,
-    where the platform reports one).
+    where the platform reports one). The variable takes ASCII base-10
+    integers only (see dataset.is_plain_ascii).
     """
     value = explicit
     if value is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if not raw:
+        raw = os.environ.get(WORKERS_ENV_VAR, "")
+        if not raw.strip():
             return 1
         try:
-            value = int(raw)
+            if not is_plain_ascii(raw):
+                raise ValueError
+            value = int(raw, 10)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 0:

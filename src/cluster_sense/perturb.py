@@ -1,4 +1,4 @@
-"""Irrelevant random features: parameter draws, column generators, appending.
+"""Irrelevant random features: the noise model and its column draws.
 
 Appended columns never read the labels; they are pure functions of the
 baseline's global mean/std, the noise kind, and a per-column derived RNG
@@ -77,78 +77,6 @@ class NoiseSpec:
         return cls(kind=kind, mu=mu, sigma=sigma, seed=seed)
 
 
-@dataclass(frozen=True)
-class GaussianFeatureParams:
-    """Per-column Gaussian parameters.
-
-    mu_r = sign * (mu + sigma) * eta and sigma_r = sigma * (1 + sign2 * eta2),
-    with all four draws independent (eta, eta2 ~ Uniform[0,1); each sign is +1
-    when its own Uniform[0,1) draw is >= 0.5, else -1).
-    """
-
-    eta: float
-    sign: int
-    eta2: float
-    sign2: int
-    mu_r: float
-    sigma_r: float
-
-
-def _draw_sign(rng: np.random.Generator) -> int:
-    return 1 if rng.uniform() >= 0.5 else -1
-
-
-def draw_gaussian_params(spec: NoiseSpec, rng: np.random.Generator) -> GaussianFeatureParams:
-    """Draw one column's (mu_r, sigma_r).
-
-    Draw order is fixed (eta, sign, eta2, sign2) so a caller holding an
-    identically seeded generator can reproduce the parameters.
-    """
-    if spec.kind is not NoiseKind.GAUSSIAN:
-        raise ValueError(f"spec.kind must be gaussian, got {spec.kind.value}")
-    eta = float(rng.uniform())
-    sign = _draw_sign(rng)
-    eta2 = float(rng.uniform())
-    sign2 = _draw_sign(rng)
-    return GaussianFeatureParams(
-        eta=eta,
-        sign=sign,
-        eta2=eta2,
-        sign2=sign2,
-        mu_r=sign * (spec.mu + spec.sigma) * eta,
-        sigma_r=spec.sigma * (1.0 + sign2 * eta2),
-    )
-
-
-def gaussian_feature(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Gaussian noise column: fresh (mu_r, sigma_r), then n normal samples."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    params = draw_gaussian_params(spec, rng)
-    return rng.normal(params.mu_r, params.sigma_r, size=n)
-
-
-def uniform_feature(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Uniform noise column over [-(mu + 2*sigma), +(mu + 2*sigma)]."""
-    if spec.kind is not NoiseKind.UNIFORM:
-        raise ValueError(f"spec.kind must be uniform, got {spec.kind.value}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    bound = spec.mu + 2.0 * spec.sigma
-    if bound <= 0:
-        raise InvalidNoiseRange(
-            f"uniform noise range [-(mu+2*sigma), +(mu+2*sigma)] is inverted: "
-            f"mu={spec.mu}, sigma={spec.sigma} gives bound {bound}"
-        )
-    return rng.uniform(-bound, bound, size=n)
-
-
-def column_rng(seed, column_index: int) -> np.random.Generator:
-    """Derived RNG stream for noise column `column_index` of sequence `seed`."""
-    parts = seed if isinstance(seed, tuple) else (seed,)
-    return derive_rng(*parts, _COLUMN_STREAM, column_index)
-
-
 def append_noise(
     base: LabeledDataset,
     spec: NoiseSpec,
@@ -162,16 +90,37 @@ def append_noise(
     fixed seed the first m columns of any longer augmentation equal the
     m-column augmentation exactly. `seed` defaults to spec.seed; passing a
     tuple of ints keys an alternative sequence (e.g. one per repeat).
+
+    A uniform column is n draws from Uniform[-(mu + 2*sigma), +(mu + 2*sigma)];
+    InvalidNoiseRange is raised when that bound is not positive and
+    count > 0. A Gaussian column first draws its own parameters,
+    mu_r = sign * (mu + sigma) * eta and sigma_r = sigma * (1 + sign2 * eta2),
+    then n draws from Normal(mu_r, sigma_r). The draw order is fixed (eta,
+    sign, eta2, sign2): eta and eta2 are Uniform[0,1), and each sign is +1
+    when its own Uniform[0,1) draw is >= 0.5, else -1.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     effective = spec.seed if seed is None else seed
+    parts = effective if isinstance(effective, tuple) else (effective,)
     n = base.n_points
+    bound = spec.mu + 2.0 * spec.sigma
+    if spec.kind is NoiseKind.UNIFORM and count > 0 and bound <= 0:
+        raise InvalidNoiseRange(
+            f"uniform noise range [-(mu+2*sigma), +(mu+2*sigma)] is inverted: "
+            f"mu={spec.mu}, sigma={spec.sigma} gives bound {bound}"
+        )
     columns = np.empty((n, count))
     for j in range(count):
-        rng = column_rng(effective, j)
-        if spec.kind is NoiseKind.GAUSSIAN:
-            columns[:, j] = gaussian_feature(spec, n, rng)
+        rng = derive_rng(*parts, _COLUMN_STREAM, j)
+        if spec.kind is NoiseKind.UNIFORM:
+            columns[:, j] = rng.uniform(-bound, bound, size=n)
         else:
-            columns[:, j] = uniform_feature(spec, n, rng)
+            eta = rng.uniform()
+            sign = 1 if rng.uniform() >= 0.5 else -1
+            eta2 = rng.uniform()
+            sign2 = 1 if rng.uniform() >= 0.5 else -1
+            mu_r = sign * (spec.mu + spec.sigma) * eta
+            sigma_r = spec.sigma * (1.0 + sign2 * eta2)
+            columns[:, j] = rng.normal(mu_r, sigma_r, size=n)
     return columns

@@ -14,6 +14,12 @@ from collections import Counter
 import numpy as np
 
 from cluster_sense.distance import pairwise_sq_distances
+from cluster_sense.perturb import NoiseKind
+from cluster_sense.seeding import derive_rng
+
+# Key of the per-column noise stream: column j of the noise sequence `seed`
+# draws from derive_rng(*seed, NOISE_COLUMN_STREAM, j).
+NOISE_COLUMN_STREAM = 0xC01
 
 
 def pair_enumeration(predicted, truth) -> tuple[int, int, int]:
@@ -192,3 +198,43 @@ def lloyd_reference(matrix, centers, max_iterations, tolerance):
     inertia = float(d2[np.arange(n), assignments].sum())
     history.append(inertia)
     return assignments, centers, inertia, iterations, converged, tuple(history)
+
+
+def _noise_column_rng(seed, j):
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    return derive_rng(*parts, NOISE_COLUMN_STREAM, j)
+
+
+def _gaussian_params(spec, rng) -> tuple[float, float]:
+    eta = rng.uniform()
+    sign = 1 if rng.uniform() >= 0.5 else -1
+    eta2 = rng.uniform()
+    sign2 = 1 if rng.uniform() >= 0.5 else -1
+    return sign * (spec.mu + spec.sigma) * eta, spec.sigma * (1.0 + sign2 * eta2)
+
+
+def gaussian_column_params(spec, seed, j) -> tuple[float, float]:
+    """(mu_r, sigma_r) of Gaussian noise column j of the sequence `seed`.
+
+    The paper's rule, drawn in the order eta, sign, eta2, sign2, where eta
+    and eta2 are Uniform[0, 1) and each sign is +1 when its own Uniform[0, 1)
+    draw is >= 0.5, else -1: mu_r = sign * (mu + sigma) * eta and
+    sigma_r = sigma * (1 + sign2 * eta2).
+    """
+    return _gaussian_params(spec, _noise_column_rng(seed, j))
+
+
+def noise_column(spec, seed, j, n) -> np.ndarray:
+    """Noise column j of the sequence `seed` (an int or a tuple of ints), n rows,
+    drawn one scalar at a time.
+
+    A uniform column is Uniform(-(mu + 2 sigma), mu + 2 sigma). A Gaussian
+    column is Normal(mu_r, sigma_r), with (mu_r, sigma_r) drawn first from the
+    same stream as in gaussian_column_params.
+    """
+    rng = _noise_column_rng(seed, j)
+    if spec.kind is NoiseKind.UNIFORM:
+        bound = spec.mu + 2.0 * spec.sigma
+        return np.array([rng.uniform(-bound, bound) for _ in range(n)])
+    mu_r, sigma_r = _gaussian_params(spec, rng)
+    return np.array([rng.normal(mu_r, sigma_r) for _ in range(n)])

@@ -105,7 +105,8 @@ class TestGenerate:
     def test_bad_shape_flag_exits_2(self, tmp_path, capsys, flag, value):
         rc = cli.main(["generate", "--dims", "2", flag, value, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert f"{flag} must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{flag}: " in err and value in err
         assert not (tmp_path / "out").exists()
 
     def test_infinite_separation_exits_2(self, tmp_path, capsys):
@@ -113,7 +114,26 @@ class TestGenerate:
             ["generate", "--dims", "2", "--separation", "inf", "--out", str(tmp_path / "out")]
         )
         assert rc == 2
-        assert "--separation must be finite, got inf" in capsys.readouterr().err
+        assert "--separation: expected a finite number, got 'inf'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--dims", "\u0662"),
+            ("--clusters", "1_0"),
+            ("--per-cluster", "\uff12"),
+            ("--separation", "1_0.0"),
+            ("--seed", "\u0663"),
+            ("--dims", "2.0"),
+        ],
+    )
+    def test_flags_take_the_config_keys_forms(self, tmp_path, capsys, flag, value):
+        # A repeated flag takes its last value, so `flag value` overrides the defaults before it.
+        argv = ["generate", "--dims", "2", "--clusters", "2", "--per-cluster", "2", flag, value]
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{flag}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -349,6 +369,15 @@ class TestParseConfig:
         assert config.repeats == 2
         assert config.datasets[0].name == "mine"
 
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        # U+2028 is a line boundary to str.splitlines but not to the config
+        # format: line 1 holds one key whose value is not an integer.
+        path = _write(
+            tmp_path / "sweep.cfg", "repeats = 2\u2028master_seed = 7\n[dataset]\ndims = 4\n"
+        )
+        with pytest.raises(cli.ConfigError, match=r"sweep\.cfg:1: repeats"):
+            cli.parse_config(path)
+
     def test_multiple_datasets_in_order(self, tmp_path):
         path = _write(
             tmp_path / "sweep.cfg",
@@ -523,6 +552,21 @@ class TestReport:
         rc = cli.main(["report", "--summary", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, row",
+        [
+            ("ratio", "mini,gaussian,none,1_0,ari,1.0,0.0,2,ok"),
+            ("mean", "mini,gaussian,none,0.0,ari,\u0661.\u0665,0.0,2,ok"),
+            ("std", "mini,gaussian,none,0.0,ari,1.0,x,2,ok"),
+        ],
+    )
+    def test_bad_number_exits_1(self, tmp_path, capsys, field, row):
+        bad = tmp_path / "summary.csv"
+        bad.write_text(",".join(cli.SUMMARY_HEADER) + "\n" + row + "\n", encoding="utf-8")
+        rc = cli.main(["report", "--summary", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"line 2: {field}: expected a number" in capsys.readouterr().err
 
     def test_all_rows_error_marked_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "summary.csv"

@@ -179,9 +179,10 @@ class TestRunSweep:
         monkeypatch.setenv("CLUSTER_SENSE_THREADS", "0")
         assert resolve_workers(None) >= 1
         assert resolve_workers(2) == 2
-        monkeypatch.setenv("CLUSTER_SENSE_THREADS", "soup")
-        with pytest.raises(ValueError, match="CLUSTER_SENSE_THREADS"):
-            resolve_workers(None)
+        for bad in ("soup", "\u0663", "1_0", "\uff12"):
+            monkeypatch.setenv("CLUSTER_SENSE_THREADS", bad)
+            with pytest.raises(ValueError, match="CLUSTER_SENSE_THREADS"):
+                resolve_workers(None)
 
     def test_auto_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)

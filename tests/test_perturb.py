@@ -9,11 +9,9 @@ from cluster_sense.perturb import (
     NoiseKind,
     NoiseSpec,
     append_noise,
-    draw_gaussian_params,
-    gaussian_feature,
-    uniform_feature,
 )
-from cluster_sense.seeding import derive_rng
+
+import oracles
 
 
 def _gaussian_spec(mu=0.0, sigma=1.0, seed=0):
@@ -66,19 +64,20 @@ class TestNoiseSpec:
             NoiseSpec.from_stats(NoiseKind.GAUSSIAN, compute_stats(ds), stats_mode="median")
 
 
+def _zeros_base(n):
+    """A one-feature, one-cluster baseline of n rows; append_noise reads only its n."""
+    return LabeledDataset(points=np.zeros((n, 1)), labels=np.zeros(n, dtype=int), n_clusters=1)
+
+
 class TestGaussianParams:
     def test_invariant_formulas_hold(self):
         spec = _gaussian_spec(mu=3.0, sigma=2.0)
         for seed in range(200):
-            params = draw_gaussian_params(spec, derive_rng(seed))
-            assert 0.0 <= params.eta < 1.0
-            assert 0.0 <= params.eta2 < 1.0
-            assert params.sign in (-1, 1)
-            assert params.sign2 in (-1, 1)
-            assert params.mu_r == params.sign * (spec.mu + spec.sigma) * params.eta
-            assert params.sigma_r == spec.sigma * (1 + params.sign2 * params.eta2)
-            assert 0.0 <= params.sigma_r <= 2.0 * spec.sigma
-            assert abs(params.mu_r) <= spec.mu + spec.sigma
+            mu_r, sigma_r = oracles.gaussian_column_params(spec, seed, 0)
+            assert 0.0 <= sigma_r <= 2.0 * spec.sigma
+            assert abs(mu_r) <= spec.mu + spec.sigma
+            column = append_noise(_zeros_base(3), spec, 1, seed=seed)[:, 0]
+            assert np.array_equal(column, oracles.noise_column(spec, seed, 0, 3))
 
     def test_example_values(self):
         # mu=0, sigma=1 with eta=0.5, sign=+1, eta2=0.5, sign2=+1 would give
@@ -89,46 +88,40 @@ class TestGaussianParams:
 
     def test_degenerate_sigma_zero_mu_zero(self):
         spec = _gaussian_spec(mu=0.0, sigma=0.0)
-        params = draw_gaussian_params(spec, derive_rng(4))
-        assert params.mu_r == 0.0
-        assert params.sigma_r == 0.0
-        values = gaussian_feature(spec, 7, derive_rng(4))
+        assert oracles.gaussian_column_params(spec, 4, 0) == (0.0, 0.0)
+        values = append_noise(_zeros_base(7), spec, 3, seed=4)
         assert np.all(values == 0.0)
 
     def test_sign_balance(self):
         spec = _gaussian_spec(mu=1.0, sigma=1.0)
-        signs = [draw_gaussian_params(spec, derive_rng(s)).sign for s in range(2000)]
+        columns = append_noise(_zeros_base(2), spec, 2000)
+        signs = []
+        for j in range(2000):
+            assert np.array_equal(columns[:, j], oracles.noise_column(spec, 0, j, 2))
+            signs.append(np.sign(oracles.gaussian_column_params(spec, 0, j)[0]))
         assert 0.45 < np.mean(np.array(signs) == 1) < 0.55
-
-    def test_requires_gaussian_kind(self):
-        with pytest.raises(ValueError, match="gaussian"):
-            draw_gaussian_params(_uniform_spec(), derive_rng(0))
 
 
 class TestGaussianFeature:
     def test_sample_moments_match_drawn_params(self):
         spec = _gaussian_spec(mu=0.0, sigma=1.0)
         n = 100_000
-        params = draw_gaussian_params(spec, derive_rng(17))
-        values = gaussian_feature(spec, n, derive_rng(17))
-        assert abs(values.mean() - params.mu_r) < 4 * params.sigma_r / np.sqrt(n)
-        assert abs(values.std() - params.sigma_r) < 0.05 * params.sigma_r
+        mu_r, sigma_r = oracles.gaussian_column_params(spec, 17, 0)
+        values = append_noise(_zeros_base(n), spec, 1, seed=17)[:, 0]
+        assert abs(values.mean() - mu_r) < 4 * sigma_r / np.sqrt(n)
+        assert abs(values.std() - sigma_r) < 0.05 * sigma_r
 
     def test_deterministic(self):
         spec = _gaussian_spec(mu=2.0, sigma=0.5)
-        a = gaussian_feature(spec, 100, derive_rng(9))
-        b = gaussian_feature(spec, 100, derive_rng(9))
+        a = append_noise(_zeros_base(100), spec, 3, seed=9)
+        b = append_noise(_zeros_base(100), spec, 3, seed=9)
         assert np.array_equal(a, b)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gaussian_feature(_gaussian_spec(), 0, derive_rng(0))
 
 
 class TestUniformFeature:
     def test_range_mu2_sigma1(self):
         spec = _uniform_spec(mu=2.0, sigma=1.0)
-        values = uniform_feature(spec, 50_000, derive_rng(3))
+        values = append_noise(_zeros_base(50_000), spec, 1, seed=3)
         assert values.min() >= -4.0
         assert values.max() <= 4.0
         assert values.min() < -3.9
@@ -136,21 +129,39 @@ class TestUniformFeature:
 
     def test_range_mu0_sigma_half(self):
         spec = _uniform_spec(mu=0.0, sigma=0.5)
-        values = uniform_feature(spec, 50_000, derive_rng(3))
+        values = append_noise(_zeros_base(50_000), spec, 1, seed=3)
         assert values.min() >= -1.0
         assert values.max() <= 1.0
 
     def test_inverted_range_rejected_with_diagnostic(self):
         spec = _uniform_spec(mu=-3.0, sigma=1.0)
         with pytest.raises(InvalidNoiseRange, match="mu=-3.0.*sigma=1.0"):
-            uniform_feature(spec, 10, derive_rng(0))
+            append_noise(_zeros_base(10), spec, 1)
+        # No column is drawn at count 0, so the range is not checked.
+        assert append_noise(_zeros_base(10), spec, 0).shape == (10, 0)
 
-    def test_requires_uniform_kind(self):
-        with pytest.raises(ValueError, match="uniform"):
-            uniform_feature(_gaussian_spec(), 10, derive_rng(0))
+
+# (kind, mu, sigma) cases: sigma = 0, mu < 0 and a tiny sigma beside a large
+# mu, for both kinds; (0, 0) gives no valid uniform range.
+_NOISE_CASES = [
+    (kind, mu, sigma)
+    for kind in NoiseKind
+    for mu, sigma in [(0.0, 1.0), (2.5, 0.5), (-1.0, 3.0), (1e3, 1e-3), (0.0, 0.0), (1.5, 0.0)]
+    if kind is NoiseKind.GAUSSIAN or mu + 2.0 * sigma > 0
+]
 
 
 class TestAppendNoise:
+    @pytest.mark.parametrize(
+        "kind, mu, sigma", _NOISE_CASES, ids=[f"{k.value}-{m}-{s}" for k, m, s in _NOISE_CASES]
+    )
+    @pytest.mark.parametrize("seed", [0, 5, (7, 2)], ids=str)
+    def test_matches_oracle_column_for_column(self, kind, mu, sigma, seed):
+        spec = NoiseSpec(kind=kind, mu=mu, sigma=sigma)
+        columns = append_noise(_zeros_base(7), spec, 5, seed=seed)
+        for j in range(5):
+            assert np.array_equal(columns[:, j], oracles.noise_column(spec, seed, j, 7))
+
     def test_count_zero_is_identity(self):
         base = generate_dim_like(4, 2, 8, 10.0, seed=1)
         columns = append_noise(base, _gaussian_spec(seed=2), 0)

@@ -64,3 +64,17 @@ def test_products_are_written_only_where_a_pin_is_held():
                 if _is_product(node) and site not in PRODUCT_SITES
             )
     assert found == []
+
+
+def test_no_module_splits_text_with_splitlines():
+    # str.splitlines also ends a line at U+2028, U+0085 and other separators;
+    # text readers split at "\n" through dataset.text_lines instead.
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "splitlines"
+    ]
+    assert found == []
