@@ -30,7 +30,7 @@ from .experiment import (
     run_sweep,
 )
 from .metrics import METRIC_NAMES
-from .perturb import STATS_MODES, NoiseKind
+from .perturb import NoiseKind
 from .scale import ScalingKind
 from .svgplot import Series, render_panel
 
@@ -108,15 +108,6 @@ def _ratio(value: str) -> Fraction:
     return ratio
 
 
-def _choice(*options: str) -> Callable[[str], str]:
-    def parse(value: str) -> str:
-        if value not in options:
-            raise ValueError(f"expected {' or '.join(options)}, got {value!r}")
-        return value
-
-    return parse
-
-
 def _kinds(parse_one: Callable[[str], object]) -> Callable[[str], tuple]:
     """A comma- or space-separated, non-empty list of distinct enum tokens."""
 
@@ -144,7 +135,6 @@ _TOP_KEYS: _Table = {
     "repeats": ("repeats", _integer(minimum=1)),
     "master_seed": ("master_seed", _integer()),
     "redraw_noise_per_repeat": ("redraw_noise_per_repeat", _boolean),
-    "noise_stats": ("noise_stats_mode", _choice(*STATS_MODES)),
     "workers": ("workers", _integer(minimum=0)),
 }
 # Generator keys are GeneratorSource fields; data and labels are FileSource

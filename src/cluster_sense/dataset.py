@@ -1,4 +1,4 @@
-"""Baseline labeled datasets: synthetic generator, text loader, global stats.
+"""Baseline labeled datasets: synthetic generator, text loader, pooled stats.
 
 The generator produces Dim-style benchmarks: k isotropic unit-variance
 Gaussian blobs whose centers sit on a jittered axis-aligned grid such that
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,16 +92,14 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class DatasetStats:
-    """Global and per-feature first/second moments of a point matrix.
+    """Pooled first/second moments of a point matrix.
 
     mu/sigma pool every matrix entry; sigma is the population (divide by n)
-    standard deviation throughout.
+    standard deviation.
     """
 
     mu: float
     sigma: float
-    per_feature_mu: np.ndarray = field(repr=False)
-    per_feature_sigma: np.ndarray = field(repr=False)
 
 
 def generate_dim_like(
@@ -153,16 +151,11 @@ def generate_dim_like(
 
 
 def compute_stats(data: LabeledDataset) -> DatasetStats:
-    """Pooled and per-feature mean / population standard deviation."""
+    """Mean and population standard deviation over every matrix entry."""
     points = data.points
     if points.shape[0] < 2:
         raise ValueError("at least 2 rows are required to compute stats")
-    return DatasetStats(
-        mu=float(points.mean()),
-        sigma=float(points.std()),
-        per_feature_mu=points.mean(axis=0),
-        per_feature_sigma=points.std(axis=0),
-    )
+    return DatasetStats(mu=float(points.mean()), sigma=float(points.std()))
 
 
 def load_dataset(data_path: str | Path, labels_path: str | Path, name: str | None = None) -> LabeledDataset:

@@ -88,7 +88,6 @@ class SweepConfig:
     repeats: int = 50
     master_seed: int = 0
     redraw_noise_per_repeat: bool = False
-    noise_stats_mode: str = "pooled"
     retain_raw: bool = False
     workers: Optional[int] = None
 
@@ -374,11 +373,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         stats = compute_stats(base)
         levels = sweep_levels(base.n_features, config.max_ratio, config.ratio_step)
         for kind in config.noise_kinds:
-            spec = NoiseSpec.from_stats(
+            spec = NoiseSpec(
                 kind,
-                stats,
+                stats.mu,
+                stats.sigma,
                 seed=noise_sequence_seed(config.master_seed, dataset_index, kind),
-                stats_mode=config.noise_stats_mode,
             )
             noise = None
             if not config.redraw_noise_per_repeat:

@@ -1,7 +1,7 @@
 """Irrelevant random features: the noise model and its column draws.
 
 Appended columns never read the labels; they are pure functions of the
-baseline's global mean/std, the noise kind, and a per-column derived RNG
+baseline's pooled mean/std, the noise kind, and a per-column derived RNG
 stream. Column j of a sequence depends only on (seed, j), which gives the
 prefix property: growing an augmentation reuses every earlier column.
 """
@@ -18,11 +18,9 @@ from .seeding import derive_rng
 
 _COLUMN_STREAM = 0xC01
 
-STATS_MODES = ("pooled", "per-feature")
-
 
 class InvalidNoiseRange(ValueError):
-    """Uniform noise bound mu + 2*sigma is not positive."""
+    """Uniform noise bound mu + 2*sigma is not a positive finite number."""
 
 
 class NoiseKind(enum.Enum):
@@ -59,23 +57,6 @@ class NoiseSpec:
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
-    @classmethod
-    def from_stats(cls, kind, stats, seed: int = 0, stats_mode: str = "pooled") -> "NoiseSpec":
-        """Build a spec from DatasetStats.
-
-        stats_mode "pooled" uses the global mu/sigma over all entries;
-        "per-feature" averages the per-feature means and sigmas instead
-        (only sigma actually differs between the two).
-        """
-        if stats_mode not in STATS_MODES:
-            raise ValueError(f"unknown stats_mode {stats_mode!r} (expected one of {STATS_MODES})")
-        if stats_mode == "pooled":
-            mu, sigma = stats.mu, stats.sigma
-        else:
-            mu = float(np.mean(stats.per_feature_mu))
-            sigma = float(np.mean(stats.per_feature_sigma))
-        return cls(kind=kind, mu=mu, sigma=sigma, seed=seed)
-
 
 def append_noise(
     base: LabeledDataset,
@@ -92,8 +73,8 @@ def append_noise(
     tuple of ints keys an alternative sequence (e.g. one per repeat).
 
     A uniform column is n draws from Uniform[-(mu + 2*sigma), +(mu + 2*sigma)];
-    InvalidNoiseRange is raised when that bound is not positive and
-    count > 0. A Gaussian column first draws its own parameters,
+    InvalidNoiseRange is raised when that bound is not a positive finite
+    number and count > 0. A Gaussian column first draws its own parameters,
     mu_r = sign * (mu + sigma) * eta and sigma_r = sigma * (1 + sign2 * eta2),
     then n draws from Normal(mu_r, sigma_r). The draw order is fixed (eta,
     sign, eta2, sign2): eta and eta2 are Uniform[0,1), and each sign is +1
@@ -105,7 +86,7 @@ def append_noise(
     parts = effective if isinstance(effective, tuple) else (effective,)
     n = base.n_points
     bound = spec.mu + 2.0 * spec.sigma
-    if spec.kind is NoiseKind.UNIFORM and count > 0 and bound <= 0:
+    if spec.kind is NoiseKind.UNIFORM and count > 0 and not 0 < bound < np.inf:
         raise InvalidNoiseRange(
             f"uniform noise range [-(mu+2*sigma), +(mu+2*sigma)] is inverted: "
             f"mu={spec.mu}, sigma={spec.sigma} gives bound {bound}"

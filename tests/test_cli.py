@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config parsing, subcommands, exit codes, outputs."""
 
+import dataclasses
 import json
 import re
 import textwrap
@@ -167,7 +168,6 @@ class TestParseConfig:
                 repeats = 4
                 master_seed = 11
                 redraw_noise_per_repeat = true
-                noise_stats = per-feature
                 workers = 2
 
                 [dataset]
@@ -203,7 +203,6 @@ class TestParseConfig:
             repeats=4,
             master_seed=11,
             redraw_noise_per_repeat=True,
-            noise_stats_mode="per-feature",
             workers=2,
         )
 
@@ -223,10 +222,18 @@ class TestParseConfig:
             )
             assert cli.parse_config(path).max_ratio == expected
 
-    def test_unknown_key_names_line(self, tmp_path):
-        path = _write(tmp_path / "sweep.cfg", "noise = gaussian\nbogus = 1\n[dataset]\ndims = 4\n")
-        with pytest.raises(cli.ConfigError, match=r"sweep\.cfg:2.*bogus"):
-            cli.parse_config(path)
+    def test_unknown_key_names_line(self, tmp_path, capsys):
+        # Noise parameters come only from the pooled mean and std: there is no
+        # noise_stats key to choose another source.
+        for line, key in (("bogus = 1", "bogus"), ("noise_stats = pooled", "noise_stats")):
+            path = _write(
+                tmp_path / "sweep.cfg", f"noise = gaussian\n{line}\n[dataset]\ndims = 4\n"
+            )
+            with pytest.raises(cli.ConfigError, match=rf"sweep\.cfg:2: unknown key '{key}'"):
+                cli.parse_config(path)
+            assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+            assert f"sweep.cfg:2: unknown key '{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = _write(tmp_path / "sweep.cfg", "repeats = 2\nrepeats = 3\n[dataset]\ndims = 4\n")
@@ -282,12 +289,6 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="pink"):
             cli.parse_config(path)
 
-    def test_noise_stats_switch(self, tmp_path):
-        path = _write(
-            tmp_path / "sweep.cfg", "noise_stats = per-feature\n[dataset]\ndims = 4\n"
-        )
-        assert cli.parse_config(path).noise_stats_mode == "per-feature"
-
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -303,7 +304,6 @@ class TestParseConfig:
             ("repeats", "0"),
             ("master_seed", "x"),
             ("redraw_noise_per_repeat", "yes"),
-            ("noise_stats", "mean"),
             ("workers", "-1"),
             ("dims", "0"),
             ("clusters", "0"),
@@ -498,6 +498,38 @@ class TestRun:
         assert "error:uniform-range" in text
         assert ",ok" in text  # baseline rows still fine
 
+    def test_overflowing_stats_degrade_uniform_cells(self, tmp_path, capsys):
+        # Finite entries whose pooled sigma overflows give a uniform bound that
+        # is not finite: every noisy uniform cell degrades, and the run exits 0.
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "data.txt").write_text("1e308 1e308\n-1e308 -1e308\n1e308 -1e308\n-1e308 1e308\n")
+        (data_dir / "labels.txt").write_text("0\n0\n1\n1\n")
+        config_path = _write(
+            tmp_path / "sweep.cfg",
+            textwrap.dedent(
+                """\
+                noise = uniform
+                scaling = none
+                max_ratio = 1
+                repeats = 2
+                [dataset]
+                data = data/data.txt
+                labels = data/labels.txt
+                """
+            ),
+        )
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", config_path, "--out", str(out)])
+        assert rc == 0
+        assert "error:uniform-range" in capsys.readouterr().err
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 * 5
+        for row in rows:
+            fields = row.split(",")
+            if float(fields[3]) > 0:
+                assert fields[-1] == "error:uniform-range", row
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 1
@@ -609,6 +641,15 @@ def test_readme_lists_exactly_the_top_level_keys():
     table = readme.split("Top-level keys:", 1)[1].lstrip("\n").split("\n\n", 1)[0]
     keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
     assert sorted(keys) == sorted(cli._TOP_KEYS)
+
+
+def test_sweep_config_fields_are_exactly_the_top_level_keys_fields():
+    # One knob, one key: every SweepConfig field is set by one top-level key,
+    # apart from the [dataset] sections and `run --raw`'s retain_raw.
+    fields = {field.name for field in dataclasses.fields(SweepConfig)}
+    keyed = [field for field, _ in cli._TOP_KEYS.values()]
+    assert len(keyed) == len(set(keyed))
+    assert fields == set(keyed) | {"datasets", "retain_raw"}
 
 
 def test_readme_imports_exactly_the_package_exports():

@@ -114,14 +114,6 @@ class TestStats:
         stats = compute_stats(ds)
         assert stats.sigma == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-15)
 
-    def test_per_feature_vectors(self):
-        ds = generate_dim_like(32, 16, 64, 10.0, seed=7)
-        stats = compute_stats(ds)
-        assert np.allclose(stats.per_feature_mu, ds.points.mean(axis=0))
-        assert np.allclose(stats.per_feature_sigma, ds.points.std(axis=0))
-        # Blob variance is 1; the grid spread dominates the per-feature sigma.
-        assert np.all(stats.per_feature_sigma > 1.0)
-
     def test_translation_equivariance(self):
         ds = generate_dim_like(4, 3, 20, 10.0, seed=5)
         shifted = LabeledDataset(
@@ -141,7 +133,7 @@ class TestStats:
             n_clusters=ds.n_clusters,
         )
         stats = compute_stats(centered)
-        assert np.all(np.abs(stats.per_feature_mu) < 1e-9 * np.abs(ds.points).max())
+        assert abs(stats.mu) < 1e-9 * np.abs(ds.points).max()
 
     def test_rejects_single_row(self):
         ds = LabeledDataset(points=[[1.0, 2.0]], labels=[0], n_clusters=1)

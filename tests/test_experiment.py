@@ -224,9 +224,11 @@ class TestRunSweep:
         config = _toy_config(retain_raw=True, noise_kinds=(NoiseKind.GAUSSIAN,))
         result = run_sweep(config)
         base = TOY.load()
-        spec = NoiseSpec.from_stats(
+        stats = compute_stats(base)
+        spec = NoiseSpec(
             NoiseKind.GAUSSIAN,
-            compute_stats(base),
+            stats.mu,
+            stats.sigma,
             seed=noise_sequence_seed(config.master_seed, 0, NoiseKind.GAUSSIAN),
         )
         level = 4
@@ -574,6 +576,7 @@ _DEGENERATE_BASELINE = {
     "few-distinct": "error:value-error",
     "constant-columns": "ok",
     "identical": "error:value-error",
+    "huge": "error:value-error",
 }
 
 
@@ -583,7 +586,8 @@ def _degenerate_dataset(draw, kind):
 
     few-distinct has fewer distinct points than clusters; constant-columns
     has one or more constant columns beside a random one (values whose mean
-    may round off them); identical has every point equal.
+    may round off them); identical has every point equal; huge has finite
+    entries near +-1e308 of both signs, whose pooled sigma overflows.
     """
     k = draw(st.integers(2, 4))
     n = draw(st.integers(k, 12))
@@ -596,8 +600,12 @@ def _degenerate_dataset(draw, kind):
     elif kind == "constant-columns":
         constants = rng.normal(size=d) * 10.0
         points = np.column_stack([rng.normal(size=n), np.tile(constants, (n, 1))])
-    else:
+    elif kind == "identical":
         points = np.full((n, d), rng.normal() * 10.0)
+    else:
+        signs = rng.choice([-1.0, 1.0], size=(n, d))
+        signs[:2, 0] = 1.0, -1.0
+        points = signs * rng.uniform(0.9e308, 1e308, size=(n, d))
     return LabeledDataset(points=points, labels=labels, n_clusters=k)
 
 

@@ -155,8 +155,9 @@ class TestKMeansPlusPlusDistinct:
         # There the squared rows of the distance matrix pick the same centers
         # as the expansion, so the whole fit is the same.
         base = generate_dim_like(32, 16, 16, 10.0, seed=2)
+        stats = compute_stats(base)
         for kind, level in ((NoiseKind.GAUSSIAN, 32), (NoiseKind.UNIFORM, 96)):
-            spec = NoiseSpec.from_stats(kind, compute_stats(base), seed=5)
+            spec = NoiseSpec(kind, stats.mu, stats.sigma, seed=5)
             columns = append_noise(base, spec, level)
             matrix = apply_scaling(np.hstack([base.points, columns]), scaling)
             distances = pairwise_distances(matrix)

@@ -1,5 +1,7 @@
 """Noise-feature generation and augmentation tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -41,27 +43,13 @@ class TestNoiseSpec:
             NoiseSpec(kind=NoiseKind.GAUSSIAN, mu=0.0, sigma=-1.0)
 
     def test_from_stats_pooled(self):
+        # The sweep's spec takes the mean and std pooled over every entry.
         ds = generate_dim_like(8, 4, 32, 10.0, seed=1)
         stats = compute_stats(ds)
-        spec = NoiseSpec.from_stats(NoiseKind.GAUSSIAN, stats, seed=5)
-        assert spec.mu == stats.mu
-        assert spec.sigma == stats.sigma
+        spec = NoiseSpec(NoiseKind.GAUSSIAN, stats.mu, stats.sigma, seed=5)
+        assert spec.mu == float(ds.points.mean())
+        assert spec.sigma == float(ds.points.std())
         assert spec.seed == 5
-
-    def test_from_stats_per_feature(self):
-        ds = generate_dim_like(8, 4, 32, 10.0, seed=1)
-        stats = compute_stats(ds)
-        spec = NoiseSpec.from_stats(NoiseKind.GAUSSIAN, stats, stats_mode="per-feature")
-        assert spec.mu == pytest.approx(float(np.mean(stats.per_feature_mu)))
-        assert spec.sigma == pytest.approx(float(np.mean(stats.per_feature_sigma)))
-        # Averaged per-feature sigma is below the pooled sigma (between-column
-        # mean spread moves into the pooled term).
-        assert spec.sigma < stats.sigma
-
-    def test_from_stats_rejects_unknown_mode(self):
-        ds = generate_dim_like(4, 2, 8, 10.0, seed=1)
-        with pytest.raises(ValueError, match="stats_mode"):
-            NoiseSpec.from_stats(NoiseKind.GAUSSIAN, compute_stats(ds), stats_mode="median")
 
 
 def _zeros_base(n):
@@ -139,6 +127,16 @@ class TestUniformFeature:
             append_noise(_zeros_base(10), spec, 1)
         # No column is drawn at count 0, so the range is not checked.
         assert append_noise(_zeros_base(10), spec, 0).shape == (10, 0)
+
+    @pytest.mark.parametrize(
+        "mu, sigma", [(1e308, 1e308), (0.0, np.inf), (np.inf, 0.0), (np.nan, 1.0), (1.0, np.nan)]
+    )
+    def test_bound_that_is_not_finite_is_rejected(self, mu, sigma):
+        # A pooled sigma that overflows gives an infinite or NaN bound, which
+        # rng.uniform cannot draw from.
+        spec = _uniform_spec(mu=mu, sigma=sigma)
+        with pytest.raises(InvalidNoiseRange, match=re.escape(f"mu={mu}, sigma={sigma}")):
+            append_noise(_zeros_base(10), spec, 1)
 
 
 # (kind, mu, sigma) cases: sigma = 0, mu < 0 and a tiny sigma beside a large
@@ -220,7 +218,8 @@ class TestAppendNoise:
 
     def test_gaussian_columns_have_distinct_means(self):
         base = generate_dim_like(4, 4, 128, 10.0, seed=1)
-        spec = NoiseSpec.from_stats(NoiseKind.GAUSSIAN, compute_stats(base), seed=13)
+        stats = compute_stats(base)
+        spec = NoiseSpec(NoiseKind.GAUSSIAN, stats.mu, stats.sigma, seed=13)
         column_means = append_noise(base, spec, 64).mean(axis=0)
         # Per-column mu_r values spread over +-(mu+sigma); if all columns
         # shared one mean, the spread would be the standard error ~sigma/sqrt(n).
@@ -238,6 +237,7 @@ class TestAppendNoise:
             labels=[0, 0, 0, 0, 1, 1, 1, 1],
             n_clusters=2,
         )
-        spec = NoiseSpec.from_stats(NoiseKind.UNIFORM, compute_stats(base))
+        stats = compute_stats(base)
+        spec = NoiseSpec(NoiseKind.UNIFORM, stats.mu, stats.sigma)
         with pytest.raises(InvalidNoiseRange):
             append_noise(base, spec, 1)
