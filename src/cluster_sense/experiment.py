@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .dataset import LabeledDataset, compute_stats, generate_dim_like, is_plain_ascii, load_dataset
+from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
 from .distance import (
     blas_thread_count,
     map_on_one_blas_thread,
@@ -30,8 +30,6 @@ from .metrics import METRIC_NAMES, MetricReport, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
 from .scale import ScalingKind, apply_scaling
 from .seeding import derive_seed
-
-WORKERS_ENV_VAR = "CLUSTER_SENSE_THREADS"
 
 _NOISE_SEQUENCE_STREAM = 0x0153
 
@@ -89,7 +87,7 @@ class SweepConfig:
     master_seed: int = 0
     redraw_noise_per_repeat: bool = False
     retain_raw: bool = False
-    workers: Optional[int] = None
+    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -116,6 +114,8 @@ class SweepConfig:
             raise ValueError(f"ratio_step must be >= 1, got {self.ratio_step}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -191,31 +191,14 @@ def cell_kmeans_seed(
     return derive_seed(master_seed, dataset_index, kind_code, scaling.code, level, repeat)
 
 
-def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit value, else CLUSTER_SENSE_THREADS, else 1.
-
-    0 means one worker per CPU this process may run on (its affinity set,
-    where the platform reports one). The variable takes ASCII base-10
-    integers only (see dataset.is_plain_ascii).
-    """
-    value = explicit
-    if value is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "")
-        if not raw.strip():
-            return 1
-        try:
-            if not is_plain_ascii(raw):
-                raise ValueError
-            value = int(raw, 10)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"worker count must be nonnegative, got {value}")
-    if value == 0:
+def resolve_workers(workers: int) -> int:
+    """Worker count of a sweep: 0 means one worker per CPU this process may
+    run on (its affinity set, where the platform reports one)."""
+    if workers == 0:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    return value
+    return workers
 
 
 def _error_code(exc: Exception) -> str:
@@ -353,8 +336,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     from 0 to ceil(max_ratio * D) columns in ratio_step increments; each cell
     clusters `repeats` times and records the mean and population standard
     deviation of every metric. Cells that hit a data condition (a ValueError
-    such as an inverted uniform range) are marked error:<code> rather than
-    aborting the sweep; any other exception propagates.
+    such as a uniform bound mu + 2*sigma that is not a positive finite
+    number) are marked error:<code> rather than aborting the sweep; any other
+    exception propagates.
 
     With more than one worker the cells run on a thread pool, and OpenBLAS
     (if that is numpy's BLAS) is held to one thread meanwhile, its previous

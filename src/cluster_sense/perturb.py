@@ -88,7 +88,7 @@ def append_noise(
     bound = spec.mu + 2.0 * spec.sigma
     if spec.kind is NoiseKind.UNIFORM and count > 0 and not 0 < bound < np.inf:
         raise InvalidNoiseRange(
-            f"uniform noise range [-(mu+2*sigma), +(mu+2*sigma)] is inverted: "
+            f"uniform noise bound mu + 2*sigma is not a positive finite number: "
             f"mu={spec.mu}, sigma={spec.sigma} gives bound {bound}"
         )
     columns = np.empty((n, count))

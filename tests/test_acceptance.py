@@ -7,6 +7,7 @@ byte-level determinism. Each test prints one `[criterion N] name: PASS/FAIL`
 line; thresholds are fixed here and are not tuned by the tests themselves.
 """
 
+import json
 import math
 import textwrap
 import time
@@ -237,34 +238,32 @@ def test_criterion_7_standardization_equivalence(capsys, injection_sweep_dim32):
     assert ok
 
 
-def test_criterion_8_deterministic_output(capsys, tmp_path, monkeypatch):
+def test_criterion_8_deterministic_output(capsys, tmp_path):
     """Byte-identical summary CSV across reruns and worker counts."""
-    config_path = tmp_path / "sweep.cfg"
-    config_path.write_text(
-        textwrap.dedent(
-            """\
-            noise = gaussian, uniform
-            scaling = none, standardized
-            max_ratio = 1
-            ratio_step = 2
-            repeats = 4
-            master_seed = 9
+    config = textwrap.dedent(
+        """\
+        noise = gaussian, uniform
+        scaling = none, standardized
+        max_ratio = 1
+        ratio_step = 2
+        repeats = 4
+        master_seed = 9
 
-            [dataset]
-            name = mini
-            dims = 6
-            clusters = 3
-            per_cluster = 12
-            seed = 2
-            """
-        ),
-        encoding="utf-8",
+        [dataset]
+        name = mini
+        dims = 6
+        clusters = 3
+        per_cluster = 12
+        seed = 2
+        """
     )
     outputs = []
-    for label, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-        monkeypatch.setenv("CLUSTER_SENSE_THREADS", threads)
+    for label, workers in (("a", 1), ("b", 1), ("c", 4)):
+        config_path = tmp_path / f"{label}.cfg"
+        config_path.write_text(f"workers = {workers}\n{config}", encoding="utf-8")
         out = tmp_path / label
         assert cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["workers"] == workers
         outputs.append((out / "summary.csv").read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     _verdict(capsys, 8, "deterministic output", ok, "rerun and 1-vs-4 workers")

@@ -318,6 +318,9 @@ class TestParseConfig:
             ("max_ratio", "1_5"),
             ("separation", "1_0"),
             ("separation", "\u0661"),
+            ("workers", "\u0663"),
+            ("workers", "1_0"),
+            ("workers", "\uff12"),
         ],
     )
     def test_rejected_value_names_its_line(self, tmp_path, key, value):
@@ -420,29 +423,29 @@ class TestRun:
             tmp_path / "b" / "summary.csv"
         ).read_bytes()
 
-    def test_worker_env_does_not_change_bytes(self, tmp_path, monkeypatch):
-        config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
-        monkeypatch.delenv("CLUSTER_SENSE_THREADS", raising=False)
-        cli.main(["run", "--config", config_path, "--out", str(tmp_path / "serial")])
-        monkeypatch.setenv("CLUSTER_SENSE_THREADS", "4")
-        cli.main(["run", "--config", config_path, "--out", str(tmp_path / "pool")])
-        assert (tmp_path / "serial" / "summary.csv").read_bytes() == (
-            tmp_path / "pool" / "summary.csv"
+    @staticmethod
+    def _run_with_workers(tmp_path, workers):
+        """Run SMALL_CONFIG with a `workers = <workers>` line; return its manifest."""
+        config = f"workers = {workers}\n{SMALL_CONFIG}"
+        config_path = _write(tmp_path / f"{workers}.cfg", config)
+        out = tmp_path / str(workers)
+        assert cli.main(["run", "--config", config_path, "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        self._run_with_workers(tmp_path, 1)
+        assert self._run_with_workers(tmp_path, 4)["workers"] == 4
+        assert (tmp_path / "1" / "summary.csv").read_bytes() == (
+            tmp_path / "4" / "summary.csv"
         ).read_bytes()
 
-    def test_manifest_records_workers_and_blas_threads(self, tmp_path, monkeypatch):
-        config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
+    def test_manifest_records_workers_and_blas_threads(self, tmp_path):
         default = experiment.blas_thread_count()
-        manifests = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("CLUSTER_SENSE_THREADS", workers)
-            out = tmp_path / workers
-            assert cli.main(["run", "--config", config_path, "--out", str(out)]) == 0
-            manifests[workers] = json.loads((out / "manifest.json").read_text())
-        assert manifests["1"]["workers"] == 1
-        assert manifests["1"]["blas_threads"] == default
-        assert manifests["2"]["workers"] == 2
-        assert manifests["2"]["blas_threads"] == (None if default is None else 1)
+        manifests = {workers: self._run_with_workers(tmp_path, workers) for workers in (1, 2)}
+        assert manifests[1]["workers"] == 1
+        assert manifests[1]["blas_threads"] == default
+        assert manifests[2]["workers"] == 2
+        assert manifests[2]["blas_threads"] == (None if default is None else 1)
 
     def test_manifest_names_the_blas_kernel_beside_the_summary(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)

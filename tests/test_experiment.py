@@ -105,6 +105,8 @@ class TestSweepConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="repeats"):
             _toy_config(repeats=0)
+        with pytest.raises(ValueError, match="workers"):
+            _toy_config(workers=-1)
         with pytest.raises(ValueError, match="max_ratio"):
             _toy_config(max_ratio=Fraction(0))
         with pytest.raises(ValueError, match="ratio_step"):
@@ -133,6 +135,7 @@ class TestSweepConfig:
         assert config.ratio_step == 1
         assert config.repeats == 50
         assert config.redraw_noise_per_repeat is False
+        assert config.workers == 1
 
 
 class TestSweepLevels:
@@ -170,19 +173,6 @@ class TestRunSweep:
         serial = run_sweep(_toy_config(workers=1))
         threaded = run_sweep(_toy_config(workers=4))
         assert serial.cells == threaded.cells
-
-    def test_env_variable_controls_workers(self, monkeypatch):
-        monkeypatch.delenv("CLUSTER_SENSE_THREADS", raising=False)
-        assert resolve_workers(None) == 1
-        monkeypatch.setenv("CLUSTER_SENSE_THREADS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("CLUSTER_SENSE_THREADS", "0")
-        assert resolve_workers(None) >= 1
-        assert resolve_workers(2) == 2
-        for bad in ("soup", "\u0663", "1_0", "\uff12"):
-            monkeypatch.setenv("CLUSTER_SENSE_THREADS", bad)
-            with pytest.raises(ValueError, match="CLUSTER_SENSE_THREADS"):
-                resolve_workers(None)
 
     def test_auto_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 8)

@@ -78,3 +78,19 @@ def test_no_module_splits_text_with_splitlines():
         and node.func.attr == "splitlines"
     ]
     assert found == []
+
+
+def test_no_module_reads_the_environment():
+    # A sweep is fixed by its config file; a second settings source would
+    # let two runs of one config differ.
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (
+            isinstance(node, ast.ImportFrom)
+            and any(alias.name in ("environ", "getenv") for alias in node.names)
+        )
+    ]
+    assert found == []
