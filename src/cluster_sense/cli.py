@@ -241,23 +241,29 @@ def _dataset_source(path: Path, index: int, section: _Scope) -> DatasetSource:
 # -- CSV emission ------------------------------------------------------------
 
 def _csv_text(header: tuple[str, ...], records) -> str:
-    """A header row, then each record's attributes named by the header;
+    """A header row, then each record's values under the header's names;
     floats are written as their repr, so they read back bit for bit."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for record in records:
-        values = (getattr(record, name) for name in header)
+        values = (record[name] for name in header)
         writer.writerow(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
     return out.getvalue()
 
 
 def summary_csv_text(result: SweepResult) -> str:
-    return _csv_text(SUMMARY_HEADER, result.cells)
+    return _csv_text(SUMMARY_HEADER, map(vars, result.cells))
 
 
 def raw_csv_text(result: SweepResult) -> str:
-    return _csv_text(RAW_HEADER, result.raw or ())
+    """One row per summary row and repeat, in summary order."""
+    rows = (
+        {**vars(cell), "repeat": repeat, "value": value}
+        for cell in result.cells
+        for repeat, value in enumerate(cell.values)
+    )
+    return _csv_text(RAW_HEADER, rows)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -283,8 +289,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
-    if args.raw:
-        config = dataclasses.replace(config, retain_raw=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,7 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary_path = out / "summary.csv"
     summary_path.write_text(summary_csv_text(result), encoding="utf-8")
     emitted = [("summary_csv", "summary.csv")]
-    if args.raw:
+    if args.raw_csv:
         raw_path = out / "raw.csv"
         raw_path.write_text(raw_csv_text(result), encoding="utf-8")
         emitted.append(("raw_csv", "raw.csv"))
@@ -448,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to the sweep configuration file")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument(
-        "--raw", action="store_true", help="also write per-repeat metric values to raw.csv"
+        "--raw", action="store_true", dest="raw_csv", help="also write per-repeat values to raw.csv"
     )
     run.set_defaults(func=cmd_run)
 

@@ -86,7 +86,6 @@ class SweepConfig:
     repeats: int = 50
     master_seed: int = 0
     redraw_noise_per_repeat: bool = False
-    retain_raw: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -120,7 +119,9 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """Aggregated statistics of one metric in one sweep cell."""
+    """One metric in one sweep cell: its per-repeat values, in repeat order,
+    and their mean and population std. `values` is empty when the cell's
+    repeats did not finish."""
 
     dataset: str
     noise: str
@@ -132,20 +133,7 @@ class SweepCell:
     std: float
     repeats: int
     status: str
-
-
-@dataclass(frozen=True)
-class RawValue:
-    """One retained per-repeat metric value."""
-
-    dataset: str
-    noise: str
-    scaling: str
-    level: int
-    ratio: float
-    repeat: int
-    metric: str
-    value: float
+    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -155,7 +143,6 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
     config: SweepConfig
     version: str = __version__
-    raw: Optional[tuple[RawValue, ...]] = None
     # Resolved worker count and the number of threads silhouette's distance
     # blocks could be spread over (None when the BLAS thread count cannot be
     # read or set); every BLAS product itself runs on one BLAS thread.
@@ -231,11 +218,10 @@ def _cell_rows(
     config: SweepConfig,
     reports: Sequence[MetricReport] = (),
     error: Optional[Exception] = None,
-) -> tuple[list[SweepCell], list[RawValue]]:
-    """The cell's summary row per metric and, with retain_raw, its raw row per
-    metric and repeat. A summary row holds the mean and population std over
-    the repeat reports, or NaN and status error:<code> when the cell failed
-    (`error`) or the metric has a non-finite value."""
+) -> list[SweepCell]:
+    """The cell's row per metric: its values in the repeat reports and their
+    mean and population std, or NaN and status error:<code> when the cell
+    failed (`error`) or the metric has a non-finite value."""
     key = dict(
         dataset=cell.base.name,
         noise=cell.spec.kind.value,
@@ -244,7 +230,7 @@ def _cell_rows(
         ratio=cell.level / cell.base.n_features,
     )
     failed = None if error is None else _error_code(error)
-    rows, raws = [], []
+    rows = []
     for metric in METRIC_NAMES:
         values = np.array([getattr(report, metric) for report in reports])
         code = failed or (None if np.all(np.isfinite(values)) else "non-finite-metric")
@@ -256,14 +242,10 @@ def _cell_rows(
                 std=math.nan if code else float(values.std()),
                 repeats=config.repeats,
                 status=f"error:{code}" if code else "ok",
+                values=tuple(values.tolist()),
             )
         )
-        if config.retain_raw:
-            raws.extend(
-                RawValue(**key, repeat=repeat, metric=metric, value=float(value))
-                for repeat, value in enumerate(values)
-            )
-    return rows, raws
+    return rows
 
 
 def _cell_matrices(cell: _Cell, config: SweepConfig):
@@ -295,7 +277,7 @@ def _cell_matrices(cell: _Cell, config: SweepConfig):
         yield stacked(cell.noise[:, :level]), seeds
 
 
-def _run_cell(cell: _Cell, config: SweepConfig) -> tuple[list[SweepCell], list[RawValue]]:
+def _run_cell(cell: _Cell, config: SweepConfig) -> list[SweepCell]:
     if cell.level > 0 and isinstance(cell.noise, ValueError):
         return _cell_rows(cell, config, error=cell.noise)
 
@@ -334,11 +316,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     For each (dataset, noise kind, scaling) triple, augmentation levels run
     from 0 to ceil(max_ratio * D) columns in ratio_step increments; each cell
-    clusters `repeats` times and records the mean and population standard
-    deviation of every metric. Cells that hit a data condition (a ValueError
-    such as a uniform bound mu + 2*sigma that is not a positive finite
-    number) are marked error:<code> rather than aborting the sweep; any other
-    exception propagates.
+    clusters `repeats` times and records every metric's per-repeat values
+    and their mean and population standard deviation. Cells that hit a data
+    condition (a ValueError such as a uniform bound mu + 2*sigma that is not
+    a positive finite number) are marked error:<code> rather than aborting
+    the sweep; any other exception propagates.
 
     With more than one worker the cells run on a thread pool, and OpenBLAS
     (if that is numpy's BLAS) is held to one thread meanwhile, its previous
@@ -383,15 +365,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         outcomes = map_on_one_blas_thread(lambda cell: _run_cell(cell, config), cells, workers)
         blas_threads = None if blas_threads is None else 1
 
-    rows: list[SweepCell] = []
-    raws: list[RawValue] = []
-    for cell_rows, cell_raws in outcomes:
-        rows.extend(cell_rows)
-        raws.extend(cell_raws)
     return SweepResult(
-        cells=tuple(rows),
+        cells=tuple(row for rows in outcomes for row in rows),
         config=config,
-        raw=tuple(raws) if config.retain_raw else None,
         workers=workers,
         blas_threads=blas_threads,
     )

@@ -78,7 +78,8 @@ def append_noise(
     mu_r = sign * (mu + sigma) * eta and sigma_r = sigma * (1 + sign2 * eta2),
     then n draws from Normal(mu_r, sigma_r). The draw order is fixed (eta,
     sign, eta2, sign2): eta and eta2 are Uniform[0,1), and each sign is +1
-    when its own Uniform[0,1) draw is >= 0.5, else -1.
+    when its own Uniform[0,1) draw is >= 0.5, else -1. ValueError is raised
+    when mu or sigma is not finite and count > 0.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -90,6 +91,11 @@ def append_noise(
         raise InvalidNoiseRange(
             f"uniform noise bound mu + 2*sigma is not a positive finite number: "
             f"mu={spec.mu}, sigma={spec.sigma} gives bound {bound}"
+        )
+    finite = np.isfinite([spec.mu, spec.sigma]).all()
+    if spec.kind is NoiseKind.GAUSSIAN and count > 0 and not finite:
+        raise ValueError(
+            f"gaussian noise needs a finite mu and sigma: mu={spec.mu}, sigma={spec.sigma}"
         )
     columns = np.empty((n, count))
     for j in range(count):

@@ -648,11 +648,11 @@ def test_readme_lists_exactly_the_top_level_keys():
 
 def test_sweep_config_fields_are_exactly_the_top_level_keys_fields():
     # One knob, one key: every SweepConfig field is set by one top-level key,
-    # apart from the [dataset] sections and `run --raw`'s retain_raw.
+    # apart from the [dataset] sections.
     fields = {field.name for field in dataclasses.fields(SweepConfig)}
     keyed = [field for field, _ in cli._TOP_KEYS.values()]
     assert len(keyed) == len(set(keyed))
-    assert fields == set(keyed) | {"datasets", "retain_raw"}
+    assert fields == set(keyed) | {"datasets"}
 
 
 def test_readme_imports_exactly_the_package_exports():

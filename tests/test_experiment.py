@@ -1,7 +1,9 @@
 """Sweep orchestration tests: determinism, identities, tipping summaries."""
 
+import csv
 import hashlib
 import importlib.util
+import io
 import math
 import sys
 import tempfile
@@ -23,7 +25,6 @@ from cluster_sense.dataset import LabeledDataset, generate_dim_like, save_datase
 from cluster_sense.experiment import (
     FileSource,
     GeneratorSource,
-    RawValue,
     SweepCell,
     SweepConfig,
     SweepResult,
@@ -68,6 +69,20 @@ def _wide_config(**overrides):
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def _raw_values(result):
+    """Every per-repeat value of a sweep, keyed by (dataset, noise, scaling,
+    level, metric, repeat)."""
+    return {
+        (c.dataset, c.noise, c.scaling, c.level, c.metric, repeat): value
+        for c in result.cells
+        for repeat, value in enumerate(c.values)
+    }
 
 
 def _negative_source(tmp_path):
@@ -182,12 +197,10 @@ class TestRunSweep:
         assert resolve_workers(0) == 8
 
     def test_baseline_cells_equal_manual_pipeline(self):
-        config = _toy_config(retain_raw=True)
+        config = _toy_config()
         result = run_sweep(config)
         base = TOY.load()
-        raw = {
-            (v.noise, v.scaling, v.level, v.metric, v.repeat): v.value for v in result.raw
-        }
+        raw = _raw_values(result)
         for scaling in config.scalings:
             scaled = apply_scaling(base.points, scaling)
             for repeat in range(config.repeats):
@@ -198,7 +211,7 @@ class TestRunSweep:
                 report = evaluate_clustering(scaled, fitted.assignments, base.labels)
                 for metric, value in report.as_dict().items():
                     for kind in config.noise_kinds:
-                        assert raw[(kind.value, scaling.value, 0, metric, repeat)] == value
+                        assert raw[("toy", kind.value, scaling.value, 0, metric, repeat)] == value
 
     def test_baseline_identical_across_noise_kinds(self):
         result = run_sweep(_toy_config())
@@ -211,7 +224,7 @@ class TestRunSweep:
         assert by_kind["gaussian"] == by_kind["uniform"]
 
     def test_augmented_cells_equal_manual_pipeline(self):
-        config = _toy_config(retain_raw=True, noise_kinds=(NoiseKind.GAUSSIAN,))
+        config = _toy_config(noise_kinds=(NoiseKind.GAUSSIAN,))
         result = run_sweep(config)
         base = TOY.load()
         stats = compute_stats(base)
@@ -224,11 +237,7 @@ class TestRunSweep:
         level = 4
         matrix = np.hstack([base.points, append_noise(base, spec, level)])
         scaled = apply_scaling(matrix, ScalingKind.NONE)
-        raw = {
-            (v.scaling, v.level, v.metric, v.repeat): v.value
-            for v in result.raw
-            if v.noise == "gaussian"
-        }
+        raw = _raw_values(result)
         for repeat in range(config.repeats):
             seed = cell_kmeans_seed(
                 config.master_seed, 0, NoiseKind.GAUSSIAN, ScalingKind.NONE, level, repeat
@@ -236,21 +245,27 @@ class TestRunSweep:
             fitted = fit(scaled, KMeansConfig(k=base.n_clusters, seed=seed))
             report = evaluate_clustering(scaled, fitted.assignments, base.labels)
             for metric, value in report.as_dict().items():
-                assert raw[("none", level, metric, repeat)] == value
+                assert raw[("toy", "gaussian", "none", level, metric, repeat)] == value
 
     def test_std_is_population_std_of_raw_values(self):
-        config = _toy_config(retain_raw=True)
-        result = run_sweep(config)
+        # Both files are read back: their floats are reprs, which parse to
+        # the same doubles, so numpy's mean and std of a row's raw values,
+        # taken in repeat order, equal the row's mean and std bit for bit.
+        result = run_sweep(_toy_config())
+        summary = _csv_rows(summary_csv_text(result))
         values = {}
-        for v in result.raw:
-            values.setdefault((v.noise, v.scaling, v.level, v.metric), []).append(v.value)
-        for cell in result.cells:
-            key = (cell.noise, cell.scaling, cell.level, cell.metric)
-            arr = np.array(values[key])
-            assert len(arr) == cell.repeats
-            assert cell.mean == pytest.approx(arr.mean(), abs=1e-12)
-            assert cell.std == pytest.approx(arr.std(), abs=1e-12)
-            assert cell.std >= 0.0
+        for row in _csv_rows(raw_csv_text(result)):
+            key = (row["dataset"], row["noise"], row["scaling"], row["ratio"], row["metric"])
+            values.setdefault(key, []).append((int(row["repeat"]), float(row["value"])))
+        assert len(values) == len(summary)
+        for row in summary:
+            key = (row["dataset"], row["noise"], row["scaling"], row["ratio"], row["metric"])
+            repeats, arr = zip(*values[key])
+            assert list(repeats) == list(range(int(row["repeats"])))
+            assert row["status"] == "ok"
+            assert float(row["mean"]) == np.mean(arr)
+            assert float(row["std"]) == np.std(arr)
+            assert float(row["std"]) >= 0.0
 
     def test_cell_independence_under_plan_subsets(self):
         full = run_sweep(_toy_config())
@@ -292,9 +307,9 @@ class TestRunSweep:
         assert all(math.isnan(c.mean) and math.isnan(c.std) for c in degraded)
 
     def test_redraw_noise_per_repeat(self):
-        fixed = run_sweep(_toy_config(retain_raw=True))
-        redrawn = run_sweep(_toy_config(retain_raw=True, redraw_noise_per_repeat=True))
-        redrawn_again = run_sweep(_toy_config(retain_raw=True, redraw_noise_per_repeat=True))
+        fixed = run_sweep(_toy_config())
+        redrawn = run_sweep(_toy_config(redraw_noise_per_repeat=True))
+        redrawn_again = run_sweep(_toy_config(redraw_noise_per_repeat=True))
         assert redrawn.cells == redrawn_again.cells
 
         def level0(result):
@@ -462,7 +477,6 @@ class TestRunSweep:
         result = run_sweep(config)
         assert result.config == config
         assert result.version
-        assert result.raw is None
 
 
 class TestSummarizeTipping:
@@ -479,6 +493,7 @@ class TestSummarizeTipping:
                 std=0.0,
                 repeats=3,
                 status="ok",
+                values=(m, m, m),
             )
             for i, (r, m) in enumerate(means)
         )
@@ -528,6 +543,7 @@ class TestSummarizeTipping:
                 std=math.nan,
                 repeats=3,
                 status="error:uniform-range",
+                values=(),
             )
         )
         result = SweepResult(cells=tuple(cells), config=_toy_config())
@@ -546,11 +562,13 @@ class TestSummarizeTipping:
 
 class TestRawRetention:
     def test_raw_rows_cover_every_cell(self):
-        config = _toy_config(retain_raw=True)
+        config = _toy_config()
         result = run_sweep(config)
-        assert isinstance(result.raw, tuple)
-        assert all(isinstance(v, RawValue) for v in result.raw)
-        assert len(result.raw) == len(result.cells) * config.repeats
+        for cell in result.cells:
+            assert isinstance(cell.values, tuple)
+            assert len(cell.values) == config.repeats
+            assert all(type(value) is float for value in cell.values)
+        assert len(_raw_values(result)) == len(result.cells) * config.repeats
 
 
 # Closed ranges of the metric means of an ok cell.
@@ -654,7 +672,7 @@ class TestGoldenBytes:
     """
 
     def test_toy_summary_and_raw(self):
-        result = run_sweep(_toy_config(retain_raw=True))
+        result = run_sweep(_toy_config())
         assert _sha256(summary_csv_text(result)) == (
             "6c445a72955c30638ae63e47eed1ae2cc7d5597f9f409ab610cb6f62e9fa5482"
         ), _GOLDEN_KERNEL
@@ -664,7 +682,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_wide_summary_and_raw(self, workers):
-        result = run_sweep(_wide_config(retain_raw=True, workers=workers))
+        result = run_sweep(_wide_config(workers=workers))
         assert _sha256(summary_csv_text(result)) == (
             "a4dcea6fd9b3b0aebfaabc406d277afd7148ff7b2875ac0790bfde4085f9758f"
         ), _GOLDEN_KERNEL
@@ -675,7 +693,7 @@ class TestGoldenBytes:
     def test_toy_redraw_summary_raw_and_report(self, tmp_path):
         # Per-repeat noise draws a fresh matrix for each repeat; the report's
         # SVG panels are digested name by name in sorted order.
-        result = run_sweep(_toy_config(redraw_noise_per_repeat=True, retain_raw=True))
+        result = run_sweep(_toy_config(redraw_noise_per_repeat=True))
         summary = summary_csv_text(result)
         assert _sha256(summary) == (
             "22955d5f594d1229c23c9e89fde99c977c1440fe8168d622296e1b1abb33b95e"
@@ -726,7 +744,6 @@ class TestGoldenBytes:
                 repeats=2,
                 master_seed=1,
                 redraw_noise_per_repeat=redraw,
-                retain_raw=True,
                 workers=workers,
             )
         )
@@ -897,6 +914,22 @@ class TestErrorHandling:
         result = run_sweep(_toy_config(workers=2))
         assert {c.status for c in result.cells} == {"error:value-error"}
 
+    def test_non_finite_metric_degrades_only_that_metric(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "davies_bouldin", lambda *args: math.inf)
+        config = _toy_config()
+        result = run_sweep(config)
+        for cell in result.cells:
+            if cell.metric == "davies_bouldin":
+                assert cell.status == "error:non-finite-metric"
+                assert math.isnan(cell.mean) and math.isnan(cell.std)
+                assert cell.values == (math.inf,) * config.repeats
+            else:
+                assert cell.status == "ok"
+        raw = _csv_rows(raw_csv_text(result))
+        assert len(raw) == len(result.cells) * config.repeats
+        written = [row["value"] for row in raw if row["metric"] == "davies_bouldin"]
+        assert written == ["inf"] * (len(raw) // len(METRIC_NAMES))
+
     # The cell (gaussian, none, level 2) of the toy config; its repeats share
     # one matrix, fitted in repeat order before any metric is computed.
     CELL = ("gaussian", "none", 2)
@@ -922,12 +955,13 @@ class TestErrorHandling:
         assert len(degraded) == 5
         assert {c.status for c in degraded} == {"error:value-error"}
         assert all(c.status == "ok" for c in result.cells if key(c) != self.CELL)
-        assert not [v for v in result.raw if key(v) == self.CELL]
-        assert len(result.raw) == (len(result.cells) - 5) * config.repeats
+        raw = _raw_values(result)
+        assert not [k for k in raw if k[1:4] == self.CELL]
+        assert len(raw) == (len(result.cells) - 5) * config.repeats
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_value_error_from_a_later_repeat_degrades_the_whole_cell(self, monkeypatch, workers):
-        config = _toy_config(retain_raw=True, workers=workers)
+        config = _toy_config(workers=workers)
 
         def refuse(result):
             raise ValueError("data condition")
@@ -936,7 +970,7 @@ class TestErrorHandling:
         self._assert_only_cell_degraded(run_sweep(config), config)
 
     def test_collapsed_clustering_degrades_the_whole_cell(self, monkeypatch):
-        config = _toy_config(retain_raw=True)
+        config = _toy_config()
 
         def collapse(result):
             return replace(result, assignments=np.zeros_like(result.assignments))
@@ -966,7 +1000,7 @@ class TestErrorHandling:
         # pin: a bug propagates, a data condition degrades the cell, and
         # either way the count and the pin depth are as they were.
         block_rows(TOY.clusters * TOY.per_cluster, 12)
-        config = _toy_config(retain_raw=True, workers=1)
+        config = _toy_config(workers=1)
         target = cell_kmeans_seed(
             config.master_seed, 0, NoiseKind.GAUSSIAN, ScalingKind.NONE, 2, 1
         )

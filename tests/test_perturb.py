@@ -105,6 +105,21 @@ class TestGaussianFeature:
         b = append_noise(_zeros_base(100), spec, 3, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "mu, sigma", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0), (0.0, np.inf)]
+    )
+    def test_parameters_that_are_not_finite_are_rejected(self, mu, sigma):
+        # The pooled stats of entries near +-1e308 are mu = sigma = nan; every
+        # column drawn from them would be NaN or infinite. A plain ValueError
+        # keeps such sweep cells error:value-error.
+        spec = _gaussian_spec(mu=mu, sigma=sigma)
+        message = "gaussian .*" + re.escape(f"mu={mu}, sigma={sigma}")
+        with pytest.raises(ValueError, match=message) as info:
+            append_noise(_zeros_base(10), spec, 2)
+        assert type(info.value) is ValueError
+        # No column is drawn at count 0, so the parameters are not checked.
+        assert append_noise(_zeros_base(10), spec, 0).shape == (10, 0)
+
 
 class TestUniformFeature:
     def test_range_mu2_sigma1(self):
