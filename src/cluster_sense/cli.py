@@ -331,7 +331,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not (out / entry["path"]).exists():
             raise OSError(f"expected output file missing: {entry['path']}")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {summary_path} ({len(result.cells)} cells)")
+    # result.cells holds one row per metric of each sweep cell.
+    print(f"wrote {summary_path} ({len(result.cells) // len(METRIC_NAMES)} cells)")
     return 0
 
 

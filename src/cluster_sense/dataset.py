@@ -151,11 +151,17 @@ def generate_dim_like(
 
 
 def compute_stats(data: LabeledDataset) -> DatasetStats:
-    """Mean and population standard deviation over every matrix entry."""
+    """Mean and population standard deviation over every matrix entry.
+
+    Entries near the float64 limit can make either of them inf or nan. No
+    numpy warning is printed for that: the noise draw that reads them raises
+    a ValueError naming them.
+    """
     points = data.points
     if points.shape[0] < 2:
         raise ValueError("at least 2 rows are required to compute stats")
-    return DatasetStats(mu=float(points.mean()), sigma=float(points.std()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DatasetStats(mu=float(points.mean()), sigma=float(points.std()))
 
 
 def load_dataset(data_path: str | Path, labels_path: str | Path, name: str | None = None) -> LabeledDataset:
@@ -213,10 +219,12 @@ def _parse_data_lines(path: Path) -> np.ndarray:
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read data file: {exc}") from exc
     lines = text_lines(text)
+    del text
     if not lines:
         raise DatasetFormatError(f"{path}: data file is empty")
 
-    rows: list[list[float]] = []
+    # Each row is written into the array as it is parsed, so no list of
+    # Python floats (32 bytes a value) is held beside the file's lines.
     width = None
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
@@ -236,13 +244,13 @@ def _parse_data_lines(path: Path) -> np.ndarray:
             ) from None
         if width is None:
             width = len(row)
+            points = np.empty((len(lines), width), dtype=np.float64)
         elif len(row) != width:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: expected {width} values, found {len(row)}"
             )
-        rows.append(row)
+        points[lineno - 1] = row
 
-    points = np.array(rows, dtype=np.float64)
     non_finite = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if non_finite.size:
         # Data lines have no gaps (blank lines are rejected above): row i is line i + 1.

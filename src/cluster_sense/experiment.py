@@ -253,9 +253,11 @@ def _cell_matrices(cell: _Cell, config: SweepConfig):
 
     A fixed-noise cell, and level 0 of any sweep, is one matrix for all its
     repeats; a redraw cell above level 0 draws one matrix per repeat. Each
-    matrix is the baseline with its noise columns stacked to the right. No
-    name holds an unscaled matrix or a per-repeat draw across a yield, so only
-    the scaled copy is alive while the repeats are fitted and scored.
+    matrix above level 0 is the baseline with its noise columns stacked to
+    the right, a new array that is scaled in place, so it is the one
+    matrix-sized array the cell holds. Level 0 scales a copy, because the
+    baseline points are shared by every cell. No name holds a per-repeat
+    draw across a yield.
     """
     base, spec, level = cell.base, cell.spec, cell.level
     seeds = [
@@ -266,7 +268,8 @@ def _cell_matrices(cell: _Cell, config: SweepConfig):
     ]
 
     def stacked(columns):
-        return apply_scaling(np.hstack([base.points, columns]), cell.scaling)
+        matrix = np.hstack([base.points, columns])
+        return apply_scaling(matrix, cell.scaling, out=matrix)
 
     if level == 0:
         yield apply_scaling(base.points, cell.scaling), seeds
@@ -284,14 +287,16 @@ def _run_cell(cell: _Cell, config: SweepConfig) -> list[SweepCell]:
     # Each matrix's repeats are fitted first and then scored in one metrics
     # pass, which computes every silhouette distance block once per matrix.
     # A matrix whose distances fit one block gets that block up front, and
-    # k-means++ reads its centers' distances from it too. Both names are
-    # dropped before the next matrix is drawn, so one matrix is alive at a time.
+    # k-means++ reads its centers' distances from it too. The tolerance is
+    # taken first, so the matrix-sized temporary of its variance is freed
+    # before the distances exist. Both names are dropped before the next
+    # matrix is drawn, so one matrix is alive at a time.
     reports = []
     try:
         for scaled, seeds in _cell_matrices(cell, config):
+            tolerance = default_tolerance(scaled)
             one_block = len(row_blocks(scaled.shape[0])) == 1
             distances = pairwise_distances(scaled) if one_block else None
-            tolerance = default_tolerance(scaled)
             assignments = np.stack(
                 [
                     fit(

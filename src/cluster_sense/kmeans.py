@@ -130,6 +130,11 @@ def kmeanspp_init(
     d2_min = center_d2(int(chosen[0]))
     for c in range(1, k):
         total = d2_min.sum()
+        if not np.isfinite(total):
+            raise ValueError(
+                f"cannot pick center {c + 1} of {k}: the squared distances to the "
+                f"chosen centers are not finite (their sum is {total})"
+            )
         if total <= 0.0:
             raise ValueError(
                 f"cannot pick {k} distinct centers: only {c} distinct point values available"

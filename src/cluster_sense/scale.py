@@ -29,12 +29,19 @@ class ScalingKind(enum.Enum):
 _SCALING_CODES = {ScalingKind.NONE: 0, ScalingKind.CENTERED: 1, ScalingKind.STANDARDIZED: 2}
 
 
-def apply_scaling(matrix: np.ndarray, kind: ScalingKind) -> np.ndarray:
-    """Return a scaled copy of the matrix.
+def apply_scaling(
+    matrix: np.ndarray, kind: ScalingKind, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Return the scaled matrix: a new array, or `out` written in place.
 
     none: identity copy. centered: subtract each column's mean.
     standardized: centered, then divided by the column's population standard
     deviation; constant columns become exactly 0.
+
+    out, when given, must be a float64 array of the matrix's shape, and may be
+    the matrix itself: every statistic is taken from the input before `out`
+    is written, so the result has the same bits as a copy would. Nothing is
+    written when the call raises.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -43,17 +50,25 @@ def apply_scaling(matrix: np.ndarray, kind: ScalingKind) -> np.ndarray:
         raise ValueError(f"at least 2 rows are required, got {matrix.shape[0]}")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains non-finite entries")
+    if out is None:
+        out = np.empty_like(matrix)
+    elif out.dtype != np.float64 or out.shape != matrix.shape:
+        raise ValueError(
+            f"out must be a float64 array of shape {matrix.shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
 
     if kind is ScalingKind.NONE:
-        return matrix.copy()
-    centered = matrix - matrix.mean(axis=0)
+        np.copyto(out, matrix)
+        return out
     if kind is ScalingKind.CENTERED:
-        return centered
+        return np.subtract(matrix, matrix.mean(axis=0), out=out)
     # A constant column's mean can round off its value, leaving a residue
     # with a std of about 1e-16 that would be scaled up to unit size.
     constant = (matrix == matrix[0]).all(axis=0)
     sigma = matrix.std(axis=0)
     sigma[constant] = 1.0
-    scaled = centered / sigma
-    scaled[:, constant] = 0.0
-    return scaled
+    np.subtract(matrix, matrix.mean(axis=0), out=out)
+    np.divide(out, sigma, out=out)
+    out[:, constant] = 0.0
+    return out

@@ -413,7 +413,8 @@ class TestRun:
         assert "created" in manifest
         kinds = {e["kind"] for e in manifest["emitted_files"]}
         assert kinds == {"summary_csv", "manifest"}
-        assert "8 cells" not in capsys.readouterr().out  # count is 40, sanity only
+        # 8 sweep cells (4 levels x 2 noises x 1 scaling), not their 40 metric rows.
+        assert capsys.readouterr().out == f"wrote {out / 'summary.csv'} (8 cells)\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)

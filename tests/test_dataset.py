@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -140,8 +142,38 @@ class TestStats:
         with pytest.raises(ValueError, match="at least 2 rows"):
             compute_stats(ds)
 
+    def test_stats_that_overflow_are_nan_without_a_warning(self, tmp_path):
+        # The 4-row file of entries at +-1e308: the pooled sums overflow.
+        # The noise draw names the mu and sigma that are not finite, so
+        # compute_stats prints no numpy warning of its own.
+        data, labels = tmp_path / "d.txt", tmp_path / "l.txt"
+        data.write_text("1e308 1e308\n-1e308 -1e308\n1e308 -1e308\n-1e308 1e308\n")
+        labels.write_text("0\n0\n1\n1\n")
+        ds = load_dataset(data, labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = compute_stats(ds)
+        assert math.isnan(stats.mu) and math.isnan(stats.sigma)
+
 
 class TestLoader:
+    def test_loading_holds_a_small_multiple_of_the_file(self, tmp_path):
+        # n = 8192, d = 16: a 2.4 MB file. Each row goes into the point array
+        # as it is parsed, so the traced peak is about 2.2 times the file's
+        # size, set by read_text's bytes and string. Holding a list of Python
+        # floats per row until the end would take it above 4 times.
+        data, labels = tmp_path / "d.txt", tmp_path / "l.txt"
+        ds = generate_dim_like(16, 16, 512, 10.0, seed=1)
+        save_dataset(ds, data, labels)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(data, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.points.tobytes() == ds.points.tobytes()
+        assert peak < 3 * data.stat().st_size
+
     def test_smallest_well_formed_input(self, tmp_path):
         data = tmp_path / "data.txt"
         labels = tmp_path / "labels.txt"

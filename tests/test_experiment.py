@@ -377,12 +377,14 @@ class TestRunSweep:
         assert peak < n * n * 8
 
     @pytest.mark.parametrize("redraw", [False, True])
-    def test_unscaled_matrix_is_freed_before_fitting(self, monkeypatch, redraw):
-        # Only the scaled copy of a cell's matrix may be alive while its
-        # repeats are fitted: every unscaled matrix wider than the base
-        # points, and every per-repeat noise draw, must be gone by then. The
-        # fixed-noise columns are shared by all cells and stay alive.
-        unscaled = []
+    def test_stacked_matrix_is_scaled_in_place(self, monkeypatch, redraw):
+        # Above level 0 a cell stacks its matrix once and scales that array
+        # in place: every matrix wider than the base points comes back from
+        # apply_scaling as the same object. While the repeats are fitted, the
+        # matrix being fitted is the only one of them alive, and every
+        # per-repeat noise draw is gone. The fixed-noise columns are shared
+        # by all cells and stay alive.
+        stacked, draws, wide_fits = [], [], []
         original_append = experiment.append_noise
         original_scaling = experiment.apply_scaling
         original_fit = experiment.fit
@@ -390,16 +392,22 @@ class TestRunSweep:
         def tracked_append(*args, **kwargs):
             columns = original_append(*args, **kwargs)
             if kwargs.get("seed") is not None:
-                unscaled.append(weakref.ref(columns))
+                draws.append(weakref.ref(columns))
             return columns
 
-        def tracked_scaling(matrix, kind):
+        def tracked_scaling(matrix, kind, **kwargs):
+            scaled = original_scaling(matrix, kind, **kwargs)
             if matrix.shape[1] > TOY.dims:
-                unscaled.append(weakref.ref(matrix))
-            return original_scaling(matrix, kind)
+                assert scaled is matrix
+                stacked.append(weakref.ref(matrix))
+            return scaled
 
         def checked_fit(matrix, kmeans_config, **kwargs):
-            assert [ref for ref in unscaled if ref() is not None] == []
+            assert [ref for ref in draws if ref() is not None] == []
+            alive = [ref() for ref in stacked if ref() is not None]
+            wide = matrix.shape[1] > TOY.dims
+            assert len(alive) == wide and all(other is matrix for other in alive)
+            wide_fits.append(wide)
             return original_fit(matrix, kmeans_config, **kwargs)
 
         monkeypatch.setattr(experiment, "append_noise", tracked_append)
@@ -407,7 +415,8 @@ class TestRunSweep:
         monkeypatch.setattr(experiment, "fit", checked_fit)
         result = run_sweep(_toy_config(redraw_noise_per_repeat=redraw, workers=1))
         assert all(c.status == "ok" for c in result.cells)
-        assert len(unscaled) > 0
+        assert len(stacked) > 0 and any(wide_fits)
+        assert (len(draws) > 0) == redraw
 
     def test_each_matrix_is_freed_before_the_next_is_drawn(self, monkeypatch):
         # With per-repeat noise a cell draws one matrix per repeat. Neither

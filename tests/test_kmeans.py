@@ -1,11 +1,13 @@
 """k-means++ initialization and Lloyd iteration tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cluster_sense import distance, kmeans
-from cluster_sense.dataset import compute_stats, generate_dim_like
+from cluster_sense.dataset import compute_stats, generate_dim_like, load_dataset
 from cluster_sense.distance import pairwise_distances
 from cluster_sense.kmeans import (
     ClusteringResult,
@@ -179,6 +181,28 @@ class TestKMeansPlusPlusDistinct:
         with distance._single_blas_thread():
             pinned = fit(matrix, config)
         _assert_same_fit(threaded, pinned)
+
+
+class TestKMeansPlusPlusOverflow:
+    @pytest.mark.parametrize("columns", [2, 1])
+    def test_squared_distances_that_are_not_finite_are_named(self, tmp_path, columns):
+        # The 4-row file of entries at +-1e308. Their squared distances
+        # overflow: to nan with both columns, to inf with the first alone.
+        # The pick must say so in a ValueError before it divides by their
+        # sum, so that numpy prints no "invalid value encountered in divide".
+        data, labels = tmp_path / "d.txt", tmp_path / "l.txt"
+        data.write_text("1e308 1e308\n-1e308 -1e308\n1e308 -1e308\n-1e308 1e308\n")
+        labels.write_text("0\n0\n1\n1\n")
+        matrix = load_dataset(data, labels).points[:, :columns]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sources = _d2_sources(matrix)
+        for source in sources:
+            for seed in range(4):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(ValueError, match="squared distances .* are not finite"):
+                        kmeanspp_init(matrix, 2, derive_rng(seed), **source)
+                assert [w for w in caught if "divide" in str(w.message)] == []
 
 
 class TestDistancesShape:

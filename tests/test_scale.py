@@ -70,6 +70,42 @@ class TestApplyScaling:
         twice = apply_scaling(once, ScalingKind.STANDARDIZED)
         assert np.allclose(once, twice, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", list(ScalingKind))
+    def test_out_gets_the_bytes_of_a_copy(self, kind):
+        # Constant columns, one of them with a mean that rounds off its
+        # value, beside varying ones: `out` may be the matrix itself, so
+        # every statistic must be read before the first write. Off-center
+        # columns give a std with other bits when it is taken after centering.
+        rng = np.random.default_rng(10)
+        matrix = np.column_stack(
+            [
+                rng.normal(size=(40, 4)) * 2.5 + [3.0, 1e3, 1e6, 1e8],
+                np.full(40, 2.7279133916445373),
+                np.full(40, -4.0),
+                rng.uniform(-1e3, 1e3, size=40),
+            ]
+        )
+        expected = apply_scaling(matrix.copy(), kind)
+        into = np.empty_like(matrix)
+        assert apply_scaling(matrix, kind, out=into) is into
+        assert into.tobytes() == expected.tobytes()
+        in_place = matrix.copy()
+        assert apply_scaling(in_place, kind, out=in_place) is in_place
+        assert in_place.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((3, 1)), np.empty((2, 2)), np.empty((3, 2), dtype=np.float32)]
+    )
+    def test_out_of_another_shape_or_dtype_is_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            apply_scaling(np.ones((3, 2)), ScalingKind.CENTERED, out=out)
+
+    def test_rejected_matrix_is_not_written(self):
+        matrix = np.array([[1.0], [np.inf]])
+        with pytest.raises(ValueError, match="finite"):
+            apply_scaling(matrix, ScalingKind.STANDARDIZED, out=matrix)
+        assert matrix.tolist() == [[1.0], [np.inf]]
+
     def test_rejects_single_row(self):
         with pytest.raises(ValueError, match="2 rows"):
             apply_scaling(np.array([[1.0, 2.0]]), ScalingKind.CENTERED)
