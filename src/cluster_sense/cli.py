@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
-from .dataset import DatasetFormatError, is_plain_ascii, save_dataset, text_lines
+from .dataset import DatasetFormatError, is_plain_ascii, read_lines, save_dataset
 from .distance import blas_core_name
 from .experiment import (
     DatasetSource,
@@ -94,7 +94,7 @@ def _boolean(value: str) -> bool:
 def _ratio(value: str) -> Fraction:
     """Accept `3`, `1.5`, or `3:1` forms; result must be positive."""
     try:
-        if not is_plain_ascii(value):
+        if not is_plain_ascii(value) or "/" in value:
             raise ValueError
         if ":" in value:
             num, den = value.split(":", 1)
@@ -160,13 +160,12 @@ def parse_config(path: str | Path) -> SweepConfig:
     errors that name the offending line.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
 
     top: _Scope = {}
     sections: list[_Scope] = []
     scope, table = top, _TOP_KEYS
 
-    for lineno, raw_line in enumerate(text_lines(text), start=1):
+    for lineno, raw_line in enumerate(read_lines(path, ConfigError), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -296,11 +295,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     summary_path = out / "summary.csv"
     summary_path.write_text(summary_csv_text(result), encoding="utf-8")
-    emitted = [("summary_csv", "summary.csv")]
-    if args.raw_csv:
-        raw_path = out / "raw.csv"
-        raw_path.write_text(raw_csv_text(result), encoding="utf-8")
-        emitted.append(("raw_csv", "raw.csv"))
+    (out / "raw.csv").write_text(raw_csv_text(result), encoding="utf-8")
 
     degraded = {}
     for cell in result.cells:
@@ -314,7 +309,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    # Manifest goes last so its file list only names files that already exist.
+    # The manifest goes last, so the files it lists are already written.
     manifest = {
         "config_path": str(Path(args.config)),
         "output_dir": str(out),
@@ -324,12 +319,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         "blas_threads": result.blas_threads,
         # The OpenBLAS kernel; summary.csv's bits depend on it (None: another BLAS).
         "blas_core": blas_core_name(),
-        "emitted_files": [{"kind": kind, "path": rel} for kind, rel in emitted]
-        + [{"kind": "manifest", "path": "manifest.json"}],
+        "emitted_files": [
+            {"kind": "summary_csv", "path": "summary.csv"},
+            {"kind": "raw_csv", "path": "raw.csv"},
+            {"kind": "manifest", "path": "manifest.json"},
+        ],
     }
-    for entry in manifest["emitted_files"][:-1]:
-        if not (out / entry["path"]).exists():
-            raise OSError(f"expected output file missing: {entry['path']}")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     # result.cells holds one row per metric of each sweep cell.
     print(f"wrote {summary_path} ({len(result.cells) // len(METRIC_NAMES)} cells)")
@@ -337,10 +332,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _read_summary(path: Path) -> list[dict]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ReportError(f"{path}: cannot read summary CSV: {exc}") from exc
+    text = path.read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -452,9 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a sweep described by a config file")
     run.add_argument("--config", required=True, help="path to the sweep configuration file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument(
-        "--raw", action="store_true", dest="raw_csv", help="also write per-repeat values to raw.csv"
-    )
     run.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="render SVG panels from a summary CSV")

@@ -7,8 +7,10 @@ any two centers are at least one grid spacing apart on every axis.
 
 from __future__ import annotations
 
+import array
 import math
 import string
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -199,34 +201,31 @@ def save_dataset(data: LabeledDataset, data_path: str | Path, labels_path: str |
     Path(labels_path).write_text("\n".join(label_lines) + "\n", encoding="utf-8")
 
 
-def text_lines(text: str) -> list[str]:
-    """Lines of text read by read_text, trailing blank lines dropped.
-
-    read_text has turned "\r\n" and "\r" into "\n", so split there alone:
-    str.splitlines would also split at U+2028 and other separators, which a
-    line must not contain.
+def read_lines(path: Path, error: type[Exception]) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read one at a time, trailing blank
+    lines dropped. Text mode ends a line only at "\n", "\r\n" or "\r":
+    str.splitlines would also end one at U+2028 and other separators, which
+    a line must not contain. A byte that is not UTF-8 raises `error`.
     """
-    lines = text.split("\n")
-    end = len(lines)
-    while end > 0 and not lines[end - 1].strip():
-        end -= 1
-    return lines[:end]
+    with open(path, encoding="utf-8") as handle:
+        try:
+            blank = []
+            for line in handle:
+                blank.append(line.rstrip("\n"))
+                if blank[-1].strip():
+                    yield from blank
+                    blank.clear()
+        except UnicodeDecodeError as exc:
+            bad = f"byte {exc.object[exc.start]:#04x}: {exc.reason}"
+            raise error(f"{path}: not UTF-8 text ({bad})") from None
 
 
 def _parse_data_lines(path: Path) -> np.ndarray:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: cannot read data file: {exc}") from exc
-    lines = text_lines(text)
-    del text
-    if not lines:
-        raise DatasetFormatError(f"{path}: data file is empty")
-
-    # Each row is written into the array as it is parsed, so no list of
-    # Python floats (32 bytes a value) is held beside the file's lines.
+    # Each row goes into a float64 buffer as it is parsed, so neither the
+    # file's text nor a list of Python floats (32 bytes a value) is held.
+    values = array.array("d")
     width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, DatasetFormatError), start=1):
         tokens = line.split()
         if not tokens:
             raise DatasetFormatError(f"{path}: line {lineno}: blank line inside data")
@@ -244,12 +243,14 @@ def _parse_data_lines(path: Path) -> np.ndarray:
             ) from None
         if width is None:
             width = len(row)
-            points = np.empty((len(lines), width), dtype=np.float64)
         elif len(row) != width:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: expected {width} values, found {len(row)}"
             )
-        points[lineno - 1] = row
+        values.extend(row)
+    if width is None:
+        raise DatasetFormatError(f"{path}: data file is empty")
+    points = np.frombuffer(values).reshape(-1, width)
 
     non_finite = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if non_finite.size:
@@ -259,16 +260,8 @@ def _parse_data_lines(path: Path) -> np.ndarray:
 
 
 def _parse_label_lines(path: Path) -> list[int]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetFormatError(f"{path}: cannot read labels file: {exc}") from exc
-    lines = text_lines(text)
-    if not lines:
-        raise DatasetFormatError(f"{path}: labels file is empty")
-
     labels = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, DatasetFormatError), start=1):
         token = line.strip(string.whitespace)
         try:
             if not is_plain_ascii(line):

@@ -65,7 +65,11 @@ def default_tolerance(matrix: np.ndarray) -> float:
     many times can compute it once and pass it as the tolerance.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    return 1e-4 * float(matrix.var(axis=0).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = float(matrix.var(axis=0).mean())
+    if not np.isfinite(variance):
+        raise ValueError(f"the mean feature variance is not finite ({variance})")
+    return 1e-4 * variance
 
 
 def kmeanspp_init(

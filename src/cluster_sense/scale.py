@@ -61,14 +61,22 @@ def apply_scaling(
     if kind is ScalingKind.NONE:
         np.copyto(out, matrix)
         return out
-    if kind is ScalingKind.CENTERED:
-        return np.subtract(matrix, matrix.mean(axis=0), out=out)
-    # A constant column's mean can round off its value, leaving a residue
-    # with a std of about 1e-16 that would be scaled up to unit size.
-    constant = (matrix == matrix[0]).all(axis=0)
-    sigma = matrix.std(axis=0)
-    sigma[constant] = 1.0
-    np.subtract(matrix, matrix.mean(axis=0), out=out)
-    np.divide(out, sigma, out=out)
-    out[:, constant] = 0.0
+    # Entries near the float64 limit can overflow a column's mean or std:
+    # that raises here, before `out` is written, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+        if kind is ScalingKind.STANDARDIZED:
+            # A constant column's mean can round off its value, leaving a
+            # residue with a std of about 1e-16 that would be scaled up to
+            # unit size, so it is centered on its own value instead: exactly 0.
+            constant = (matrix == matrix[0]).all(axis=0)
+            mean[constant] = matrix[0, constant]
+            sigma = np.where(constant, 1.0, matrix.std(axis=0))
+            if not np.isfinite(sigma).all():
+                raise ValueError(f"column {np.argmin(np.isfinite(sigma))}'s std is not finite")
+    if not np.isfinite(mean).all():
+        raise ValueError(f"column {np.argmin(np.isfinite(mean))}'s mean is not finite")
+    np.subtract(matrix, mean, out=out)
+    if kind is ScalingKind.STANDARDIZED:
+        np.divide(out, sigma, out=out)
     return out

@@ -316,6 +316,10 @@ class TestParseConfig:
             ("ratio_step", "\u0662"),
             ("master_seed", "\u0661"),
             ("max_ratio", "1_5"),
+            # Fraction() reads these too; a ratio is `3`, `1.5` or `3:1`.
+            ("max_ratio", "1/2"),
+            ("max_ratio", "1/2:1"),
+            ("max_ratio", "3:1/2"),
             ("separation", "1_0"),
             ("separation", "\u0661"),
             ("workers", "\u0663"),
@@ -411,8 +415,12 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["version"]
         assert "created" in manifest
-        kinds = {e["kind"] for e in manifest["emitted_files"]}
-        assert kinds == {"summary_csv", "manifest"}
+        # run always writes the same three files, the manifest last.
+        assert manifest["emitted_files"] == [
+            {"kind": "summary_csv", "path": "summary.csv"},
+            {"kind": "raw_csv", "path": "raw.csv"},
+            {"kind": "manifest", "path": "manifest.json"},
+        ]
         # 8 sweep cells (4 levels x 2 noises x 1 scaling), not their 40 metric rows.
         assert capsys.readouterr().out == f"wrote {out / 'summary.csv'} (8 cells)\n"
 
@@ -459,17 +467,21 @@ class TestRun:
         if core is not None:
             assert core not in summary
 
-    def test_raw_flag_emits_raw_csv(self, tmp_path):
+    def test_raw_csv_is_written_without_a_flag(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
         out = tmp_path / "out"
-        rc = cli.main(["run", "--config", config_path, "--out", str(out), "--raw"])
+        rc = cli.main(["run", "--config", config_path, "--out", str(out)])
         assert rc == 0
         lines = (out / "raw.csv").read_text().splitlines()
         assert lines[0] == "dataset,noise,scaling,ratio,repeat,metric,value"
         assert len(lines) == 1 + 40 * 2  # cells * repeats
-        manifest = json.loads((out / "manifest.json").read_text())
-        kinds = {e["kind"] for e in manifest["emitted_files"]}
-        assert kinds == {"summary_csv", "raw_csv", "manifest"}
+
+    def test_raw_flag_is_gone(self, tmp_path):
+        config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", config_path, "--out", str(tmp_path / "out"), "--raw"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_degraded_cells_warn_but_exit_zero(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -538,6 +550,25 @@ class TestRun:
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 1
         assert "nope.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, code", [("config", 2), ("data", 1), ("labels", 1)])
+    def test_input_that_is_not_utf8_names_its_file(self, tmp_path, capsys, kind, code):
+        files = {
+            "config": "noise = uniform\nrepeats = 2\n[dataset]\ndata = data.txt\nlabels = labels.txt\n",
+            "data": "1 2\n3 4\n5 6\n",
+            "labels": "0\n1\n0\n",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_bytes(text.encode("utf-8"))
+        bad = tmp_path / f"{kind}.txt"
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(tmp_path / "config.txt"), "--out", str(out)])
+        assert rc == code
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+        )
+        assert not (out / "summary.csv").exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         config_path = _write(tmp_path / "sweep.cfg", "bogus = 1\n[dataset]\ndims = 4\n")

@@ -156,23 +156,41 @@ class TestStats:
         assert math.isnan(stats.mu) and math.isnan(stats.sigma)
 
 
+def _traced_load(tmp_path):
+    """Save an 8192 x 16 dataset and load it under tracemalloc: the dataset,
+    the loaded one, the traced peak and the data file's size."""
+    data, labels = tmp_path / "d.txt", tmp_path / "l.txt"
+    ds = generate_dim_like(16, 16, 512, 10.0, seed=1)
+    save_dataset(ds, data, labels)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(data, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ds, loaded, peak, data.stat().st_size
+
+
 class TestLoader:
     def test_loading_holds_a_small_multiple_of_the_file(self, tmp_path):
-        # n = 8192, d = 16: a 2.4 MB file. Each row goes into the point array
-        # as it is parsed, so the traced peak is about 2.2 times the file's
-        # size, set by read_text's bytes and string. Holding a list of Python
-        # floats per row until the end would take it above 4 times.
-        data, labels = tmp_path / "d.txt", tmp_path / "l.txt"
-        ds = generate_dim_like(16, 16, 512, 10.0, seed=1)
-        save_dataset(ds, data, labels)
-        tracemalloc.start()
-        try:
-            loaded = load_dataset(data, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # n = 8192, d = 16: a 2.4 MB file. The file is read one line at a
+        # time and each row goes into the point buffer as it is parsed, so
+        # the traced peak is well under the file's size (see the next test).
+        # Holding a list of Python floats per row until the end would take
+        # it above 4 times.
+        ds, loaded, peak, size = _traced_load(tmp_path)
         assert loaded.points.tobytes() == ds.points.tobytes()
-        assert peak < 3 * data.stat().st_size
+        assert peak < 3 * size
+
+    def test_loading_does_not_hold_the_file_text(self, tmp_path):
+        # Reading the whole text and splitting it held the file's bytes, its
+        # decoded string and its list of lines at once: about 2.2 times the
+        # file's size.
+        ds, loaded, peak, size = _traced_load(tmp_path)
+        assert size > 2_400_000
+        assert loaded.points.tobytes() == ds.points.tobytes()
+        assert np.array_equal(loaded.labels, ds.labels)
+        assert peak < 1.8 * size
 
     def test_smallest_well_formed_input(self, tmp_path):
         data = tmp_path / "data.txt"
@@ -274,6 +292,14 @@ class TestLoader:
         data.write_text("")
         labels.write_text("0\n")
         with pytest.raises(DatasetFormatError, match="empty"):
+            load_dataset(data, labels)
+
+    def test_empty_labels_file_is_a_count_mismatch(self, tmp_path):
+        data = tmp_path / "d.txt"
+        labels = tmp_path / "l.txt"
+        data.write_text("1\n2\n")
+        labels.write_text("\n \n")
+        with pytest.raises(DatasetFormatError, match=r"l\.txt: 0 labels for 2 data lines"):
             load_dataset(data, labels)
 
     def test_scientific_notation_and_tabs(self, tmp_path):

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import importlib.util
 import io
+import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -59,6 +62,38 @@ def _toy_config(**overrides):
     )
     defaults.update(overrides)
     return SweepConfig(**defaults)
+
+
+# _toy_config() as a config file.
+TOY_CONFIG_TEXT = """\
+noise = gaussian, uniform
+scaling = none, standardized
+max_ratio = 1:2
+ratio_step = 2
+repeats = 3
+master_seed = 11
+[dataset]
+name = toy
+dims = 8
+clusters = 4
+per_cluster = 16
+separation = 10
+seed = 3
+"""
+
+
+def _run_toy_config(tmp_path, workers, env=None):
+    """Run TOY_CONFIG_TEXT at `workers` through `python -m cluster_sense.cli`
+    in a new process; return its output directory."""
+    config = tmp_path / f"toy{workers}.cfg"
+    config.write_text(f"workers = {workers}\n{TOY_CONFIG_TEXT}", encoding="utf-8")
+    out = tmp_path / f"toy{workers}"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "cluster_sense.cli", "run", "--config", str(config)]
+    subprocess.run([*command, "--out", str(out)], env=env, check=True, capture_output=True)
+    return out
 
 
 def _wide_config(**overrides):
@@ -680,14 +715,19 @@ class TestGoldenBytes:
     (distance.blas_core_name), so a mismatch on another CPU explains itself.
     """
 
+    TOY_SUMMARY = "6c445a72955c30638ae63e47eed1ae2cc7d5597f9f409ab610cb6f62e9fa5482"
+    TOY_RAW = "3103c482587dbc166a43f32655c19998fef36bbdc84b70c77748cc596a945bd6"
+
     def test_toy_summary_and_raw(self):
         result = run_sweep(_toy_config())
-        assert _sha256(summary_csv_text(result)) == (
-            "6c445a72955c30638ae63e47eed1ae2cc7d5597f9f409ab610cb6f62e9fa5482"
-        ), _GOLDEN_KERNEL
-        assert _sha256(raw_csv_text(result)) == (
-            "3103c482587dbc166a43f32655c19998fef36bbdc84b70c77748cc596a945bd6"
-        ), _GOLDEN_KERNEL
+        assert _sha256(summary_csv_text(result)) == self.TOY_SUMMARY, _GOLDEN_KERNEL
+        assert _sha256(raw_csv_text(result)) == self.TOY_RAW, _GOLDEN_KERNEL
+
+    def test_run_writes_the_toy_summary_and_raw(self, tmp_path):
+        # `run` writes raw.csv beside summary.csv with no flag.
+        out = _run_toy_config(tmp_path, workers=1)
+        assert _sha256((out / "summary.csv").read_text()) == self.TOY_SUMMARY, _GOLDEN_KERNEL
+        assert _sha256((out / "raw.csv").read_text()) == self.TOY_RAW, _GOLDEN_KERNEL
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_wide_summary_and_raw(self, workers):
@@ -815,6 +855,20 @@ class TestWorkersAndBlas:
         pooled = run_sweep(replace(config, workers=2))
         assert summary_csv_text(pooled) == summary_csv_text(serial)
         assert all(c.status == "ok" for c in serial.cells)
+
+    def test_pooled_bytes_equal_serial_bytes_on_the_haswell_kernel(self, tmp_path):
+        # OpenBLAS picks its kernel when it loads, so another kernel needs a
+        # new process. Haswell (AVX2) rounds some silhouette values otherwise
+        # than SkylakeX, on which the goldens were recorded; serial and
+        # pooled runs must still agree byte for byte.
+        outputs = {}
+        for workers in (1, 2):
+            out = _run_toy_config(tmp_path, workers, env={"OPENBLAS_CORETYPE": "Haswell"})
+            core = json.loads((out / "manifest.json").read_text())["blas_core"]
+            if core != "Haswell":
+                pytest.skip(f"OPENBLAS_CORETYPE=Haswell ran the {core!r} kernel here")
+            outputs[workers] = [(out / name).read_bytes() for name in ("summary.csv", "raw.csv")]
+        assert outputs[1] == outputs[2]
 
     def test_result_records_workers_and_blas_threads(self, blas_threads):
         serial = run_sweep(_toy_config(workers=1))

@@ -323,6 +323,15 @@ class TestFit:
         assert np.array_equal(auto.assignments, manual.assignments)
         assert auto.iterations == manual.iterations
 
+    def test_default_tolerance_rejects_a_variance_that_overflows(self):
+        # Entries at +-1e308: the squared deviations overflow. The cell that
+        # fits this matrix degrades before its distances are built.
+        matrix = np.array([[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="feature variance is not finite"):
+                default_tolerance(matrix)
+
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError, match="exceeds"):
             fit(np.zeros((3, 2)), KMeansConfig(k=4))

@@ -1,5 +1,7 @@
 """Scaling regime tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,38 @@ class TestApplyScaling:
         with pytest.raises(ValueError, match="finite"):
             apply_scaling(matrix, ScalingKind.STANDARDIZED, out=matrix)
         assert matrix.tolist() == [[1.0], [np.inf]]
+
+    @pytest.mark.parametrize(
+        "kind, column, stat",
+        [
+            # The column sum overflows, so the mean is inf, and so is the std
+            # taken around it.
+            (ScalingKind.CENTERED, [1e308, 1e308, 1e308], "mean"),
+            (ScalingKind.STANDARDIZED, [1e308, 1e308, -1e308], "std"),
+            # The mean is 0 but the squared deviations overflow.
+            (ScalingKind.STANDARDIZED, [1e200, -1e200, 1e200, -1e200], "std"),
+        ],
+        ids=["centered-sum", "standardized-sum", "standardized-squares"],
+    )
+    def test_overflowing_column_statistic_is_rejected_before_writing(self, kind, column, stat):
+        # A std of inf used to turn the column into zeros inside an ok cell.
+        matrix = np.column_stack([[1.0, 2.0, 4.0, 8.0][: len(column)], column])
+        before = matrix.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"column 1's {stat} is not finite"):
+                apply_scaling(matrix, kind, out=matrix)
+        assert matrix.tobytes() == before.tobytes()
+
+    def test_constant_column_near_the_limit_is_standardized_to_zero(self):
+        # Its mean overflows, but a constant column becomes 0 whatever its
+        # mean and std, so nothing is reported.
+        matrix = np.column_stack([np.full(3, 1e308), [1.0, 2.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_scaling(matrix, ScalingKind.STANDARDIZED)
+        assert np.all(out[:, 0] == 0.0)
+        assert out[:, 1].tobytes() == apply_scaling(matrix[:, 1:], ScalingKind.STANDARDIZED).tobytes()
 
     def test_rejects_single_row(self):
         with pytest.raises(ValueError, match="2 rows"):

@@ -68,7 +68,7 @@ def test_products_are_written_only_where_a_pin_is_held():
 
 def test_no_module_splits_text_with_splitlines():
     # str.splitlines also ends a line at U+2028, U+0085 and other separators;
-    # text readers split at "\n" through dataset.text_lines instead.
+    # text readers iterate the open file through dataset.read_lines instead.
     found = [
         f"{module}:{node.lineno}"
         for module, tree in _trees().items()
@@ -94,3 +94,19 @@ def test_no_module_reads_the_environment():
         )
     ]
     assert found == []
+
+
+def test_only_the_summary_reader_reads_a_whole_file():
+    # Config, data and label files go through dataset.read_lines, which holds
+    # one line at a time. report's summary.csv is read whole, for csv, which
+    # parses records rather than lines.
+    found = {
+        (module, getattr(top, "name", None))
+        for module, tree in _trees().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("read_text", "read_bytes", "read", "readlines")
+    }
+    assert found == {("cli", "_read_summary")}
