@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import __version__
 from .dataset import DatasetFormatError, is_plain_ascii, read_lines, save_dataset
@@ -331,13 +331,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_summary(path: Path) -> list[dict]:
-    text = path.read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
+def _summary_records(path: Path) -> Iterator[list[str]]:
+    # Each line gets back the newline read_lines strips, so that a quoted
+    # field spanning lines keeps it, as csv reads it from a file.
+    reader = csv.reader(line + "\n" for line in read_lines(path, ReportError))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ReportError(f"{path}: empty file") from None
+        yield from reader
+    except csv.Error as exc:
+        raise ReportError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _read_summary(path: Path) -> list[dict]:
+    reader = _summary_records(path)
+    header = next(reader, None)
+    if header is None:
+        raise ReportError(f"{path}: empty file")
     if tuple(header) != SUMMARY_HEADER:
         raise ReportError(
             f"{path}: bad header {header!r}, expected {','.join(SUMMARY_HEADER)}"
@@ -390,9 +398,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         key = (row["metric"], row["noise"], row["scaling"])
         panels.setdefault(key, {}).setdefault(row["dataset"], []).append(row)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = 0
+    # Every panel is rendered before any is written, so a panel that cannot
+    # be drawn leaves no partial set behind.
+    svgs: dict[str, str] = {}
     for (metric, noise, scaling), by_dataset in sorted(panels.items()):
         series: dict[str, list[Series]] = {"mean": [], "std": []}
         for dataset in dataset_order:
@@ -406,15 +414,21 @@ def cmd_report(args: argparse.Namespace) -> int:
             series["mean"].append(Series(label=dataset, x=x, y=means, band=band))
             series["std"].append(Series(label=dataset, x=x, y=stds))
         for stat, stat_series in series.items():
-            svg = render_panel(
-                tuple(stat_series),
-                title=f"{metric} {stat} ({noise} noise, {scaling} scaling)",
-                x_label="noise columns per baseline column",
-                y_label=f"{metric} {stat}",
-            )
-            (out / f"{stat}_{metric}_{noise}_{scaling}.svg").write_text(svg, encoding="utf-8")
-            written += 1
-    print(f"wrote {written} panels to {out}")
+            name = f"{stat}_{metric}_{noise}_{scaling}.svg"
+            try:
+                svgs[name] = render_panel(
+                    tuple(stat_series),
+                    title=f"{metric} {stat} ({noise} noise, {scaling} scaling)",
+                    x_label="noise columns per baseline column",
+                    y_label=f"{metric} {stat}",
+                )
+            except ValueError as exc:
+                raise ReportError(f"{args.summary}: panel {name}: {exc}") from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, svg in svgs.items():
+        (out / name).write_text(svg, encoding="utf-8")
+    print(f"wrote {len(svgs)} panels to {out}")
     return 0
 
 

@@ -9,6 +9,7 @@ are independent of scheduling and of which other cells run.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -201,14 +202,15 @@ class _Cell:
     """One sweep cell: a dataset, noise kind, scaling and augmentation level.
 
     `noise` holds the curve's fixed noise columns up to its largest level,
-    shared by every cell of the curve, or the ValueError their draw raised;
-    it is None when noise is redrawn per repeat.
+    shared by every cell of the curve. It is None when noise is redrawn per
+    repeat, or when the curve's draw raised: the cell then draws its own
+    columns and meets that error itself.
     """
 
     dataset_index: int
     base: LabeledDataset
     spec: NoiseSpec
-    noise: Union[np.ndarray, ValueError, None]
+    noise: Optional[np.ndarray]
     scaling: ScalingKind
     level: int
 
@@ -251,13 +253,12 @@ def _cell_rows(
 def _cell_matrices(cell: _Cell, config: SweepConfig):
     """Yield (scaled matrix, k-means seeds of the repeats clustered on it).
 
-    A fixed-noise cell, and level 0 of any sweep, is one matrix for all its
-    repeats; a redraw cell above level 0 draws one matrix per repeat. Each
-    matrix above level 0 is the baseline with its noise columns stacked to
-    the right, a new array that is scaled in place, so it is the one
-    matrix-sized array the cell holds. Level 0 scales a copy, because the
-    baseline points are shared by every cell. No name holds a per-repeat
-    draw across a yield.
+    Every matrix is the baseline with the cell's `level` noise columns (none
+    at level 0) stacked to the right: a new array, scaled in place, so it is
+    the one matrix-sized array the cell holds. A redraw cell with columns to
+    draw draws them once per repeat, one matrix each. Any other cell is one
+    matrix for all its repeats, its columns sliced from the curve's draw or,
+    when the curve has none, drawn by the cell.
     """
     base, spec, level = cell.base, cell.spec, cell.level
     seeds = [
@@ -271,19 +272,16 @@ def _cell_matrices(cell: _Cell, config: SweepConfig):
         matrix = np.hstack([base.points, columns])
         return apply_scaling(matrix, cell.scaling, out=matrix)
 
-    if level == 0:
-        yield apply_scaling(base.points, cell.scaling), seeds
-    elif config.redraw_noise_per_repeat:
+    if config.redraw_noise_per_repeat and level > 0:
         for repeat, seed in enumerate(seeds):
             yield stacked(append_noise(base, spec, level, seed=(spec.seed, repeat))), [seed]
+    elif cell.noise is None:
+        yield stacked(append_noise(base, spec, level)), seeds
     else:
         yield stacked(cell.noise[:, :level]), seeds
 
 
 def _run_cell(cell: _Cell, config: SweepConfig) -> list[SweepCell]:
-    if cell.level > 0 and isinstance(cell.noise, ValueError):
-        return _cell_rows(cell, config, error=cell.noise)
-
     # Each matrix's repeats are fitted first and then scored in one metrics
     # pass, which computes every silhouette distance block once per matrix.
     # A matrix whose distances fit one block gets that block up front, and
@@ -322,10 +320,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     For each (dataset, noise kind, scaling) triple, augmentation levels run
     from 0 to ceil(max_ratio * D) columns in ratio_step increments; each cell
     clusters `repeats` times and records every metric's per-repeat values
-    and their mean and population standard deviation. Cells that hit a data
-    condition (a ValueError such as a uniform bound mu + 2*sigma that is not
-    a positive finite number) are marked error:<code> rather than aborting
-    the sweep; any other exception propagates.
+    and their mean and population standard deviation. A cell that hits a
+    data condition (a ValueError such as a uniform bound mu + 2*sigma that
+    is not a positive finite number) is marked error:<code> rather than
+    aborting the sweep; any other exception propagates. A draw of no noise
+    columns raises nothing, so a level-0 cell never fails on its noise.
 
     With more than one worker the cells run on a thread pool, and OpenBLAS
     (if that is numpy's BLAS) is held to one thread meanwhile, its previous
@@ -352,10 +351,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             )
             noise = None
             if not config.redraw_noise_per_repeat:
-                try:
+                # If this raises, each cell draws its columns and meets it.
+                with contextlib.suppress(ValueError):
                     noise = append_noise(base, spec, levels[-1])
-                except ValueError as exc:
-                    noise = exc
             cells.extend(
                 _Cell(dataset_index, base, spec, noise, scaling, level)
                 for scaling in config.scalings

@@ -47,7 +47,8 @@ class ClusteringResult:
 
     inertia is the within-cluster sum of squared Euclidean distances;
     inertia_history records it after each assignment step (the final entry is
-    the returned inertia).
+    the returned inertia). reseeds counts the emptied clusters re-seeded,
+    summed over every update.
     """
 
     assignments: np.ndarray
@@ -55,6 +56,7 @@ class ClusteringResult:
     inertia: float
     iterations: int
     converged: bool
+    reseeds: int
     inertia_history: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -201,6 +203,7 @@ def fit(
     history: list[float] = []
     converged = False
     iterations = 0
+    reseeds = 0
     # The assignment the current centers are the exact means of, if any.
     settled = None
     for _ in range(config.max_iterations):
@@ -228,6 +231,7 @@ def fit(
                 new_centers[j] = matrix[int(np.argmax(d2[:, j]))]
         filled = counts > 0
         new_centers[filled] /= counts[filled, None]
+        reseeds += k - int(filled.sum())
 
         shift = float(((new_centers - centers) ** 2).sum())
         centers = new_centers
@@ -250,5 +254,6 @@ def fit(
         inertia=inertia,
         iterations=iterations,
         converged=converged,
+        reseeds=reseeds,
         inertia_history=tuple(history),
     )

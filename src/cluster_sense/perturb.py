@@ -79,7 +79,8 @@ def append_noise(
     then n draws from Normal(mu_r, sigma_r). The draw order is fixed (eta,
     sign, eta2, sign2): eta and eta2 are Uniform[0,1), and each sign is +1
     when its own Uniform[0,1) draw is >= 0.5, else -1. ValueError is raised
-    when mu or sigma is not finite and count > 0.
+    when mu or sigma is not finite and count > 0. Every check runs before
+    any column is drawn.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")

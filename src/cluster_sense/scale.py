@@ -29,6 +29,11 @@ class ScalingKind(enum.Enum):
 _SCALING_CODES = {ScalingKind.NONE: 0, ScalingKind.CENTERED: 1, ScalingKind.STANDARDIZED: 2}
 
 
+def _require_finite(statistic: np.ndarray, name: str) -> None:
+    if not np.isfinite(statistic).all():
+        raise ValueError(f"column {np.argmin(np.isfinite(statistic))}'s {name} is not finite")
+
+
 def apply_scaling(
     matrix: np.ndarray, kind: ScalingKind, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -41,7 +46,8 @@ def apply_scaling(
     out, when given, must be a float64 array of the matrix's shape, and may be
     the matrix itself: every statistic is taken from the input before `out`
     is written, so the result has the same bits as a copy would. Nothing is
-    written when the call raises.
+    written when the call raises: a column whose mean, std or largest
+    deviation from its mean overflows float64 raises a ValueError naming it.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -61,8 +67,9 @@ def apply_scaling(
     if kind is ScalingKind.NONE:
         np.copyto(out, matrix)
         return out
-    # Entries near the float64 limit can overflow a column's mean or std:
-    # that raises here, before `out` is written, not as numpy warnings.
+    # Entries near the float64 limit can overflow a column's mean, its std,
+    # or its deviations from a finite mean: that raises here, before `out`
+    # is written, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         mean = matrix.mean(axis=0)
         if kind is ScalingKind.STANDARDIZED:
@@ -72,10 +79,10 @@ def apply_scaling(
             constant = (matrix == matrix[0]).all(axis=0)
             mean[constant] = matrix[0, constant]
             sigma = np.where(constant, 1.0, matrix.std(axis=0))
-            if not np.isfinite(sigma).all():
-                raise ValueError(f"column {np.argmin(np.isfinite(sigma))}'s std is not finite")
-    if not np.isfinite(mean).all():
-        raise ValueError(f"column {np.argmin(np.isfinite(mean))}'s mean is not finite")
+            _require_finite(sigma, "std")
+        _require_finite(mean, "mean")
+        reach = np.maximum(matrix.max(axis=0) - mean, mean - matrix.min(axis=0))
+        _require_finite(reach, "deviation from its mean")
     np.subtract(matrix, mean, out=out)
     if kind is ScalingKind.STANDARDIZED:
         np.divide(out, sigma, out=out)

@@ -64,8 +64,7 @@ class Series:
         return triples
 
 
-def _tick_step(span: float, target: int) -> float:
-    raw = span / max(target, 1)
+def _tick_step(raw: float) -> float:
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if power * mult >= raw:
@@ -74,9 +73,17 @@ def _tick_step(span: float, target: int) -> float:
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    step = _tick_step(hi - lo, target)
+    """Round-numbered ticks from lo to hi, about `target` of them.
+
+    ValueError when the range is empty (the data range pads a single value,
+    but the pad can round off), wider than float64 holds, or so narrow for
+    its magnitude that adding a step would not move past its ends.
+    """
+    raw = (hi - lo) / target
+    step = _tick_step(raw) if 0.0 < raw < math.inf else 0.0
+    edge = max(abs(lo), abs(hi))
+    if not edge + step > edge:
+        raise ValueError(f"the axis range {lo!r} to {hi!r} cannot be ticked in float64")
     first = math.ceil(lo / step) * step
     ticks = []
     value = first

@@ -162,8 +162,9 @@ def lloyd_reference(matrix, centers, max_iterations, tolerance):
     assignment pass against the last centroids.
 
     Returns (assignments, centroids, inertia, iterations, converged,
-    inertia_history), which kmeans.fit must reproduce bit for bit from the
-    same centers and tolerance.
+    inertia_history, reseeds), which kmeans.fit must reproduce bit for bit
+    from the same centers and tolerance; reseeds counts the emptied clusters
+    re-seeded over every update.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64).copy()
@@ -173,6 +174,7 @@ def lloyd_reference(matrix, centers, max_iterations, tolerance):
     history = []
     converged = False
     iterations = 0
+    reseeds = 0
     for _ in range(max_iterations):
         d2 = pairwise_sq_distances(matrix, centers, row_sq_norms)
         assignments = np.argmin(d2, axis=1)
@@ -185,6 +187,7 @@ def lloyd_reference(matrix, centers, max_iterations, tolerance):
                 new_centers[j] = matrix[assignments == j].mean(axis=0)
             else:
                 new_centers[j] = matrix[int(np.argmax(d2[:, j]))]
+                reseeds += 1
 
         shift = float(((new_centers - centers) ** 2).sum())
         centers = new_centers
@@ -197,7 +200,7 @@ def lloyd_reference(matrix, centers, max_iterations, tolerance):
     assignments = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), assignments].sum())
     history.append(inertia)
-    return assignments, centers, inertia, iterations, converged, tuple(history)
+    return assignments, centers, inertia, iterations, converged, tuple(history), reseeds
 
 
 def _noise_column_rng(seed, j):

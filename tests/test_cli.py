@@ -1,18 +1,24 @@
 """End-to-end CLI tests: config parsing, subcommands, exit codes, outputs."""
 
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import re
+import tempfile
 import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cluster_sense
 from cluster_sense import cli, distance, experiment
 from cluster_sense.experiment import FileSource, GeneratorSource, SweepConfig
+from cluster_sense.metrics import METRIC_NAMES
 from cluster_sense.perturb import NoiseKind
 from cluster_sense.scale import ScalingKind
 
@@ -35,6 +41,33 @@ SMALL_CONFIG = textwrap.dedent(
     seed = 5
     """
 )
+
+
+@st.composite
+def _summary_rows(draw):
+    """One summary record: valid fields that mostly share a panel, and
+    sometimes one field replaced by "x" or the record cut short."""
+    number = st.one_of(
+        st.sampled_from(["0", "1e308", "-1e308", "5e-324", "1e16", "1.0000000000000004e16"]),
+        st.floats().map(repr),
+    )
+    row = [
+        draw(st.sampled_from(["a", "b"])),
+        draw(st.sampled_from(["gaussian", "gaussian", " Uniform"])),
+        draw(st.sampled_from(["none", "none", "standardized"])),
+        draw(number),
+        draw(st.sampled_from(["ari", "ari", "silhouette"])),
+        draw(number),
+        draw(number),
+        "2",
+        draw(st.sampled_from(["ok", "ok", "error:value-error"])),
+    ]
+    flaw = draw(st.sampled_from([None] * 20 + ["short", *range(len(row))]))
+    if flaw == "short":
+        return row[:4]
+    if flaw is not None:
+        row[flaw] = "x"
+    return row
 
 
 def _write(path, text):
@@ -551,19 +584,25 @@ class TestRun:
         assert rc == 1
         assert "nope.cfg" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, code", [("config", 2), ("data", 1), ("labels", 1)])
+    @pytest.mark.parametrize(
+        "kind, code", [("config", 2), ("data", 1), ("labels", 1), ("summary", 1)]
+    )
     def test_input_that_is_not_utf8_names_its_file(self, tmp_path, capsys, kind, code):
         files = {
             "config": "noise = uniform\nrepeats = 2\n[dataset]\ndata = data.txt\nlabels = labels.txt\n",
             "data": "1 2\n3 4\n5 6\n",
             "labels": "0\n1\n0\n",
+            "summary": ",".join(cli.SUMMARY_HEADER) + "\nmini,gaussian,none,0.0,ari,1.0,0.0,2,ok\n",
         }
         for name, text in files.items():
             (tmp_path / f"{name}.txt").write_bytes(text.encode("utf-8"))
         bad = tmp_path / f"{kind}.txt"
         bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
         out = tmp_path / "out"
-        rc = cli.main(["run", "--config", str(tmp_path / "config.txt"), "--out", str(out)])
+        if kind == "summary":
+            rc = cli.main(["report", "--summary", str(bad), "--out", str(out)])
+        else:
+            rc = cli.main(["run", "--config", str(tmp_path / "config.txt"), "--out", str(out)])
         assert rc == code
         assert capsys.readouterr().err == (
             f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n"
@@ -645,6 +684,66 @@ class TestReport:
         rc = cli.main(["report", "--summary", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "error-marked" in capsys.readouterr().err
+
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "summary.csv"
+        row = "x" * 131073 + ",gaussian,none,0.0,ari,1.0,0.0,2,ok"
+        bad.write_text(",".join(cli.SUMMARY_HEADER) + "\n" + row + "\n", encoding="utf-8")
+        rc = cli.main(["report", "--summary", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: field larger than field limit (131072)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [
+                "mini,gaussian,none,0.0,silhouette,1e308,0.0,2,ok",
+                "mini,gaussian,none,0.5,silhouette,-1e308,0.0,2,ok",
+            ],
+            ["mini,gaussian,none,0.0,silhouette,0.0,1e308,2,ok"],
+            [
+                "mini,gaussian,none,0.0,silhouette,1e16,0.0,2,ok",
+                "mini,gaussian,none,0.5,silhouette,1.0000000000000004e16,0.0,2,ok",
+            ],
+        ],
+        ids=["means", "std-band", "narrow"],
+    )
+    def test_panel_whose_range_cannot_be_ticked_names_the_panel(self, tmp_path, capsys, rows):
+        # The silhouette mean panel's values (and +-std band) span more than
+        # float64 holds, or so little for their size that a tick step of 1
+        # added to 1e16 rounds back to 1e16 (the tick loop used to run
+        # forever). The ari panels sort first and are drawable, but no panel
+        # is written.
+        bad = tmp_path / "summary.csv"
+        good = "mini,gaussian,none,0.0,ari,0.5,0.1,2,ok"
+        bad.write_text(
+            "\n".join([",".join(cli.SUMMARY_HEADER), good, *rows]) + "\n", encoding="utf-8"
+        )
+        rc = cli.main(["report", "--summary", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        panel = "panel mean_silhouette_gaussian_none.svg"
+        assert err.startswith(f"error: {bad}: {panel}: the axis range")
+        assert err.endswith("cannot be ticked in float64\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(rows=st.lists(_summary_rows(), max_size=6))
+    def test_report_on_any_summary_exits_0_or_1(self, rows):
+        # Any rows under a valid header: report writes its panels or names
+        # what it cannot use on one error line; it never raises.
+        with tempfile.TemporaryDirectory() as directory:
+            summary = Path(directory) / "summary.csv"
+            with open(summary, "w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle).writerows([cli.SUMMARY_HEADER, *rows])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["report", "--summary", str(summary), "--out", directory + "/out"])
+        assert rc in (0, 1)
+        if rc == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     def test_missing_summary_exits_1(self, tmp_path):
         rc = cli.main(

@@ -341,6 +341,33 @@ class TestRunSweep:
         assert degraded and all(c.status == "error:uniform-range" for c in degraded)
         assert all(math.isnan(c.mean) and math.isnan(c.std) for c in degraded)
 
+    def test_a_curve_whose_noise_draw_fails_keeps_no_noise(self, tmp_path, monkeypatch):
+        # The curve's fixed-noise draw raises, so its cells hold no noise and
+        # no exception: each draws its own columns inside _run_cell, where a
+        # level above 0 raises InvalidNoiseRange and level 0 draws none.
+        seen = []
+        original = experiment._run_cell
+
+        def recording(cell, config):
+            rows = original(cell, config)
+            seen.append((cell.level > 0, cell.noise, rows[0].status))
+            return rows
+
+        monkeypatch.setattr(experiment, "_run_cell", recording)
+        config = _toy_config(
+            datasets=(_negative_source(tmp_path),),
+            noise_kinds=(NoiseKind.UNIFORM,),
+            max_ratio=Fraction(2, 3),
+            ratio_step=1,
+            workers=1,
+        )
+        run_sweep(config)
+        assert seen and all(noise is None for _, noise, _ in seen)
+        assert {(above, status) for above, _, status in seen} == {
+            (False, "ok"),
+            (True, "error:uniform-range"),
+        }
+
     def test_redraw_noise_per_repeat(self):
         fixed = run_sweep(_toy_config())
         redrawn = run_sweep(_toy_config(redraw_noise_per_repeat=True))
@@ -413,12 +440,12 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_stacked_matrix_is_scaled_in_place(self, monkeypatch, redraw):
-        # Above level 0 a cell stacks its matrix once and scales that array
-        # in place: every matrix wider than the base points comes back from
-        # apply_scaling as the same object. While the repeats are fitted, the
-        # matrix being fitted is the only one of them alive, and every
-        # per-repeat noise draw is gone. The fixed-noise columns are shared
-        # by all cells and stay alive.
+        # Every cell, level 0 included, stacks its matrix once into a new
+        # array and scales that array in place: every matrix comes back from
+        # apply_scaling as the same object, which owns its data. While the
+        # repeats are fitted, the matrix being fitted is the only one of them
+        # alive, and every per-repeat noise draw is gone. The fixed-noise
+        # columns are shared by all cells and stay alive.
         stacked, draws, wide_fits = [], [], []
         original_append = experiment.append_noise
         original_scaling = experiment.apply_scaling
@@ -432,17 +459,15 @@ class TestRunSweep:
 
         def tracked_scaling(matrix, kind, **kwargs):
             scaled = original_scaling(matrix, kind, **kwargs)
-            if matrix.shape[1] > TOY.dims:
-                assert scaled is matrix
-                stacked.append(weakref.ref(matrix))
+            assert scaled is matrix and matrix.flags.owndata
+            stacked.append(weakref.ref(matrix))
             return scaled
 
         def checked_fit(matrix, kmeans_config, **kwargs):
             assert [ref for ref in draws if ref() is not None] == []
             alive = [ref() for ref in stacked if ref() is not None]
-            wide = matrix.shape[1] > TOY.dims
-            assert len(alive) == wide and all(other is matrix for other in alive)
-            wide_fits.append(wide)
+            assert len(alive) == 1 and alive[0] is matrix
+            wide_fits.append(matrix.shape[1] > TOY.dims)
             return original_fit(matrix, kmeans_config, **kwargs)
 
         monkeypatch.setattr(experiment, "append_noise", tracked_append)
@@ -450,7 +475,7 @@ class TestRunSweep:
         monkeypatch.setattr(experiment, "fit", checked_fit)
         result = run_sweep(_toy_config(redraw_noise_per_repeat=redraw, workers=1))
         assert all(c.status == "ok" for c in result.cells)
-        assert len(stacked) > 0 and any(wide_fits)
+        assert any(wide_fits) and not all(wide_fits)
         assert (len(draws) > 0) == redraw
 
     def test_each_matrix_is_freed_before_the_next_is_drawn(self, monkeypatch):

@@ -33,6 +33,7 @@ def _assert_same_fit(a, b):
     assert a.inertia == b.inertia
     assert a.iterations == b.iterations
     assert a.converged == b.converged
+    assert a.reseeds == b.reseeds
     assert a.inertia_history == b.inertia_history
 
 
@@ -313,6 +314,7 @@ class TestFit:
         assert result.converged
         assert set(result.assignments.tolist()) == {0, 1}
         assert result.inertia == pytest.approx(1.0, abs=1e-9)
+        assert result.reseeds == 1
 
     def test_default_tolerance_matches_explicit(self):
         ds = generate_dim_like(6, 4, 25, 10.0, seed=13)
@@ -407,8 +409,8 @@ class TestLloydReference:
         tolerance = config.tolerance
         if tolerance is None:
             tolerance = 1e-4 * float(matrix.var(axis=0).mean())
-        assignments, centroids, inertia, iterations, converged, history = lloyd_reference(
-            matrix, centers, config.max_iterations, tolerance
+        assignments, centroids, inertia, iterations, converged, history, reseeds = (
+            lloyd_reference(matrix, centers, config.max_iterations, tolerance)
         )
         assert np.array_equal(result.assignments, assignments)
         assert result.centroids.tobytes() == centroids.tobytes()
@@ -416,6 +418,7 @@ class TestLloydReference:
         assert result.iterations == iterations
         assert result.converged == converged
         assert result.inertia_history == history
+        assert result.reseeds == reseeds
 
     def test_non_finite_data_is_never_settled(self):
         # An infinite entry makes the centroid movement NaN, which never meets
@@ -497,3 +500,5 @@ class TestDistanceCallCount:
         result = fit(matrix, KMeansConfig(k=2, tolerance=0.0), centers)
         assert (result.iterations, result.converged) == (2, True)
         assert len(calls) == result.iterations + 1
+        # Cluster 1 empties on both assignments and is re-seeded by both updates.
+        assert result.reseeds == 2

@@ -130,6 +130,17 @@ class TestApplyScaling:
                 apply_scaling(matrix, kind, out=matrix)
         assert matrix.tobytes() == before.tobytes()
 
+    def test_centered_column_whose_deviations_overflow_is_rejected_before_writing(self):
+        # The mean, 5.7e307, is finite, but 5.7e307 - (-1.7e308) is not: the
+        # subtraction used to print a numpy overflow warning.
+        matrix = np.array([[1.7e308, 1.0], [-1.7e308, 2.0], [1.7e308, 3.0]])
+        before = matrix.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="column 0's deviation from its mean is not"):
+                apply_scaling(matrix, ScalingKind.CENTERED, out=matrix)
+        assert matrix.tobytes() == before.tobytes()
+
     def test_constant_column_near_the_limit_is_standardized_to_zero(self):
         # Its mean overflows, but a constant column becomes 0 whatever its
         # mean and std, so nothing is reported.

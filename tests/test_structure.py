@@ -96,10 +96,9 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
-def test_only_the_summary_reader_reads_a_whole_file():
-    # Config, data and label files go through dataset.read_lines, which holds
-    # one line at a time. report's summary.csv is read whole, for csv, which
-    # parses records rather than lines.
+def test_no_module_reads_a_whole_file():
+    # Config, data, label and summary files go through dataset.read_lines,
+    # which holds one line at a time.
     found = {
         (module, getattr(top, "name", None))
         for module, tree in _trees().items()
@@ -109,4 +108,4 @@ def test_only_the_summary_reader_reads_a_whole_file():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in ("read_text", "read_bytes", "read", "readlines")
     }
-    assert found == {("cli", "_read_summary")}
+    assert found == set()
