@@ -475,8 +475,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ReportError, DatasetFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ReportError, DatasetFormatError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -54,12 +54,12 @@ class LabeledDataset:
     """Point matrix with ground-truth cluster labels.
 
     points: (n, d) float64 matrix, one point per row.
-    labels: (n,) integer cluster id per row, dense in [0, n_clusters).
+    labels: (n,) integer cluster id per row, covering every id in [0, k)
+    for k = n_clusters = labels.max() + 1.
     """
 
     points: np.ndarray
     labels: np.ndarray
-    n_clusters: int
     name: str = "dataset"
 
     def __post_init__(self):
@@ -73,15 +73,15 @@ class LabeledDataset:
             )
         if not np.all(np.isfinite(points)):
             raise ValueError("points contain non-finite entries")
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be positive")
         present = np.unique(labels)
-        if present.size != self.n_clusters or present[0] != 0 or present[-1] != self.n_clusters - 1:
-            raise ValueError(
-                f"labels must cover every id in [0, {self.n_clusters}) at least once"
-            )
+        if present[0] != 0 or present.size != present[-1] + 1:
+            raise ValueError(f"labels must cover every id in [0, {present[-1] + 1}) at least once")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
+
+    @property
+    def n_clusters(self) -> int:
+        return int(self.labels.max()) + 1
 
     @property
     def n_points(self) -> int:
@@ -118,7 +118,9 @@ def generate_dim_like(
     the k grid coordinates {0, separation, ..., (k-1)*separation} in a random
     order, so any two centers differ by at least `separation` on every axis.
     Each center coordinate is then jittered by Uniform(+-0.1*separation).
-    Deterministic for fixed arguments; rows are grouped by cluster.
+    Deterministic for fixed arguments; rows are grouped by cluster. A
+    separation whose largest grid coordinate plus jitter overflows float64
+    raises ValueError before anything is drawn.
     """
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
@@ -128,6 +130,11 @@ def generate_dim_like(
         raise ValueError(f"points_per_cluster must be positive, got {points_per_cluster}")
     if not 0 < separation < math.inf:
         raise ValueError(f"separation must be positive and finite, got {separation}")
+    if not math.isfinite((n_clusters - 1) * separation + _JITTER_FRACTION * separation):
+        raise ValueError(
+            f"separation {separation} with {n_clusters} clusters puts the centers "
+            f"past the float64 range"
+        )
 
     rng = derive_rng(seed, _GENERATOR_STREAM)
     # One independent cluster->grid-row assignment per axis.
@@ -147,7 +154,6 @@ def generate_dim_like(
     return LabeledDataset(
         points=points,
         labels=labels,
-        n_clusters=n_clusters,
         name=name if name is not None else f"dim{d}",
     )
 
@@ -184,11 +190,9 @@ def load_dataset(data_path: str | Path, labels_path: str | Path, name: str | Non
             f"{labels_path}: {len(raw_labels)} labels for {len(points)} data lines in {data_path}"
         )
 
-    labels = dense_remap(raw_labels)
     return LabeledDataset(
         points=points,
-        labels=labels,
-        n_clusters=int(labels.max()) + 1,
+        labels=dense_remap(raw_labels),
         name=name if name is not None else data_path.stem,
     )
 

@@ -13,12 +13,12 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
 from .distance import (
     blas_thread_count,
@@ -27,7 +27,7 @@ from .distance import (
     row_blocks,
 )
 from .kmeans import KMeansConfig, default_tolerance, fit
-from .metrics import METRIC_NAMES, MetricReport, evaluate_clustering
+from .metrics import METRIC_NAMES, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
 from .scale import ScalingKind, apply_scaling
 from .seeding import derive_seed
@@ -143,7 +143,6 @@ class SweepResult:
 
     cells: tuple[SweepCell, ...]
     config: SweepConfig
-    version: str = __version__
     # Resolved worker count and the number of threads silhouette's distance
     # blocks could be spread over (None when the BLAS thread count cannot be
     # read or set); every BLAS product itself runs on one BLAS thread.
@@ -218,12 +217,13 @@ class _Cell:
 def _cell_rows(
     cell: _Cell,
     config: SweepConfig,
-    reports: Sequence[MetricReport] = (),
+    scores: Sequence[dict[str, np.ndarray]] = (),
     error: Optional[Exception] = None,
 ) -> list[SweepCell]:
-    """The cell's row per metric: its values in the repeat reports and their
-    mean and population std, or NaN and status error:<code> when the cell
-    failed (`error`) or the metric has a non-finite value."""
+    """The cell's row per metric: its values, joined in repeat order from
+    `scores` (one evaluate_clustering result per matrix), and their mean and
+    population std, or NaN and status error:<code> when the cell failed
+    (`error`) or the metric has a non-finite value."""
     key = dict(
         dataset=cell.base.name,
         noise=cell.spec.kind.value,
@@ -234,7 +234,7 @@ def _cell_rows(
     failed = None if error is None else _error_code(error)
     rows = []
     for metric in METRIC_NAMES:
-        values = np.array([getattr(report, metric) for report in reports])
+        values = np.concatenate([score[metric] for score in scores]) if scores else np.empty(0)
         code = failed or (None if np.all(np.isfinite(values)) else "non-finite-metric")
         rows.append(
             SweepCell(
@@ -289,7 +289,7 @@ def _run_cell(cell: _Cell, config: SweepConfig) -> list[SweepCell]:
     # taken first, so the matrix-sized temporary of its variance is freed
     # before the distances exist. Both names are dropped before the next
     # matrix is drawn, so one matrix is alive at a time.
-    reports = []
+    scores = []
     try:
         for scaled, seeds in _cell_matrices(cell, config):
             tolerance = default_tolerance(scaled)
@@ -305,13 +305,13 @@ def _run_cell(cell: _Cell, config: SweepConfig) -> list[SweepCell]:
                     for seed in seeds
                 ]
             )
-            reports.extend(
+            scores.append(
                 evaluate_clustering(scaled, assignments, cell.base.labels, distances=distances)
             )
             del scaled, distances
     except ValueError as exc:  # degraded cell, sweep continues; bugs propagate
         return _cell_rows(cell, config, error=exc)
-    return _cell_rows(cell, config, reports)
+    return _cell_rows(cell, config, scores)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -342,6 +342,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         base = source.load()
         stats = compute_stats(base)
         levels = sweep_levels(base.n_features, config.max_ratio, config.ratio_step)
+        width = base.n_features + levels[-1]
+        if base.n_points * width * 8 > np.iinfo(np.intp).max:  # bytes of float64 values
+            raise ValueError(
+                f"max_ratio is too large for dataset {base.name!r}: its widest matrix would "
+                f"have {Decimal(width):.3g} columns, more than numpy can index in "
+                f"{base.n_points} rows"
+            )
         for kind in config.noise_kinds:
             spec = NoiseSpec(
                 kind,

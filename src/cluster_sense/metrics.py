@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,45 +258,32 @@ def davies_bouldin(matrix: np.ndarray, assignments: np.ndarray) -> float:
     return float(ratios.max(axis=1).mean())
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """The five metric values for one clustering against ground truth."""
-
-    nmi: float
-    ri: float
-    ari: float
-    silhouette: float
-    davies_bouldin: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
-
 def evaluate_clustering(
     matrix: np.ndarray,
     assignments: np.ndarray,
     truth: np.ndarray,
     distances: np.ndarray | None = None,
-) -> MetricReport | list[MetricReport]:
-    """All five metrics for one clustering (external ones against `truth`).
+) -> dict[str, np.ndarray]:
+    """All five metrics for each clustering in a stack (R, n) of clusterings
+    of the same matrix, the external ones against `truth`.
 
-    Like `silhouette`, takes one labeling (n,), giving a report, or a stack
-    (R, n) of clusterings of the same matrix, giving a list of R reports, each
-    equal to the report of that clustering alone. distances, when given, is
-    pairwise_distances(matrix), passed on to `silhouette`; the reports are
-    the same either way.
+    Returns a dict mapping each name of METRIC_NAMES, in that order, to a
+    float64 array of R values, value r being that metric of labeling r. A
+    one-labeling stack (1, n) scores one clustering; a 1-D labeling raises
+    ValueError. distances, when given, is pairwise_distances(matrix), passed
+    on to `silhouette`; the values are the same either way.
     """
-    labelings, stacked = _labeling_stack(assignments)
+    labelings = np.asarray(assignments)
+    if labelings.ndim != 2:
+        raise ValueError(f"assignments must be a stack (R, n), got shape {labelings.shape}")
     tables = [contingency(labels, truth) for labels in labelings]
-    silhouettes = silhouette(matrix, labelings, distances)
-    reports = [
-        MetricReport(
-            nmi=nmi(table),
-            ri=rand_index(table),
-            ari=adjusted_rand_index(table),
-            silhouette=value,
-            davies_bouldin=davies_bouldin(matrix, labels),
-        )
-        for table, value, labels in zip(tables, silhouettes, labelings)
-    ]
-    return reports if stacked else reports[0]
+    columns = (
+        [nmi(table) for table in tables],
+        [rand_index(table) for table in tables],
+        [adjusted_rand_index(table) for table in tables],
+        silhouette(matrix, labelings, distances),
+        [davies_bouldin(matrix, labels) for labels in labelings],
+    )
+    return {
+        name: np.array(values, dtype=np.float64) for name, values in zip(METRIC_NAMES, columns)
+    }

@@ -5,7 +5,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import textwrap
 from fractions import Fraction
@@ -75,6 +78,26 @@ def _write(path, text):
     return str(path)
 
 
+def _main_under_memory_cap(argv, cap_bytes=1 << 30):
+    """Run cli.main(argv) in a new process whose address space is capped at
+    `cap_bytes`, so that a run that tries to hold too much fails in that
+    process instead of exhausting the machine's memory."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # OpenBLAS reserves address space per thread, so one thread keeps the
+    # child's start-up well under the cap whatever the CPU count.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap_bytes}, {cap_bytes}))\n"
+        "from cluster_sense import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestGenerate:
     def test_writes_both_files(self, tmp_path, capsys):
         rc = cli.main(
@@ -141,6 +164,14 @@ class TestGenerate:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{flag}: " in err and value in err
+        assert not (tmp_path / "out").exists()
+
+    def test_separation_that_overflows_the_grid_exits_1(self, tmp_path, capsys):
+        argv = ["generate", "--dims", "2", "--clusters", "3", "--separation", "1e308"]
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: separation 1e+308 with 3 clusters") and "Warning" not in err
         assert not (tmp_path / "out").exists()
 
     def test_infinite_separation_exits_2(self, tmp_path, capsys):
@@ -446,7 +477,7 @@ class TestRun:
             assert fields[7] == "2"
             assert fields[8] == "ok"
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["version"]
+        assert manifest["version"] == cluster_sense.__version__
         assert "created" in manifest
         # run always writes the same three files, the manifest last.
         assert manifest["emitted_files"] == [
@@ -456,6 +487,46 @@ class TestRun:
         ]
         # 8 sweep cells (4 levels x 2 noises x 1 scaling), not their 40 metric rows.
         assert capsys.readouterr().out == f"wrote {out / 'summary.csv'} (8 cells)\n"
+
+    def test_separation_that_overflows_the_grid_exits_1(self, tmp_path, capsys):
+        text = SMALL_CONFIG.replace("separation = 10.0", "separation = 1e308")
+        config_path = _write(tmp_path / "sweep.cfg", text)
+        rc = cli.main(["run", "--config", config_path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: separation 1e+308 with 3 clusters") and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "max_ratio, redraw, message",
+        [
+            ("1e400", "false", "error: max_ratio is too large for dataset 'tiny': its widest "
+             "matrix would have 2.00e+400 columns"),
+            ("1e400", "true", "error: max_ratio is too large for dataset 'tiny'"),
+            # Numpy can index this one, but the noise draw alone is 1.2 GiB.
+            ("1e7", "false", "error: Unable to allocate"),
+        ],
+        ids=["1e400", "1e400-redraw", "1e7"],
+    )
+    def test_sweep_too_large_to_run_exits_1(self, tmp_path, max_ratio, redraw, message):
+        # Under the cap, a sweep that sets out to build more than memory
+        # holds ends in one error line, in seconds, not in a traceback.
+        config = textwrap.dedent(
+            f"""\
+            max_ratio = {max_ratio}
+            redraw_noise_per_repeat = {redraw}
+            repeats = 1
+            [dataset]
+            name = tiny
+            dims = 2
+            clusters = 2
+            per_cluster = 4
+            """
+        )
+        config_path = _write(tmp_path / "sweep.cfg", config)
+        done = _main_under_memory_cap(["run", "--config", config_path, "--out", str(tmp_path / "out")])
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith(message)
+        assert done.stderr.count("\n") == 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)

@@ -22,25 +22,42 @@ from cluster_sense.metrics import adjusted_rand_index, contingency
 
 class TestLabeledDataset:
     def test_valid_construction(self):
-        ds = LabeledDataset(points=[[0.0, 1.0], [2.0, 3.0]], labels=[0, 1], n_clusters=2)
+        ds = LabeledDataset(points=[[0.0, 1.0], [2.0, 3.0]], labels=[1, 0])
         assert ds.n_points == 2
+        assert ds.n_clusters == 2
         assert ds.n_features == 2
         assert ds.points.dtype == np.float64
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="labels length"):
-            LabeledDataset(points=[[0.0], [1.0]], labels=[0], n_clusters=1)
+            LabeledDataset(points=[[0.0], [1.0]], labels=[0])
 
     def test_rejects_missing_cluster_id(self):
         with pytest.raises(ValueError, match="cover every id"):
-            LabeledDataset(points=[[0.0], [1.0]], labels=[0, 2], n_clusters=3)
+            LabeledDataset(points=[[0.0], [1.0]], labels=[0, 2])
+        with pytest.raises(ValueError, match=re.escape("cover every id in [0, 1)")):
+            LabeledDataset(points=[[0.0], [1.0]], labels=[-1, 0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            LabeledDataset(points=[[np.nan], [1.0]], labels=[0, 1], n_clusters=2)
+            LabeledDataset(points=[[np.nan], [1.0]], labels=[0, 1])
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("clusters, separation", [(3, 1e308), (2, 1.7e308), (1000, 1e306)])
+    def test_separation_past_the_float64_range_is_named(self, clusters, separation):
+        # Raised before any draw, so no numpy overflow warning is printed
+        # (tier-1 turns one into an error).
+        message = f"separation {separation!r} with {clusters} clusters"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_dim_like(2, clusters, 1, separation, seed=0)
+
+    def test_widest_separation_that_fits_float64_generates(self):
+        # 1.6e308 + 0.1 * 1.6e308 is below the float64 maximum, 1.797e308.
+        ds = generate_dim_like(2, 2, 4, 1.6e308, seed=0)
+        assert np.all(np.isfinite(ds.points))
+        assert ds.n_clusters == 2
+
     def test_paper_scale_shape(self):
         ds = generate_dim_like(32, 16, 64, 10.0, seed=7)
         assert ds.points.shape == (1024, 32)
@@ -100,27 +117,25 @@ class TestGenerator:
 
 class TestStats:
     def test_two_point_column(self):
-        ds = LabeledDataset(points=[[0.0], [2.0]], labels=[0, 1], n_clusters=2)
+        ds = LabeledDataset(points=[[0.0], [2.0]], labels=[0, 1])
         stats = compute_stats(ds)
         assert stats.mu == 1.0
         assert stats.sigma == 1.0
 
     def test_constant_matrix(self):
-        ds = LabeledDataset(points=[[1.0, 1.0], [1.0, 1.0]], labels=[0, 1], n_clusters=2)
+        ds = LabeledDataset(points=[[1.0, 1.0], [1.0, 1.0]], labels=[0, 1])
         stats = compute_stats(ds)
         assert stats.mu == 1.0
         assert stats.sigma == 0.0
 
     def test_population_not_sample_std(self):
-        ds = LabeledDataset(points=[[0.0], [1.0], [2.0]], labels=[0, 1, 2], n_clusters=3)
+        ds = LabeledDataset(points=[[0.0], [1.0], [2.0]], labels=[0, 1, 2])
         stats = compute_stats(ds)
         assert stats.sigma == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-15)
 
     def test_translation_equivariance(self):
         ds = generate_dim_like(4, 3, 20, 10.0, seed=5)
-        shifted = LabeledDataset(
-            points=ds.points + 13.5, labels=ds.labels, n_clusters=ds.n_clusters
-        )
+        shifted = LabeledDataset(points=ds.points + 13.5, labels=ds.labels)
         base = compute_stats(ds)
         moved = compute_stats(shifted)
         scale = max(1.0, abs(base.mu))
@@ -132,13 +147,12 @@ class TestStats:
         centered = LabeledDataset(
             points=ds.points - ds.points.mean(axis=0),
             labels=ds.labels,
-            n_clusters=ds.n_clusters,
         )
         stats = compute_stats(centered)
         assert abs(stats.mu) < 1e-9 * np.abs(ds.points).max()
 
     def test_rejects_single_row(self):
-        ds = LabeledDataset(points=[[1.0, 2.0]], labels=[0], n_clusters=1)
+        ds = LabeledDataset(points=[[1.0, 2.0]], labels=[0])
         with pytest.raises(ValueError, match="at least 2 rows"):
             compute_stats(ds)
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from cluster_sense import distance, metrics
 from cluster_sense.distance import pairwise_distances
 from cluster_sense.metrics import (
-    MetricReport,
+    METRIC_NAMES,
     adjusted_rand_index,
     contingency,
     davies_bouldin,
@@ -33,6 +33,18 @@ from oracles import (
 # Property tests run a fixed example sequence and keep no example database,
 # so every run checks the same cases.
 FIXED_EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+
+def _value_bits(scores):
+    """evaluate_clustering's values as float hex, metric by metric, so that
+    equal means bit for bit."""
+    return {name: [value.hex() for value in values.tolist()] for name, values in scores.items()}
+
+
+def _single_bits(matrix, stack, truth):
+    """_value_bits of each labeling of the stack scored alone, joined."""
+    singles = [_value_bits(evaluate_clustering(matrix, labels[None], truth)) for labels in stack]
+    return {name: [bits for single in singles for bits in single[name]] for name in METRIC_NAMES}
 
 
 def _random_labels(rng):
@@ -388,10 +400,11 @@ class TestSilhouetteStack:
         stack = np.stack([rng.integers(0, k, 60) for k in (2, 3, 5)])
         stack[1, 7] = 9  # a singleton cluster
         block_rows(60, 8)
-        reports = evaluate_clustering(matrix, stack, truth)
-        assert reports == [evaluate_clustering(matrix, labels, truth) for labels in stack]
+        scores = evaluate_clustering(matrix, stack, truth)
+        assert _value_bits(scores) == _single_bits(matrix, stack, truth)
         distances = pairwise_distances(matrix)
-        assert evaluate_clustering(matrix, stack, truth, distances=distances) == reports
+        reused = evaluate_clustering(matrix, stack, truth, distances=distances)
+        assert _value_bits(reused) == _value_bits(scores)
 
     def test_evaluate_clustering_builds_one_table_per_labeling(self, monkeypatch):
         # Each labeling is counted against the truth once, and that one table
@@ -414,11 +427,11 @@ class TestSilhouetteStack:
         recording("contingency", metrics.contingency, built.append)
         for name, tables in scored.items():
             recording(name, getattr(metrics, name), tables.append)
-        reports = evaluate_clustering(matrix, stack, truth)
+        scores = evaluate_clustering(matrix, stack, truth)
         assert len(built) == len(stack)
         for tables in scored.values():
             assert [id(table) for table in tables] == [id(table) for table in built]
-        assert reports == [evaluate_clustering(matrix, labels, truth) for labels in stack]
+        assert _value_bits(scores) == _single_bits(matrix, stack, truth)
 
     def test_one_collapsed_labeling_rejects_the_stack(self):
         matrix = np.arange(8.0).reshape(4, 2)
@@ -543,16 +556,26 @@ class TestInvariants:
         matrix = rng.normal(size=(30, 2))
         truth = rng.integers(0, 3, 30)
         assignments = rng.integers(0, 4, 30)
-        report = evaluate_clustering(matrix, assignments, truth)
-        assert isinstance(report, MetricReport)
-        out = report.as_dict()
-        assert list(out) == ["nmi", "ri", "ari", "silhouette", "davies_bouldin"]
+        scores = evaluate_clustering(matrix, assignments[None], truth)
+        assert list(scores) == list(METRIC_NAMES)
+        assert METRIC_NAMES == ("nmi", "ri", "ari", "silhouette", "davies_bouldin")
+        for values in scores.values():
+            assert values.dtype == np.float64 and values.shape == (1,)
+        out = {name: values[0] for name, values in scores.items()}
         table = contingency(assignments, truth)
         assert out["nmi"] == nmi(table)
         assert out["ri"] == rand_index(table)
         assert out["ari"] == adjusted_rand_index(table)
         assert out["silhouette"] == silhouette(matrix, assignments)
         assert out["davies_bouldin"] == davies_bouldin(matrix, assignments)
+
+    def test_evaluate_clustering_takes_only_a_stack(self):
+        rng = np.random.default_rng(10)
+        matrix = rng.normal(size=(30, 2))
+        truth = rng.integers(0, 3, 30)
+        for assignments in (rng.integers(0, 4, 30), rng.integers(0, 4, (2, 1, 30))):
+            with pytest.raises(ValueError, match=r"stack \(R, n\)"):
+                evaluate_clustering(matrix, assignments, truth)
 
     def test_non_dense_labels_accepted(self):
         # contingency densifies arbitrary ids, including negatives and gaps,
@@ -589,14 +612,13 @@ class TestMetricProperties:
         matrix, predicted, truth = case
         relabeled_predicted = np.array(data.draw(_INJECTIVE_IDS))[predicted]
         relabeled_truth = np.array(data.draw(_INJECTIVE_IDS))[truth]
-        report = evaluate_clustering(matrix, predicted, truth)
-        for other in (
-            evaluate_clustering(matrix, relabeled_predicted, truth),
-            evaluate_clustering(matrix, predicted, relabeled_truth),
-            evaluate_clustering(matrix, relabeled_predicted, relabeled_truth),
+        bits = _value_bits(evaluate_clustering(matrix, predicted[None], truth))
+        for labels, classes in (
+            (relabeled_predicted, truth),
+            (predicted, relabeled_truth),
+            (relabeled_predicted, relabeled_truth),
         ):
-            for name, value in report.as_dict().items():
-                assert _bits(other.as_dict()[name]) == _bits(value), name
+            assert _value_bits(evaluate_clustering(matrix, labels[None], classes)) == bits
 
     @FIXED_EXAMPLES
     @given(case=_clustering())
@@ -612,9 +634,11 @@ class TestMetricProperties:
     @FIXED_EXAMPLES
     @given(case=_clustering())
     def test_every_metric_stays_in_its_range(self, case):
-        report = evaluate_clustering(*case)
-        assert 0.0 <= report.nmi <= 1.0
-        assert 0.0 <= report.ri <= 1.0
-        assert -1.0 <= report.ari <= 1.0
-        assert -1.0 <= report.silhouette <= 1.0
-        assert report.davies_bouldin >= 0.0
+        matrix, predicted, truth = case
+        scores = evaluate_clustering(matrix, predicted[None], truth)
+        (nmi_value,), (ri,), (ari,), (silhouette_value,), (db,) = scores.values()
+        assert 0.0 <= nmi_value <= 1.0
+        assert 0.0 <= ri <= 1.0
+        assert -1.0 <= ari <= 1.0
+        assert -1.0 <= silhouette_value <= 1.0
+        assert db >= 0.0

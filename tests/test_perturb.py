@@ -54,7 +54,7 @@ class TestNoiseSpec:
 
 def _zeros_base(n):
     """A one-feature, one-cluster baseline of n rows; append_noise reads only its n."""
-    return LabeledDataset(points=np.zeros((n, 1)), labels=np.zeros(n, dtype=int), n_clusters=1)
+    return LabeledDataset(points=np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
 
 
 class TestGaussianParams:
@@ -224,7 +224,6 @@ class TestAppendNoise:
         permuted = LabeledDataset(
             points=base.points,
             labels=(base.labels + 1) % base.n_clusters,
-            n_clusters=base.n_clusters,
         )
         spec = _gaussian_spec(mu=1.0, sigma=2.0, seed=5)
         assert np.array_equal(
@@ -250,7 +249,6 @@ class TestAppendNoise:
         base = LabeledDataset(
             points=np.full((8, 2), -10.0) + np.arange(8)[:, None] * 0.1,
             labels=[0, 0, 0, 0, 1, 1, 1, 1],
-            n_clusters=2,
         )
         stats = compute_stats(base)
         spec = NoiseSpec(NoiseKind.UNIFORM, stats.mu, stats.sigma)

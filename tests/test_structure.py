@@ -109,3 +109,43 @@ def test_no_module_reads_a_whole_file():
         and node.func.attr in ("read_text", "read_bytes", "read", "readlines")
     }
     assert found == set()
+
+
+def _dotted_name(node):
+    """`a.b.c` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _names_random(name):
+    return name is not None and any(
+        name == module or name.startswith(module + ".")
+        for module in ("random", "numpy.random", "np.random")
+    )
+
+
+def test_every_random_draw_comes_from_seeding():
+    # The master seed and a cell's coordinates fix every draw (README), which
+    # holds while seeding.derive_rng builds every generator: no other module
+    # calls numpy.random or imports from random or numpy.random. Naming
+    # np.random.Generator in an annotation is not a call.
+    found = []
+    for module, tree in _trees().items():
+        if module == "seeding":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [_dotted_name(node.func)]
+            else:
+                continue
+            found.extend(f"{module}:{node.lineno}: {name}" for name in names if _names_random(name))
+    assert found == []
