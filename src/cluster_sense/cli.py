@@ -18,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from . import __version__
 from .dataset import DatasetFormatError, is_plain_ascii, read_lines, save_dataset
 from .distance import blas_core_name
@@ -265,6 +267,38 @@ def raw_csv_text(result: SweepResult) -> str:
     return _csv_text(RAW_HEADER, rows)
 
 
+# -- manifest ----------------------------------------------------------------
+
+def _config_record(config: SweepConfig) -> dict:
+    """The sweep config as run, in JSON types: every field with its default
+    filled in, max_ratio as its fraction string, and each dataset's kind
+    beside its fields, file paths made absolute."""
+    datasets = []
+    for source in config.datasets:
+        fields = dataclasses.asdict(source)
+        if isinstance(source, FileSource):
+            for key in ("data_path", "labels_path"):
+                fields[key] = Path(fields[key]).resolve().as_posix()
+        kind = "file" if isinstance(source, FileSource) else "generator"
+        datasets.append({"kind": kind, **fields})
+    record = {field.name: getattr(config, field.name) for field in dataclasses.fields(config)}
+    record.update(
+        datasets=datasets,
+        noise_kinds=[kind.value for kind in config.noise_kinds],
+        scalings=[scaling.value for scaling in config.scalings],
+        max_ratio=str(config.max_ratio),
+    )
+    return record
+
+
+def _blas_build() -> Optional[dict]:
+    """The BLAS build numpy reports, or None where it reports none."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return None
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -319,6 +353,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         "blas_threads": result.blas_threads,
         # The OpenBLAS kernel; summary.csv's bits depend on it (None: another BLAS).
         "blas_core": blas_core_name(),
+        "numpy_version": np.__version__,
+        "blas_build": _blas_build(),
+        "config": _config_record(result.config),
+        # Sweep cells with at least one row not "ok".
+        "degraded_cells": len({key[:4] for key in degraded}),
         "emitted_files": [
             {"kind": "summary_csv", "path": "summary.csv"},
             {"kind": "raw_csv", "path": "raw.csv"},

@@ -4,22 +4,16 @@ Both the clusterer and the geometry metrics go through these helpers so that
 a metric computed inside a sweep is bit-identical to one computed by calling
 the metric function directly on the same matrix.
 
-The n x n distance matrix is computed in row blocks (row_blocks), so a caller
-that only reduces the rows (silhouette, for all clusterings of one matrix at
-once) needs O(block * n) memory for them instead of O(n^2). A matrix that
-fits BLOCK_BYTES is one block; a larger one is split into blocks of half that
-budget. pairwise_distances assembles the whole matrix: the sweep builds it
-for a matrix that fits one block, where it is that block, and shares it
-between k-means++ and silhouette. A matrix that fits one block is computed in
-a single call, exactly as the one-shot formula sqrt(pairwise_sq_distances(x, x))
-would. Blocks reproduce that one-shot matrix bit for bit only where the BLAS
-GEMM rounds every element the same way whatever the operand shape. With
-OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU that holds when n is a multiple of 8
-and no block is a single row (numpy computes a one-row product with GEMV);
-otherwise some entries may differ in the last bits, and the blocked matrix
-is symmetric only to within rounding.
-A given n always splits into the same blocks, so results stay reproducible
-either way.
+The n x n distance matrix is computed in row blocks (row_blocks), so its one
+reader, silhouette, needs O(block * n) memory for it instead of O(n^2). A
+matrix that fits BLOCK_BYTES is one block; a larger one is split into blocks
+of half that budget. Only a one-block matrix is ever held whole:
+pairwise_distances builds it in a single call, and the sweep shares it
+between k-means++ and silhouette. Blocks match that single product bit for
+bit only where the BLAS GEMM rounds every element the same way whatever the
+operand shape (with OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU: n a multiple
+of 8 and no one-row block, which numpy computes with GEMV). So a given n
+always splits into the same blocks, and results stay reproducible.
 
 Every BLAS product in the package runs on one BLAS thread, under a pin
 this module holds. pairwise_sq_distances pins its own product, so
@@ -271,20 +265,18 @@ def for_each_row_block(n: int, work: Callable[[int, int], None]) -> None:
 def pairwise_distances(x: np.ndarray) -> np.ndarray:
     """Full n x n Euclidean distance matrix with an exactly zero diagonal.
 
-    Filled block by block, so peak memory is n^2 floats plus a few blocks.
+    Only a matrix that row_blocks makes one block is built, as the single
+    product distance_rows(x, 0, n); a larger one raises ValueError before
+    anything is allocated.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    sq_norms = np.einsum("ij,ij->i", x, x)
-    if len(row_blocks(n)) == 1:
-        return distance_rows(x, 0, n, sq_norms)
-    d = np.empty((n, n))
-
-    def fill(start, stop):
-        d[start:stop] = distance_rows(x, start, stop, sq_norms)
-
-    for_each_row_block(n, fill)
-    return d
+    if len(row_blocks(n)) > 1:
+        raise ValueError(
+            f"a {n} x {n} distance matrix is more than one row block; "
+            "read it a block at a time with distance_rows"
+        )
+    return distance_rows(x, 0, n)
 
 
 def check_distances(distances: np.ndarray, n: int) -> np.ndarray:

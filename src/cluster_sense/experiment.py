@@ -349,6 +349,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 f"have {Decimal(width):.3g} columns, more than numpy can index in "
                 f"{base.n_points} rows"
             )
+        if config.redraw_noise_per_repeat:
+            # The widest draw, allocated and dropped unwritten: a sweep whose
+            # noise no memory can hold fails here, as a fixed-noise draw
+            # does, and does not first build a cell per level.
+            np.empty((base.n_points, levels[-1]))
         for kind in config.noise_kinds:
             spec = NoiseSpec(
                 kind,

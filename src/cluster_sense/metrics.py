@@ -136,40 +136,40 @@ def _present_clusters(assignments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dense, np.bincount(dense)
 
 
-def _labeling_stack(assignments) -> tuple[np.ndarray, bool]:
-    """(R, n) view of one labeling (n,) or a stack (R, n), and whether it was a stack."""
-    stack = np.asarray(assignments)
-    if stack.ndim not in (1, 2):
-        raise ValueError(f"assignments must be (n,) or (R, n), got shape {stack.shape}")
-    return np.atleast_2d(stack), stack.ndim == 2
+def _stack(assignments) -> np.ndarray:
+    """`assignments` as an array; ValueError unless it is a stack (R, n) of labelings."""
+    labelings = np.asarray(assignments)
+    if labelings.ndim != 2:
+        raise ValueError(f"assignments must be a stack (R, n), got shape {labelings.shape}")
+    return labelings
 
 
 def silhouette(
     matrix: np.ndarray, assignments: np.ndarray, distances: np.ndarray | None = None
-) -> float | list[float]:
+) -> np.ndarray:
     """Mean silhouette value: (d_n - d_w) / max(d_n, d_w) per point.
 
     d_w is the mean distance to the point's own cluster (itself excluded),
     d_n the mean distance to the nearest other cluster. Points in singleton
     clusters contribute 0.
 
-    `assignments` is one labeling (n,), giving a float, or a stack (R, n) of
-    labelings of the same points, giving a list of R floats. Distance rows
-    are computed one row block at a time, once for the whole stack, and each
-    block is reduced to per-cluster sums with one product per labeling, all
-    on one BLAS thread and with blocks spread over threads (see
+    `assignments` is a stack (R, n) of labelings of the same points, giving
+    a float64 array of R values; a 1-D labeling raises ValueError. Distance
+    rows are computed one row block at a time, once for the whole stack, and
+    each block is reduced to per-cluster sums with one product per labeling,
+    all on one BLAS thread and with blocks spread over threads (see
     distance.for_each_row_block). So memory is O(T * block * n + R * n * k)
     for T threads rather than O(n^2), and each value has the same bits as a
     call with that labeling alone, whatever the thread counts.
 
     distances, when given, must be pairwise_distances(matrix) of the same
-    float64 matrix (ValueError unless it is n x n). Its row blocks are read
-    in place of computing them, and it is not written to; since
-    pairwise_distances is filled with those same blocks, every value keeps
-    its bits.
+    float64 matrix (ValueError unless it is n x n). Its rows are read in
+    place of computing them, and it is not written to; pairwise_distances
+    builds only a one-block matrix, which is the block this would compute,
+    so every value keeps its bits.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    labelings, stacked = _labeling_stack(assignments)
+    labelings = _stack(assignments)
     present = [_present_clusters(labels) for labels in labelings]
     n = labelings.shape[1]
     if matrix.shape[0] != n:
@@ -210,7 +210,7 @@ def silhouette(
         s[own_counts == 1] = 0.0
         s[denom == 0.0] = 0.0
         values.append(min(1.0, max(-1.0, float(s.mean()))))
-    return values if stacked else values[0]
+    return np.array(values, dtype=np.float64)
 
 
 def davies_bouldin(matrix: np.ndarray, assignments: np.ndarray) -> float:
@@ -273,9 +273,7 @@ def evaluate_clustering(
     ValueError. distances, when given, is pairwise_distances(matrix), passed
     on to `silhouette`; the values are the same either way.
     """
-    labelings = np.asarray(assignments)
-    if labelings.ndim != 2:
-        raise ValueError(f"assignments must be a stack (R, n), got shape {labelings.shape}")
+    labelings = _stack(assignments)
     tables = [contingency(labels, truth) for labels in labelings]
     columns = (
         [nmi(table) for table in tables],

@@ -128,7 +128,7 @@ def test_criterion_1_metric_oracles(capsys):
         ok &= adjusted_rand_index(table) == ari_oracle(predicted, truth)
         ok &= abs(nmi(table) - nmi_oracle(predicted, truth)) <= 1e-12
         points = rng.normal(size=(n, int(rng.integers(2, 7))))
-        ok &= abs(silhouette(points, predicted) - silhouette_oracle(points, predicted)) <= 1e-12
+        ok &= abs(silhouette(points, [predicted])[0] - silhouette_oracle(points, predicted)) <= 1e-12
         ok &= (
             abs(davies_bouldin(points, predicted) - davies_bouldin_oracle(points, predicted))
             <= 1e-12

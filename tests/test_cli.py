@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import cluster_sense
 from cluster_sense import cli, distance, experiment
+from cluster_sense.dataset import LabeledDataset, save_dataset
 from cluster_sense.experiment import FileSource, GeneratorSource, SweepConfig
 from cluster_sense.metrics import METRIC_NAMES
 from cluster_sense.perturb import NoiseKind
@@ -504,8 +505,11 @@ class TestRun:
             ("1e400", "true", "error: max_ratio is too large for dataset 'tiny'"),
             # Numpy can index this one, but the noise draw alone is 1.2 GiB.
             ("1e7", "false", "error: Unable to allocate"),
+            # Numpy can index the widest draw, so only allocating it stops
+            # the sweep before it builds a cell per level (2e15 of them).
+            ("1e15", "true", "error: Unable to allocate"),
         ],
-        ids=["1e400", "1e400-redraw", "1e7"],
+        ids=["1e400", "1e400-redraw", "1e7", "1e15-redraw"],
     )
     def test_sweep_too_large_to_run_exits_1(self, tmp_path, max_ratio, redraw, message):
         # Under the cap, a sweep that sets out to build more than memory
@@ -570,6 +574,79 @@ class TestRun:
         assert summary.splitlines()[0] == ",".join(cli.SUMMARY_HEADER)
         if core is not None:
             assert core not in summary
+
+    def test_manifest_records_the_config_builds_and_degraded_cells(self, tmp_path, monkeypatch):
+        # A generator dataset and a file dataset whose mu + 2 sigma < 0, so
+        # its one uniform cell above level 0 is error:uniform-range. The
+        # config is named relative to the working directory, and so are the
+        # data paths it resolves.
+        points = np.random.default_rng(0).normal(size=(24, 3)) - 10.0
+        (tmp_path / "data").mkdir()
+        save_dataset(
+            LabeledDataset(points=points, labels=np.repeat([0, 1], 12)),
+            tmp_path / "data" / "neg.txt",
+            tmp_path / "data" / "neg_labels.txt",
+        )
+        config = textwrap.dedent(
+            """\
+            scaling = none
+            max_ratio = 1:3
+            repeats = 2
+            [dataset]
+            name = gen
+            dims = 3
+            clusters = 2
+            per_cluster = 6
+            [dataset]
+            data = data/neg.txt
+            labels = data/neg_labels.txt
+            """
+        )
+        _write(tmp_path / "sweep.cfg", config)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", "sweep.cfg", "--out", "out"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        data_dir = (tmp_path / "data").resolve()
+        assert manifest["config"] == {
+            "datasets": [
+                {
+                    "kind": "generator",
+                    "name": "gen",
+                    "dims": 3,
+                    "clusters": 2,
+                    "per_cluster": 6,
+                    "separation": 10.0,
+                    "seed": 0,
+                },
+                {
+                    "kind": "file",
+                    "name": "neg",
+                    "data_path": (data_dir / "neg.txt").as_posix(),
+                    "labels_path": (data_dir / "neg_labels.txt").as_posix(),
+                },
+            ],
+            "noise_kinds": ["gaussian", "uniform"],
+            "scalings": ["none"],
+            "max_ratio": "1/3",
+            "ratio_step": 1,
+            "repeats": 2,
+            "master_seed": 0,
+            "redraw_noise_per_repeat": False,
+            "workers": 1,
+        }
+        assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SweepConfig)]
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["blas_build"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        # 2 datasets x 2 noises x 2 levels; only (neg, uniform, level 1) failed.
+        statuses = {}
+        for row in csv.DictReader(io.StringIO((tmp_path / "out" / "summary.csv").read_text())):
+            key = (row["dataset"], row["noise"], row["ratio"])
+            statuses.setdefault(key, set()).add(row["status"])
+        assert len(statuses) == 8
+        assert [key for key, seen in statuses.items() if seen != {"ok"}] == [
+            ("neg", "uniform", repr(1 / 3))
+        ]
+        assert manifest["degraded_cells"] == 1
 
     def test_raw_csv_is_written_without_a_flag(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)

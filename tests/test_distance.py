@@ -23,6 +23,11 @@ def _one_shot(x):
     return d
 
 
+def _assembled(x):
+    """The n x n matrix stacked from its row blocks, as silhouette reads it."""
+    return np.vstack([distance_rows(x, start, stop) for start, stop in row_blocks(len(x))])
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -112,6 +117,8 @@ class TestBlockedMatrix:
     # n is a multiple of 8 and no block is a single row: there OpenBLAS rounds
     # every element the same way whatever the GEMM shape (see the
     # cluster_sense.distance docstring), so blocks match the one-shot bits.
+    # pairwise_distances builds only a one-block matrix, so the tests of
+    # several blocks stack distance_rows blocks themselves.
     N, D, ROWS = 320, 6, 128
 
     def _matrix(self, seed=0):
@@ -121,12 +128,12 @@ class TestBlockedMatrix:
         x = self._matrix()
         block_rows(self.N, self.ROWS)
         assert row_blocks(self.N) == [(0, 128), (128, 256), (256, 320)]
-        assert np.array_equal(pairwise_distances(x), _one_shot(x))
+        assert np.array_equal(_assembled(x), _one_shot(x))
 
     def test_several_blocks_symmetric_with_zero_diagonal(self, block_rows):
         x = self._matrix(1)
         block_rows(self.N, self.ROWS)
-        d = pairwise_distances(x)
+        d = _assembled(x)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
 
@@ -139,7 +146,7 @@ class TestBlockedMatrix:
     def test_rows_are_slices_of_the_matrix(self, block_rows):
         x = self._matrix(3)
         block_rows(self.N, self.ROWS)
-        full = pairwise_distances(x)
+        full = _assembled(x)
         for start, stop in [(0, 128), (256, 320), (5, 7), (17, 250)]:
             rows = distance_rows(x, start, stop)
             assert rows.shape == (stop - start, self.N)
@@ -154,20 +161,23 @@ class TestBlockedMatrix:
         x = np.random.default_rng(4).normal(size=(301, 9))
         block_rows(301, 64)
         assert row_blocks(301)[-1] == (256, 301)
-        d = pairwise_distances(x)
+        d = _assembled(x)
         np.testing.assert_allclose(d, _one_shot(x), rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(d, d.T, rtol=1e-13, atol=0.0)
         assert np.all(np.diag(d) == 0.0)
 
-    def test_peak_memory_is_one_matrix_plus_blocks(self, block_rows):
-        # numpy reports its buffers to tracemalloc. The one-shot formula peaks
-        # at two n x n matrices; the blocked fill at one plus a few blocks.
-        n = 1024
+    @pytest.mark.parametrize("n, rows", [(1025, 511), (1024, 32)])
+    def test_several_blocks_raise_before_allocating(self, block_rows, n, rows):
+        # numpy reports its buffers to tracemalloc: the call allocates less
+        # than one block before it refuses the whole matrix.
         x = np.random.default_rng(5).normal(size=(n, 8))
-        matrix_bytes = n * n * 8
-        assert _traced_peak(lambda: _one_shot(x)) >= 2 * matrix_bytes
-        block_rows(n, 32)
-        assert _traced_peak(lambda: pairwise_distances(x)) < 1.25 * matrix_bytes
+        block_rows(n, rows)
+
+        def refused():
+            with pytest.raises(ValueError, match="more than one row block"):
+                pairwise_distances(x)
+
+        assert _traced_peak(refused) < rows * n * 8
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_inputs(self, n):

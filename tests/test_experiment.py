@@ -722,59 +722,98 @@ class TestDegenerateInputs:
         assert baseline == {_DEGENERATE_BASELINE[kind]}
 
 
-# The message of every golden-digest assertion: the goldens' kernel and the
-# one this run's products ran on.
-_GOLDEN_KERNEL = (
-    "goldens recorded on OpenBLAS's SkylakeX kernel; this run's BLAS kernel is "
-    f"{distance.blas_core_name()!r}"
-)
+# The sha256 of each golden output, keyed by the OpenBLAS kernel that ran
+# every product (distance.blas_core_name()): kernels round some products
+# differently. Recorded with numpy 2.4 on its bundled OpenBLAS 0.3.31, one
+# process per kernel selected with OPENBLAS_CORETYPE. The SkylakeX (AVX-512)
+# digests were recorded first, before BLAS pinning and shared row norms. The
+# Sandybridge, Nehalem and Katmai kernels wrote the same bytes as each other.
+_PRE_AVX2_GOLDENS = {
+    "toy_summary": "b2a92845b29935cc53e9874f479494caff15f01132917f84740cc7db91366041",
+    "toy_raw": "2f7cef68634693d014a2464e0c46513053e47caae5bb1c5866bc9f802d957156",
+    "wide_summary": "cd2e6c83b8e1f4934f7e83b145f3614fec44c4f1d779ab4c5e0a60f08e5350d5",
+    "wide_raw": "c1b12ccdf00583ee717212e27afc79d25ce0ebf521b705071ab817c8732e6558",
+    "redraw_summary": "b8bd1d34451d06beaa3f4d1894a5b905389ff7ea51fd451538c66e9c5f35f744",
+    "redraw_raw": "182eeccff9a271cb03ddbd49ec54fe84d6d76c5661d45201a9f0e55106608ee6",
+    "redraw_report": "788ec518e2a5ade2caf13751f073da27cb2a53016d4a9e818dbc0603bbf2324b",
+    "error_fixed_summary": "b59435f92a70d888546959008c2fc156850d9ff5da776d543ca76ffcabed826c",
+    "error_fixed_raw": "d3354326b1941d2d13c370859fc6c1f978c0f35d676f66f0b3bb15bfa72713c3",
+    "error_redraw_summary": "cebaae7311d2b1e4622d38baa51cf81b452fb95f49b4cbd0ef6c90c9493d3b82",
+    "error_redraw_raw": "dfee79afd4c91e0d42914fac5234185333141719cf9ceb70848fa0ce0738fce3",
+}
+GOLDENS = {
+    "SkylakeX": {
+        "toy_summary": "6c445a72955c30638ae63e47eed1ae2cc7d5597f9f409ab610cb6f62e9fa5482",
+        "toy_raw": "3103c482587dbc166a43f32655c19998fef36bbdc84b70c77748cc596a945bd6",
+        "wide_summary": "a4dcea6fd9b3b0aebfaabc406d277afd7148ff7b2875ac0790bfde4085f9758f",
+        "wide_raw": "94aeb4f36c95604f517b3c6d89c4973a283bdf5b5688262cb10d08408554a86f",
+        "redraw_summary": "22955d5f594d1229c23c9e89fde99c977c1440fe8168d622296e1b1abb33b95e",
+        "redraw_raw": "cd3a21baae0b21caa5c8374fb704a22ac6a6be587139bf88b2091de394f827ef",
+        "redraw_report": "788ec518e2a5ade2caf13751f073da27cb2a53016d4a9e818dbc0603bbf2324b",
+        "error_fixed_summary": "e588a71ddcbf62fbd9f0fcff2277e45e47a03d55f94518eeff50ab104a4ce522",
+        "error_fixed_raw": "30256773ae6d6bdad25b59b285d21df62490bee7cf869bbb11030bdf27502fa1",
+        "error_redraw_summary": "6e52286d00a9426555550d9cd26db5bee836103ebc53410346add83b8bcfe5d9",
+        "error_redraw_raw": "c23c04d6bb0dd9da6ae5f2718c4e1b85721c9d44535d4476b355484b4d063f3e",
+    },
+    "Haswell": {
+        "toy_summary": "366e6877a7b0781e4f809e5d52c9422c9666a90f9b0573d685958dc104f7424c",
+        "toy_raw": "733d410f3e9fe6cdb51d6eb3234823f851349ef0628116adcbf9232d11a4b257",
+        "wide_summary": "a4dcea6fd9b3b0aebfaabc406d277afd7148ff7b2875ac0790bfde4085f9758f",
+        "wide_raw": "94aeb4f36c95604f517b3c6d89c4973a283bdf5b5688262cb10d08408554a86f",
+        "redraw_summary": "39047ebb9a25df6ef65bda64aa33220c70e7bdeb94b4500942f49530fadb7618",
+        "redraw_raw": "ca02e49018ac108034d97c02227c4a7956a75edf693503b44378f712f7a7663b",
+        "redraw_report": "788ec518e2a5ade2caf13751f073da27cb2a53016d4a9e818dbc0603bbf2324b",
+        "error_fixed_summary": "7a152311aea454e915c6e424c62c4ac4061003c70970ddf6da3ed141a97b7294",
+        "error_fixed_raw": "691fe32d7b9937dfd3e7b19e9f7980f4aaca0f46474b6779e0c9dbbb588cb0a1",
+        "error_redraw_summary": "fc9c0713af8d8ea969c494adfc95dc8f487c707753878388515ac195bbe0f9f7",
+        "error_redraw_raw": "bf1de0151834fd2224189348be3b5f067415539fb35706287fbe65870894b9f5",
+    },
+    "Sandybridge": _PRE_AVX2_GOLDENS,
+    "Nehalem": _PRE_AVX2_GOLDENS,
+    "Katmai": _PRE_AVX2_GOLDENS,
+}
+
+
+def _assert_golden(name, digest):
+    """Assert that `digest` is golden `name` of the kernel this process runs
+    on. A kernel with no record fails, naming itself."""
+    core = distance.blas_core_name()
+    assert core in GOLDENS, f"no goldens recorded for this run's BLAS kernel {core!r}"
+    assert digest == GOLDENS[core][name], f"{name} on the {core!r} kernel"
 
 
 class TestGoldenBytes:
-    """Output bytes pinned from the code before BLAS pinning and shared row norms.
+    """Output bytes pinned per BLAS kernel (GOLDENS).
 
-    Recorded with numpy 2.4 on its bundled OpenBLAS 0.3.31, whose SkylakeX
-    (AVX-512) kernel ran every product. Another kernel or BLAS build may
-    round differently and need its own record: on the Haswell (AVX2) kernel
-    only the wide cases match. Each failure names the kernel that ran
-    (distance.blas_core_name), so a mismatch on another CPU explains itself.
+    In this process they check the kernel OpenBLAS chose for this CPU;
+    test_golden_bytes_on_every_recorded_kernel runs this class once per
+    recorded kernel.
     """
-
-    TOY_SUMMARY = "6c445a72955c30638ae63e47eed1ae2cc7d5597f9f409ab610cb6f62e9fa5482"
-    TOY_RAW = "3103c482587dbc166a43f32655c19998fef36bbdc84b70c77748cc596a945bd6"
 
     def test_toy_summary_and_raw(self):
         result = run_sweep(_toy_config())
-        assert _sha256(summary_csv_text(result)) == self.TOY_SUMMARY, _GOLDEN_KERNEL
-        assert _sha256(raw_csv_text(result)) == self.TOY_RAW, _GOLDEN_KERNEL
+        _assert_golden("toy_summary", _sha256(summary_csv_text(result)))
+        _assert_golden("toy_raw", _sha256(raw_csv_text(result)))
 
     def test_run_writes_the_toy_summary_and_raw(self, tmp_path):
         # `run` writes raw.csv beside summary.csv with no flag.
         out = _run_toy_config(tmp_path, workers=1)
-        assert _sha256((out / "summary.csv").read_text()) == self.TOY_SUMMARY, _GOLDEN_KERNEL
-        assert _sha256((out / "raw.csv").read_text()) == self.TOY_RAW, _GOLDEN_KERNEL
+        _assert_golden("toy_summary", _sha256((out / "summary.csv").read_text()))
+        _assert_golden("toy_raw", _sha256((out / "raw.csv").read_text()))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_wide_summary_and_raw(self, workers):
         result = run_sweep(_wide_config(workers=workers))
-        assert _sha256(summary_csv_text(result)) == (
-            "a4dcea6fd9b3b0aebfaabc406d277afd7148ff7b2875ac0790bfde4085f9758f"
-        ), _GOLDEN_KERNEL
-        assert _sha256(raw_csv_text(result)) == (
-            "94aeb4f36c95604f517b3c6d89c4973a283bdf5b5688262cb10d08408554a86f"
-        ), _GOLDEN_KERNEL
+        _assert_golden("wide_summary", _sha256(summary_csv_text(result)))
+        _assert_golden("wide_raw", _sha256(raw_csv_text(result)))
 
     def test_toy_redraw_summary_raw_and_report(self, tmp_path):
         # Per-repeat noise draws a fresh matrix for each repeat; the report's
         # SVG panels are digested name by name in sorted order.
         result = run_sweep(_toy_config(redraw_noise_per_repeat=True))
         summary = summary_csv_text(result)
-        assert _sha256(summary) == (
-            "22955d5f594d1229c23c9e89fde99c977c1440fe8168d622296e1b1abb33b95e"
-        ), _GOLDEN_KERNEL
-        assert _sha256(raw_csv_text(result)) == (
-            "cd3a21baae0b21caa5c8374fb704a22ac6a6be587139bf88b2091de394f827ef"
-        ), _GOLDEN_KERNEL
+        _assert_golden("redraw_summary", _sha256(summary))
+        _assert_golden("redraw_raw", _sha256(raw_csv_text(result)))
         summary_path, out = tmp_path / "summary.csv", tmp_path / "report"
         summary_path.write_text(summary, encoding="utf-8")
         assert cli.main(["report", "--summary", str(summary_path), "--out", str(out)]) == 0
@@ -784,28 +823,11 @@ class TestGoldenBytes:
         for panel in panels:
             digest.update(panel.name.encode("utf-8"))
             digest.update(panel.read_bytes())
-        assert digest.hexdigest() == (
-            "788ec518e2a5ade2caf13751f073da27cb2a53016d4a9e818dbc0603bbf2324b"
-        ), _GOLDEN_KERNEL
+        _assert_golden("redraw_report", digest.hexdigest())
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "redraw, summary_sha, raw_sha",
-        [
-            (
-                False,
-                "e588a71ddcbf62fbd9f0fcff2277e45e47a03d55f94518eeff50ab104a4ce522",
-                "30256773ae6d6bdad25b59b285d21df62490bee7cf869bbb11030bdf27502fa1",
-            ),
-            (
-                True,
-                "6e52286d00a9426555550d9cd26db5bee836103ebc53410346add83b8bcfe5d9",
-                "c23c04d6bb0dd9da6ae5f2718c4e1b85721c9d44535d4476b355484b4d063f3e",
-            ),
-        ],
-        ids=["fixed", "redraw"],
-    )
-    def test_error_cells_summary_and_raw(self, tmp_path, redraw, summary_sha, raw_sha, workers):
+    @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redraw"])
+    def test_error_cells_summary_and_raw(self, tmp_path, redraw, workers):
         # Uniform noise cannot be drawn for this dataset, so every uniform cell
         # above level 0 is error:uniform-range beside the gaussian curves.
         result = run_sweep(
@@ -821,8 +843,39 @@ class TestGoldenBytes:
                 workers=workers,
             )
         )
-        assert _sha256(summary_csv_text(result)) == summary_sha, _GOLDEN_KERNEL
-        assert _sha256(raw_csv_text(result)) == raw_sha, _GOLDEN_KERNEL
+        case = "error_redraw" if redraw else "error_fixed"
+        _assert_golden(f"{case}_summary", _sha256(summary_csv_text(result)))
+        _assert_golden(f"{case}_raw", _sha256(raw_csv_text(result)))
+
+
+def test_a_kernel_with_no_record_fails_naming_it(monkeypatch):
+    monkeypatch.setattr(distance, "blas_core_name", lambda: "Prescott")
+    with pytest.raises(AssertionError, match="no goldens recorded .* 'Prescott'"):
+        _assert_golden("toy_summary", GOLDENS["SkylakeX"]["toy_summary"])
+
+
+@pytest.mark.parametrize("kernel", sorted(GOLDENS))
+def test_golden_bytes_on_every_recorded_kernel(kernel):
+    # OpenBLAS picks its kernel when it loads, so each kernel needs a new
+    # process. A CPU that cannot run the kernel asked for gets another one.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    probe = "from cluster_sense import distance; print(distance.blas_core_name())"
+    core = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+    ).stdout.strip()
+    if core != kernel:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} ran the {core!r} kernel here")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    done = subprocess.run(
+        [*command, f"{Path(__file__).resolve()}::TestGoldenBytes"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout[-4000:]
 
 
 def _criterion8_config(case, tmp_path, block_rows):
@@ -884,8 +937,7 @@ class TestWorkersAndBlas:
     def test_pooled_bytes_equal_serial_bytes_on_the_haswell_kernel(self, tmp_path):
         # OpenBLAS picks its kernel when it loads, so another kernel needs a
         # new process. Haswell (AVX2) rounds some silhouette values otherwise
-        # than SkylakeX, on which the goldens were recorded; serial and
-        # pooled runs must still agree byte for byte.
+        # than SkylakeX; serial and pooled runs must still agree byte for byte.
         outputs = {}
         for workers in (1, 2):
             out = _run_toy_config(tmp_path, workers, env={"OPENBLAS_CORETYPE": "Haswell"})

@@ -238,21 +238,29 @@ class TestAdjustedRandIndex:
         assert abs(estimate - closed_form) < 5 * spread + 1e-9
 
 
-def _silhouette_from_matrix(monkeypatch, matrix, labels):
-    """Silhouette with its distance rows sliced from a full pairwise_distances
-    matrix instead of computed block by block."""
-    full = pairwise_distances(matrix)
+def _blocked_matrix(matrix):
+    """The n x n distance matrix stacked from the row blocks silhouette
+    computes, so its rows have the bits of those blocks."""
+    return np.vstack(
+        [distance.distance_rows(matrix, *block) for block in distance.row_blocks(len(matrix))]
+    )
+
+
+def _silhouette_from_matrix(monkeypatch, matrix, stack):
+    """Silhouette with its distance rows sliced from a full matrix instead of
+    computed block by block."""
+    full = _blocked_matrix(matrix)
     with monkeypatch.context() as patch:
         patch.setattr(
             metrics, "distance_rows", lambda x, start, stop, sq_norms: full[start:stop]
         )
-        return silhouette(matrix, labels)
+        return silhouette(matrix, stack)
 
 
 class TestSilhouette:
     def test_two_tight_far_pairs(self):
         matrix = np.array([[0.0], [0.1], [10.0], [10.1]])
-        value = silhouette(matrix, [0, 0, 1, 1])
+        (value,) = silhouette(matrix, [[0, 0, 1, 1]])
         # Hand computation: the outer points have d_w=0.1, d_n=10.05 and the
         # inner points d_w=0.1, d_n=9.95, so the mean is
         # ((10.05-0.1)/10.05 + (9.95-0.1)/9.95) / 2 = 0.98999975.
@@ -266,13 +274,13 @@ class TestSilhouette:
 
     def test_duplicated_points_per_cluster_score_one(self):
         matrix = np.array([[0.0], [0.0], [10.0], [10.0]])
-        assert silhouette(matrix, [0, 0, 1, 1]) == 1.0
+        assert silhouette(matrix, [[0, 0, 1, 1]]).tolist() == [1.0]
 
     def test_approaches_one_with_separation(self):
         previous = 0.0
         for gap in (10.0, 100.0, 1000.0):
             matrix = np.array([[0.0], [0.1], [gap], [gap + 0.1]])
-            value = silhouette(matrix, [0, 0, 1, 1])
+            (value,) = silhouette(matrix, [[0, 0, 1, 1]])
             assert value > previous
             previous = value
         assert previous > 0.999
@@ -280,29 +288,29 @@ class TestSilhouette:
     def test_random_partition_of_one_cloud_scores_near_zero(self):
         rng = np.random.default_rng(4)
         matrix = rng.uniform(size=(200, 2))
-        value = silhouette(matrix, rng.integers(0, 2, 200))
+        (value,) = silhouette(matrix, [rng.integers(0, 2, 200)])
         assert abs(value) < 0.1
 
     def test_singleton_contributes_zero(self):
         matrix = np.array([[0.0], [1.0], [2.0]])
         # Point 0 is alone: s_0 = 0; the helper value equals the loop oracle.
-        value = silhouette(matrix, [0, 1, 1])
+        (value,) = silhouette(matrix, [[0, 1, 1]])
         assert value == pytest.approx(silhouette_oracle(matrix.tolist(), [0, 1, 1]), abs=1e-12)
 
     def test_all_points_coincident(self):
         matrix = np.zeros((4, 2))
-        assert silhouette(matrix, [0, 0, 1, 1]) == 0.0
+        assert silhouette(matrix, [[0, 0, 1, 1]]).tolist() == [0.0]
 
     def test_rejects_single_cluster(self):
         with pytest.raises(ValueError, match="2 distinct clusters"):
-            silhouette(np.zeros((3, 1)), [0, 0, 0])
+            silhouette(np.zeros((3, 1)), [[0, 0, 0]])
 
     def test_precomputed_distances_match(self, monkeypatch):
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(40, 3))
         labels = rng.integers(0, 3, 40)
-        direct = silhouette(matrix, labels)
-        assert direct == _silhouette_from_matrix(monkeypatch, matrix, labels)
+        direct = silhouette(matrix, [labels])
+        assert direct.tolist() == _silhouette_from_matrix(monkeypatch, matrix, [labels]).tolist()
 
 
 class TestBlockedSilhouette:
@@ -317,8 +325,8 @@ class TestBlockedSilhouette:
         block_rows(n, rows)
         blocks = distance.row_blocks(n)
         assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] <= rows
-        blocked = silhouette(matrix, labels)
-        assert blocked == _silhouette_from_matrix(monkeypatch, matrix, labels)
+        (blocked,) = silhouette(matrix, [labels])
+        assert [blocked] == _silhouette_from_matrix(monkeypatch, matrix, [labels]).tolist()
         oracle = silhouette_oracle(matrix.tolist(), labels.tolist())
         assert blocked == pytest.approx(oracle, abs=1e-12)
 
@@ -326,9 +334,9 @@ class TestBlockedSilhouette:
         rng = np.random.default_rng(11)
         matrix = rng.normal(size=(203, 5))
         labels = rng.integers(0, 6, 203)
-        whole = silhouette(matrix, labels)
+        (whole,) = silhouette(matrix, [labels])
         block_rows(203, 16)
-        assert silhouette(matrix, labels) == pytest.approx(whole, abs=1e-12)
+        assert silhouette(matrix, [labels])[0] == pytest.approx(whole, abs=1e-12)
 
     def test_memory_is_block_times_n_not_n_squared(self, block_rows):
         # numpy reports its buffers to tracemalloc; 32-row blocks of n = 1024
@@ -340,7 +348,7 @@ class TestBlockedSilhouette:
         block_rows(n, 32)
         tracemalloc.start()
         try:
-            silhouette(matrix, labels)
+            silhouette(matrix, [labels])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,16 +390,19 @@ class TestSilhouetteStack:
         matrix, stack, rows = case
         block_rows(matrix.shape[0], rows)
         stacked = silhouette(matrix, stack)
-        singles = [silhouette(matrix, labels) for labels in stack]
-        # A precomputed matrix holds the same blocks the call would compute.
-        given = silhouette(matrix, stack, pairwise_distances(matrix))
+        singles = [value for labels in stack for value in silhouette(matrix, [labels])]
         with distance._single_blas_thread():
             pinned = silhouette(matrix, stack)
-        assert len(stacked) == len(stack)
+        assert stacked.dtype == np.float64 and stacked.shape == (len(stack),)
         # Bit for bit: the same float, not merely a close one.
-        assert [v.hex() for v in stacked] == [v.hex() for v in singles]
-        assert [v.hex() for v in given] == [v.hex() for v in singles]
-        assert [v.hex() for v in pinned] == [v.hex() for v in singles]
+        bits = [v.hex() for v in singles]
+        assert [v.hex() for v in stacked.tolist()] == bits
+        assert [v.hex() for v in pinned.tolist()] == bits
+        if len(distance.row_blocks(len(matrix))) == 1:
+            # pairwise_distances builds only this one block, which the call
+            # would compute.
+            given = silhouette(matrix, stack, pairwise_distances(matrix))
+            assert [v.hex() for v in given.tolist()] == bits
 
     def test_evaluate_clustering_stack_equals_single_reports(self, block_rows):
         rng = np.random.default_rng(13)
@@ -402,8 +413,7 @@ class TestSilhouetteStack:
         block_rows(60, 8)
         scores = evaluate_clustering(matrix, stack, truth)
         assert _value_bits(scores) == _single_bits(matrix, stack, truth)
-        distances = pairwise_distances(matrix)
-        reused = evaluate_clustering(matrix, stack, truth, distances=distances)
+        reused = evaluate_clustering(matrix, stack, truth, distances=_blocked_matrix(matrix))
         assert _value_bits(reused) == _value_bits(scores)
 
     def test_evaluate_clustering_builds_one_table_per_labeling(self, monkeypatch):
@@ -439,14 +449,15 @@ class TestSilhouetteStack:
             silhouette(matrix, [[0, 0, 1, 1], [2, 2, 2, 2]])
 
     def test_rejects_other_shapes(self):
-        with pytest.raises(ValueError, match=r"\(n,\) or \(R, n\)"):
-            silhouette(np.zeros((2, 1)), np.zeros((1, 1, 2), dtype=int))
+        for assignments in ([0, 1], np.zeros((1, 1, 2), dtype=int)):
+            with pytest.raises(ValueError, match=r"stack \(R, n\)"):
+                silhouette(np.zeros((2, 1)), assignments)
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 3), (4,), (4, 4, 1)])
     def test_rejects_distances_of_another_shape(self, shape):
         matrix = np.arange(8.0).reshape(4, 2)
         with pytest.raises(ValueError, match="distances must have shape"):
-            silhouette(matrix, [0, 0, 1, 1], np.zeros(shape))
+            silhouette(matrix, [[0, 0, 1, 1]], np.zeros(shape))
 
 
 class TestDaviesBouldin:
@@ -535,7 +546,7 @@ class TestInvariants:
                 # Every metric numbers clusters by first appearance
                 # (dense_remap), so a relabeled partition sums in the same
                 # order and scores bit for bit the same.
-                assert silhouette(matrix, x) == silhouette(matrix, relabeled)
+                assert silhouette(matrix, [x]) == silhouette(matrix, [relabeled])
                 assert davies_bouldin(matrix, x) == davies_bouldin(matrix, relabeled)
 
     def test_bounds_on_fuzzed_inputs(self):
@@ -548,7 +559,7 @@ class TestInvariants:
             assert adjusted_rand_index(table) <= 1.0
             matrix = rng.normal(size=(labels.size, 2))
             if len(set(labels.tolist())) >= 2:
-                assert -1.0 <= silhouette(matrix, labels) <= 1.0
+                assert -1.0 <= silhouette(matrix, [labels])[0] <= 1.0
                 assert davies_bouldin(matrix, labels) >= 0.0
 
     def test_report_round_trip(self):
@@ -566,7 +577,7 @@ class TestInvariants:
         assert out["nmi"] == nmi(table)
         assert out["ri"] == rand_index(table)
         assert out["ari"] == adjusted_rand_index(table)
-        assert out["silhouette"] == silhouette(matrix, assignments)
+        assert out["silhouette"] == silhouette(matrix, [assignments])[0]
         assert out["davies_bouldin"] == davies_bouldin(matrix, assignments)
 
     def test_evaluate_clustering_takes_only_a_stack(self):

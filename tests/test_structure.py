@@ -44,6 +44,38 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert found == []
 
 
+# metrics binds pairwise_distances only so that perfbench can trace calls
+# made through that name.
+UNUSED_IMPORTS = {("metrics", "pairwise_distances")}
+
+
+def _exported(tree):
+    """The names a module's __all__ lists."""
+    return {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for element in node.value.elts
+    }
+
+
+def test_every_imported_name_is_used():
+    # A deletion that leaves its imports behind fails here.
+    found = []
+    for module, tree in _trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (module, name) not in UNUSED_IMPORTS:
+                        found.append(f"{module}:{node.lineno}: {name}")
+    assert found == []
+
+
 def test_blas_pin_is_named_only_in_distance():
     found = [
         path.name
