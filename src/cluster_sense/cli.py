@@ -110,17 +110,31 @@ def _ratio(value: str) -> Fraction:
     return ratio
 
 
-def _kinds(parse_one: Callable[[str], object]) -> Callable[[str], tuple]:
-    """A comma- or space-separated, non-empty list of distinct enum tokens."""
+# What an error calls a token of each enum read from config and summary files.
+_ENUM_NOUNS = {NoiseKind: "noise kind", ScalingKind: "scaling"}
+
+
+def _member(kind: type, token: str):
+    """The member of enum `kind` whose value is the token, stripped and lowercased."""
+    try:
+        return kind(token.strip().lower())
+    except ValueError:
+        values = [member.value for member in kind]
+        expected = f"{', '.join(values[:-1])} or {values[-1]}"
+        raise ValueError(f"unknown {_ENUM_NOUNS[kind]} {token!r} (expected {expected})") from None
+
+
+def _kinds(kind: type) -> Callable[[str], tuple]:
+    """A comma- or space-separated, non-empty list of distinct `kind` tokens."""
 
     def parse(value: str) -> tuple:
         tokens = value.replace(",", " ").split()
         if not tokens:
             raise ValueError("list is empty")
-        kinds = tuple(parse_one(tok) for tok in tokens)
-        for kind in kinds:
-            if kinds.count(kind) > 1:
-                raise ValueError(f"{kind.value!r} is listed more than once")
+        kinds = tuple(_member(kind, tok) for tok in tokens)
+        for member in kinds:
+            if kinds.count(member) > 1:
+                raise ValueError(f"{member.value!r} is listed more than once")
         return kinds
 
     return parse
@@ -130,8 +144,8 @@ _Table = dict[str, tuple[str, Callable[[str], object]]]
 _Scope = dict[str, tuple[int, str]]
 
 _TOP_KEYS: _Table = {
-    "noise": ("noise_kinds", _kinds(NoiseKind.parse)),
-    "scaling": ("scalings", _kinds(ScalingKind.parse)),
+    "noise": ("noise_kinds", _kinds(NoiseKind)),
+    "scaling": ("scalings", _kinds(ScalingKind)),
     "max_ratio": ("max_ratio", _ratio),
     "ratio_step": ("ratio_step", _integer(minimum=1)),
     "repeats": ("repeats", _integer(minimum=1)),
@@ -271,8 +285,8 @@ def raw_csv_text(result: SweepResult) -> str:
 
 def _config_record(config: SweepConfig) -> dict:
     """The sweep config as run, in JSON types: every field with its default
-    filled in, max_ratio as its fraction string, and each dataset's kind
-    beside its fields, file paths made absolute."""
+    filled in, max_ratio in the config file's `a:b` form, and each dataset's
+    kind beside its fields, file paths made absolute."""
     datasets = []
     for source in config.datasets:
         fields = dataclasses.asdict(source)
@@ -286,7 +300,7 @@ def _config_record(config: SweepConfig) -> dict:
         datasets=datasets,
         noise_kinds=[kind.value for kind in config.noise_kinds],
         scalings=[scaling.value for scaling in config.scalings],
-        max_ratio=str(config.max_ratio),
+        max_ratio=f"{config.max_ratio.numerator}:{config.max_ratio.denominator}",
     )
     return record
 
@@ -402,8 +416,8 @@ def _read_summary(path: Path) -> list[dict]:
         if row["metric"] not in METRIC_NAMES:
             raise ReportError(f"{path}: line {lineno}: unknown metric {row['metric']!r}")
         try:
-            NoiseKind.parse(row["noise"])
-            ScalingKind.parse(row["scaling"])
+            _member(NoiseKind, row["noise"])
+            _member(ScalingKind, row["scaling"])
         except ValueError as exc:
             raise ReportError(f"{path}: line {lineno}: {exc}") from None
         for key in ("ratio", "mean", "std"):

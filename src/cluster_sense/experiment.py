@@ -34,6 +34,16 @@ from .seeding import derive_seed
 
 _NOISE_SEQUENCE_STREAM = 0x0153
 
+# The code of each noise kind and scaling in seed derivation. Every seed of a
+# sweep is keyed by these, so changing one changes the sweep's output.
+_SEED_CODES = {
+    NoiseKind.GAUSSIAN: 0,
+    NoiseKind.UNIFORM: 1,
+    ScalingKind.NONE: 0,
+    ScalingKind.CENTERED: 1,
+    ScalingKind.STANDARDIZED: 2,
+}
+
 # Stands in for the noise-kind code in level-0 seed derivation: no noise is
 # drawn at the baseline, so the kind must not influence the results there.
 _BASELINE_KIND_CODE = 0x0B5E
@@ -91,8 +101,9 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
-        object.__setattr__(self, "noise_kinds", tuple(self.noise_kinds))
-        object.__setattr__(self, "scalings", tuple(self.scalings))
+        # A value becomes its member; anything else raises a ValueError naming it.
+        object.__setattr__(self, "noise_kinds", tuple(map(NoiseKind, self.noise_kinds)))
+        object.__setattr__(self, "scalings", tuple(map(ScalingKind, self.scalings)))
         object.__setattr__(self, "max_ratio", Fraction(self.max_ratio))
         if not self.datasets:
             raise ValueError("at least one dataset source is required")
@@ -158,7 +169,7 @@ def sweep_levels(n_features: int, max_ratio: Fraction, ratio_step: int) -> range
 
 def noise_sequence_seed(master_seed: int, dataset_index: int, kind: NoiseKind) -> int:
     """Seed of the noise-column sequence shared by every cell of one curve pair."""
-    return derive_seed(master_seed, dataset_index, kind.code, _NOISE_SEQUENCE_STREAM)
+    return derive_seed(master_seed, dataset_index, _SEED_CODES[kind], _NOISE_SEQUENCE_STREAM)
 
 
 def cell_kmeans_seed(
@@ -174,8 +185,8 @@ def cell_kmeans_seed(
     At level 0 the noise kind is replaced by a fixed placeholder so that the
     baseline cells of both noise kinds are identical.
     """
-    kind_code = kind.code if level > 0 else _BASELINE_KIND_CODE
-    return derive_seed(master_seed, dataset_index, kind_code, scaling.code, level, repeat)
+    kind_code = _SEED_CODES[kind] if level > 0 else _BASELINE_KIND_CODE
+    return derive_seed(master_seed, dataset_index, kind_code, _SEED_CODES[scaling], level, repeat)
 
 
 def resolve_workers(workers: int) -> int:

@@ -27,22 +27,6 @@ class NoiseKind(enum.Enum):
     GAUSSIAN = "gaussian"
     UNIFORM = "uniform"
 
-    @property
-    def code(self) -> int:
-        return _KIND_CODES[self]
-
-    @classmethod
-    def parse(cls, token: str) -> "NoiseKind":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown noise kind {token!r} (expected gaussian or uniform)"
-            ) from None
-
-
-_KIND_CODES = {NoiseKind.GAUSSIAN: 0, NoiseKind.UNIFORM: 1}
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

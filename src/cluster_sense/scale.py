@@ -12,22 +12,6 @@ class ScalingKind(enum.Enum):
     CENTERED = "centered"
     STANDARDIZED = "standardized"
 
-    @property
-    def code(self) -> int:
-        return _SCALING_CODES[self]
-
-    @classmethod
-    def parse(cls, token: str) -> "ScalingKind":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown scaling {token!r} (expected none, centered or standardized)"
-            ) from None
-
-
-_SCALING_CODES = {ScalingKind.NONE: 0, ScalingKind.CENTERED: 1, ScalingKind.STANDARDIZED: 2}
-
 
 def _require_finite(statistic: np.ndarray, name: str) -> None:
     if not np.isfinite(statistic).all():

@@ -9,17 +9,40 @@ values.
 from __future__ import annotations
 
 import math
+import types
 from collections import Counter
 
 import numpy as np
 
 from cluster_sense.distance import pairwise_sq_distances
 from cluster_sense.perturb import NoiseKind
-from cluster_sense.seeding import derive_rng
+from cluster_sense.seeding import derive_rng, derive_seed
 
 # Key of the per-column noise stream: column j of the noise sequence `seed`
 # draws from derive_rng(*seed, NOISE_COLUMN_STREAM, j).
 NOISE_COLUMN_STREAM = 0xC01
+
+# The sweep's seed scheme, written out from its definition rather than read
+# from the package. A cell's k-means seeds are derive_seed(master seed,
+# dataset index, noise code, scaling code, level, repeat), with the baseline
+# placeholder for the noise code at level 0; a fit's k-means++ draws come
+# from derive_rng(seed, KMEANS_INIT_STREAM). A curve's noise sequence seed is
+# derive_seed(master seed, dataset index, noise code, NOISE_SEQUENCE_STREAM).
+NOISE_CODES = {"gaussian": 0, "uniform": 1}
+SCALING_CODES = {"none": 0, "centered": 1, "standardized": 2}
+BASELINE_NOISE_CODE = 0x0B5E
+NOISE_SEQUENCE_STREAM = 0x0153
+KMEANS_INIT_STREAM = 0x1217
+KMEANS_MAX_ITERATIONS = 300
+# A k-means++ draw this close (relative) to a weight boundary could fall on
+# either side under the package's rounding of the squared distances.
+DRAW_MARGIN = 1e-9
+
+
+class DrawNearBoundary(AssertionError):
+    """A k-means++ draw landed within DRAW_MARGIN of a weight boundary: the
+    fixture cannot tell the oracle from the package there, so it needs other
+    data or seeds. This says nothing about the package."""
 
 
 def pair_enumeration(predicted, truth) -> tuple[int, int, int]:
@@ -241,3 +264,133 @@ def noise_column(spec, seed, j, n) -> np.ndarray:
         return np.array([rng.uniform(-bound, bound) for _ in range(n)])
     mu_r, sigma_r = _gaussian_params(spec, rng)
     return np.array([rng.normal(mu_r, sigma_r) for _ in range(n)])
+
+
+def scaled_rows(rows, scaling: str) -> list[list[float]]:
+    """The scaling formulas, one column at a time: none copies; centered
+    subtracts the column's mean; standardized then divides by the column's
+    population standard deviation, and a constant column becomes 0."""
+    n = len(rows)
+    out = [list(row) for row in rows]
+    if scaling == "none":
+        return out
+    for j in range(len(rows[0])):
+        column = [row[j] for row in rows]
+        if scaling == "standardized" and all(x == column[0] for x in column):
+            for row in out:
+                row[j] = 0.0
+            continue
+        mean = math.fsum(column) / n
+        scale = 1.0
+        if scaling == "standardized":
+            scale = math.sqrt(math.fsum((x - mean) ** 2 for x in column) / n)
+        for row, x in zip(out, column):
+            row[j] = (x - mean) / scale
+    return out
+
+
+def _sq_euclidean(p, q) -> float:
+    return math.fsum((a - b) ** 2 for a, b in zip(p, q))
+
+
+def kmeanspp_oracle(rows, k: int, seed: int) -> list[int]:
+    """Row indices of the k-means++ centers of the fit seeded `seed`.
+
+    The first center is a uniform row index. Each later one is drawn with
+    probability proportional to a row's squared distance to its nearest
+    chosen center, by one uniform draw u in [0, 1): the pick is the first
+    row whose running weight, over the total, exceeds u. DrawNearBoundary
+    is raised when u lies within DRAW_MARGIN of any running weight.
+    """
+    rng = derive_rng(seed, KMEANS_INIT_STREAM)
+    n = len(rows)
+    chosen = [int(rng.integers(n))]
+    nearest = [_sq_euclidean(row, rows[chosen[0]]) for row in rows]
+    while len(chosen) < k:
+        total = math.fsum(nearest)
+        u = rng.random()
+        running = 0.0
+        pick = None
+        for i, weight in enumerate(nearest):
+            running += weight
+            bound = running / total
+            if abs(bound - u) <= DRAW_MARGIN * max(bound, u):
+                raise DrawNearBoundary(
+                    f"k-means++ draw {u!r} for center {len(chosen) + 1} of seed {seed} is "
+                    f"within {DRAW_MARGIN} of row {i}'s weight boundary {bound!r}"
+                )
+            if pick is None and bound > u:
+                pick = i
+        chosen.append(pick)
+        nearest = [min(d, _sq_euclidean(row, rows[pick])) for d, row in zip(nearest, rows)]
+    return chosen
+
+
+def _lloyd_tolerance(rows) -> float:
+    """1e-4 times the mean over columns of the column's population variance."""
+    n = len(rows)
+    variances = []
+    for column in zip(*rows):
+        mean = math.fsum(column) / n
+        variances.append(math.fsum((x - mean) ** 2 for x in column) / n)
+    return 1e-4 * math.fsum(variances) / len(variances)
+
+
+def cell_values(
+    points,
+    labels,
+    *,
+    master_seed: int,
+    dataset_index: int,
+    kind: NoiseKind,
+    scaling,
+    level: int,
+    repeats: int,
+    redraw: bool,
+) -> list[dict]:
+    """One sweep cell from the definitions: per repeat, the scaled matrix it
+    clustered, the k-means labeling and each metric's value.
+
+    The baseline gets `level` noise columns (none at level 0) of the curve's
+    noise sequence, or, with `redraw`, of the sequence (curve seed, repeat),
+    drawn with noise_column from the pooled mean and population std of the
+    baseline's entries; the scaling's formula comes next (scaled_rows). k is
+    the number of distinct labels. k-means++ (kmeanspp_oracle) seeds Lloyd
+    (lloyd_reference, at the fit's default tolerance and iteration budget),
+    and the metric oracles score the labeling against `labels`.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    truth = [int(label) for label in labels]
+    n = len(truth)
+    k = len(set(truth))
+    entries = [float(x) for x in points.ravel()]
+    mu = math.fsum(entries) / len(entries)
+    sigma = math.sqrt(math.fsum((x - mu) ** 2 for x in entries) / len(entries))
+    spec = types.SimpleNamespace(kind=kind, mu=mu, sigma=sigma)
+    sequence = derive_seed(
+        master_seed, dataset_index, NOISE_CODES[kind.value], NOISE_SEQUENCE_STREAM
+    )
+    noise_code = NOISE_CODES[kind.value] if level > 0 else BASELINE_NOISE_CODE
+    out = []
+    for repeat in range(repeats):
+        seed = derive_seed(
+            master_seed, dataset_index, noise_code, SCALING_CODES[scaling.value], level, repeat
+        )
+        noise_seed = (sequence, repeat) if redraw else sequence
+        columns = [noise_column(spec, noise_seed, j, n) for j in range(level)]
+        rows = [[*points[i], *(column[i] for column in columns)] for i in range(n)]
+        rows = scaled_rows(rows, scaling.value)
+        matrix = np.array(rows)
+        centers = matrix[kmeanspp_oracle(rows, k, seed)]
+        tolerance = _lloyd_tolerance(rows)
+        labeling = lloyd_reference(matrix, centers, KMEANS_MAX_ITERATIONS, tolerance)[0]
+        predicted = [int(c) for c in labeling]
+        values = {
+            "nmi": nmi_oracle(predicted, truth),
+            "ri": rand_index_oracle(predicted, truth),
+            "ari": ari_oracle(predicted, truth),
+            "silhouette": silhouette_oracle(rows, predicted),
+            "davies_bouldin": davies_bouldin_oracle(rows, predicted),
+        }
+        out.append({"matrix": matrix, "labeling": labeling, "values": values})
+    return out

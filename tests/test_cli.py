@@ -203,6 +203,57 @@ class TestGenerate:
         assert not (tmp_path / "out").exists()
 
 
+class TestEnumTokens:
+    # Config files and summary files name noise kinds and scalings by token;
+    # cli._member reads one, stripped and in any case.
+    def test_noise_kind_tokens(self):
+        assert cli._member(NoiseKind, "gaussian") is NoiseKind.GAUSSIAN
+        assert cli._member(NoiseKind, " Uniform ") is NoiseKind.UNIFORM
+
+    def test_unknown_noise_kind(self):
+        message = "unknown noise kind 'blue' (expected gaussian or uniform)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli._member(NoiseKind, "blue")
+
+    def test_scaling_tokens(self):
+        assert cli._member(ScalingKind, "none") is ScalingKind.NONE
+        assert cli._member(ScalingKind, " Centered ") is ScalingKind.CENTERED
+        assert cli._member(ScalingKind, "STANDARDIZED") is ScalingKind.STANDARDIZED
+
+    def test_unknown_scaling(self):
+        message = "unknown scaling 'minmax' (expected none, centered or standardized)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli._member(ScalingKind, "minmax")
+
+    @pytest.mark.parametrize(
+        "key, token, message",
+        [
+            ("noise", "blue", "unknown noise kind 'blue' (expected gaussian or uniform)"),
+            (
+                "scaling",
+                "minmax",
+                "unknown scaling 'minmax' (expected none, centered or standardized)",
+            ),
+        ],
+        ids=["noise", "scaling"],
+    )
+    def test_config_and_summary_name_an_unknown_token_alike(
+        self, tmp_path, capsys, key, token, message
+    ):
+        path = _write(tmp_path / "sweep.cfg", f"{key} = {token}\n[dataset]\ndims = 4\n")
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.parse_config(path)
+        assert str(exc.value) == f"{path}:1: {key}: {message}"
+        row = {"noise": "gaussian", "scaling": "none", key: token}
+        summary = _write(
+            tmp_path / "summary.csv",
+            f"{','.join(cli.SUMMARY_HEADER)}\n"
+            f"mini,{row['noise']},{row['scaling']},0.0,ari,1.0,0.0,2,ok\n",
+        )
+        assert cli.main(["report", "--summary", str(summary), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {summary}: line 2: {message}\n"
+
+
 class TestParseConfig:
     def test_small_config(self, tmp_path):
         path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
@@ -627,7 +678,7 @@ class TestRun:
             ],
             "noise_kinds": ["gaussian", "uniform"],
             "scalings": ["none"],
-            "max_ratio": "1/3",
+            "max_ratio": "1:3",
             "ratio_step": 1,
             "repeats": 2,
             "master_seed": 0,
@@ -635,6 +686,9 @@ class TestRun:
             "workers": 1,
         }
         assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SweepConfig)]
+        # max_ratio reads back as a config file value.
+        max_ratio = cli.parse_config(tmp_path / "sweep.cfg").max_ratio
+        assert cli._ratio(manifest["config"]["max_ratio"]) == max_ratio
         assert manifest["numpy_version"] == np.__version__
         assert manifest["blas_build"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         # 2 datasets x 2 noises x 2 levels; only (neg, uniform, level 1) failed.

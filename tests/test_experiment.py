@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,10 +45,18 @@ from cluster_sense.perturb import NoiseKind, NoiseSpec, append_noise
 from cluster_sense.scale import ScalingKind, apply_scaling
 from cluster_sense.dataset import compute_stats
 
+import oracles
+
 TOY = GeneratorSource(name="toy", dims=8, clusters=4, per_cluster=16, separation=10.0, seed=3)
 # n = 512, d = 64..72, k = 16: wide enough that OpenBLAS runs the Lloyd and
 # cell-matrix products multi-threaded when it is allowed to.
 WIDE = GeneratorSource(name="wide", dims=64, per_cluster=32, seed=3)
+# Two 48-point, 2-feature datasets with overlapping clusters, so k-means
+# reaches different partitions from different seeds.
+ORACLE_SOURCES = (
+    GeneratorSource(name="three", dims=2, clusters=3, per_cluster=16, separation=2.0, seed=1),
+    GeneratorSource(name="four", dims=2, clusters=4, per_cluster=12, separation=2.0, seed=2),
+)
 
 
 def _toy_config(**overrides):
@@ -179,6 +188,27 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="scaling 'none'"):
             _toy_config(scalings=(ScalingKind.NONE, ScalingKind.NONE))
 
+    def test_values_become_members_and_members_pass(self):
+        config = _toy_config(noise_kinds=("gaussian", NoiseKind.UNIFORM), scalings=["none"])
+        assert config.noise_kinds == (NoiseKind.GAUSSIAN, NoiseKind.UNIFORM)
+        assert config.scalings == (ScalingKind.NONE,)
+        assert config == _toy_config(scalings=(ScalingKind.NONE,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_kinds", "blue"),
+            ("noise_kinds", "Gaussian"),
+            ("noise_kinds", ScalingKind.NONE),
+            ("scalings", "minmax"),
+            ("scalings", NoiseKind.UNIFORM),
+            ("scalings", 0),
+        ],
+    )
+    def test_other_entries_are_named(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            _toy_config(**{field: (value,)})
+
     def test_defaults(self):
         config = SweepConfig(datasets=(TOY,))
         assert config.max_ratio == Fraction(3)
@@ -186,6 +216,20 @@ class TestSweepConfig:
         assert config.repeats == 50
         assert config.redraw_noise_per_repeat is False
         assert config.workers == 1
+
+
+class TestSeedScheme:
+    def test_codes_give_distinct_seeds(self):
+        # Above level 0, each (noise kind, scaling) pair keys its own k-means
+        # seeds, and each noise kind its own noise sequence.
+        for level in (1, 5):
+            seeds = {
+                cell_kmeans_seed(11, 0, kind, scaling, level, 0)
+                for kind in NoiseKind
+                for scaling in ScalingKind
+            }
+            assert len(seeds) == len(NoiseKind) * len(ScalingKind)
+        assert len({noise_sequence_seed(11, 0, kind) for kind in NoiseKind}) == len(NoiseKind)
 
 
 class TestSweepLevels:
@@ -281,6 +325,57 @@ class TestRunSweep:
             scores = evaluate_clustering(scaled, fitted.assignments[None], base.labels)
             for metric, (value,) in scores.items():
                 assert raw[("toy", "gaussian", "none", level, metric, repeat)] == value
+
+    @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redraw"])
+    def test_every_cell_equals_the_oracle(self, monkeypatch, redraw):
+        # oracles.cell_values restates a cell from the definitions, seed
+        # codes included, so a changed seed, noise draw, scaling, k-means++
+        # pick or metric shows here. Labelings are center indices in pick
+        # order, so even a seed that reaches the same partition shows.
+        config = SweepConfig(
+            datasets=ORACLE_SOURCES,
+            max_ratio=Fraction(1),
+            ratio_step=2,
+            repeats=3,
+            master_seed=13,
+            redraw_noise_per_repeat=redraw,
+        )
+        seen = []
+        evaluate = experiment.evaluate_clustering
+
+        def recording(matrix, assignments, truth, distances=None):
+            seen.extend((matrix.copy(), labeling.copy()) for labeling in assignments)
+            return evaluate(matrix, assignments, truth, distances=distances)
+
+        monkeypatch.setattr(experiment, "evaluate_clustering", recording)
+        raw = _raw_values(run_sweep(config))
+        expected = []
+        for index, source in enumerate(config.datasets):
+            base = source.load()
+            for kind in config.noise_kinds:
+                for scaling in config.scalings:
+                    for level in sweep_levels(base.n_features, config.max_ratio, config.ratio_step):
+                        cell = oracles.cell_values(
+                            base.points,
+                            base.labels,
+                            master_seed=config.master_seed,
+                            dataset_index=index,
+                            kind=kind,
+                            scaling=scaling,
+                            level=level,
+                            repeats=config.repeats,
+                            redraw=redraw,
+                        )
+                        for repeat, values in enumerate(cell):
+                            key = (base.name, kind.value, scaling.value, level)
+                            expected.append((key, repeat, values))
+        # 2 datasets x 2 noises x 3 scalings x levels 0 and 2 x 3 repeats.
+        assert len(expected) == len(seen) == 72
+        for (matrix, labeling), (key, repeat, values) in zip(seen, expected):
+            assert np.array_equal(labeling, values["labeling"]), (key, repeat)
+            np.testing.assert_allclose(matrix, values["matrix"], rtol=1e-12, atol=1e-12)
+            for metric, value in values["values"].items():
+                assert raw[(*key, metric, repeat)] == pytest.approx(value, rel=1e-9, abs=1e-12)
 
     def test_std_is_population_std_of_raw_values(self):
         # Both files are read back: their floats are reprs, which parse to

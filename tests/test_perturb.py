@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cluster_sense.dataset import LabeledDataset, compute_stats, generate_dim_like
+from cluster_sense.experiment import noise_sequence_seed
 from cluster_sense.perturb import (
     InvalidNoiseRange,
     NoiseKind,
@@ -25,16 +26,10 @@ def _uniform_spec(mu=2.0, sigma=1.0, seed=0):
 
 
 class TestNoiseKind:
-    def test_parse_tokens(self):
-        assert NoiseKind.parse("gaussian") is NoiseKind.GAUSSIAN
-        assert NoiseKind.parse(" Uniform ") is NoiseKind.UNIFORM
-
-    def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError, match="blue"):
-            NoiseKind.parse("blue")
-
     def test_codes_distinct(self):
-        assert NoiseKind.GAUSSIAN.code != NoiseKind.UNIFORM.code
+        # Each noise kind keys its own noise sequence in the sweep's seed table.
+        seeds = {noise_sequence_seed(11, 0, kind) for kind in NoiseKind}
+        assert len(seeds) == len(NoiseKind)
 
 
 class TestNoiseSpec:

@@ -6,23 +6,17 @@ import numpy as np
 import pytest
 
 from cluster_sense.dataset import generate_dim_like
+from cluster_sense.experiment import cell_kmeans_seed
 from cluster_sense.kmeans import KMeansConfig, fit
+from cluster_sense.perturb import NoiseKind
 from cluster_sense.scale import ScalingKind, apply_scaling
 
 
 class TestScalingKind:
-    def test_parse_tokens(self):
-        assert ScalingKind.parse("none") is ScalingKind.NONE
-        assert ScalingKind.parse(" Centered ") is ScalingKind.CENTERED
-        assert ScalingKind.parse("STANDARDIZED") is ScalingKind.STANDARDIZED
-
-    def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError, match="minmax"):
-            ScalingKind.parse("minmax")
-
     def test_codes_distinct(self):
-        codes = {kind.code for kind in ScalingKind}
-        assert len(codes) == 3
+        # Above level 0, each scaling keys its own k-means seeds.
+        seeds = {cell_kmeans_seed(11, 0, NoiseKind.GAUSSIAN, kind, 1, 0) for kind in ScalingKind}
+        assert len(seeds) == len(ScalingKind)
 
 
 class TestApplyScaling:

@@ -181,3 +181,19 @@ def test_every_random_draw_comes_from_seeding():
                 continue
             found.extend(f"{module}:{node.lineno}: {name}" for name in names if _names_random(name))
     assert found == []
+
+
+def test_only_experiment_derives_seeds():
+    # A sweep's seeds are derived in one module, from one table of codes:
+    # every other module draws through seeding.derive_rng from seeds it is
+    # given.
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        if module not in ("experiment", "seeding")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "derive_seed"
+        or isinstance(node, ast.Attribute) and node.attr == "derive_seed"
+        or isinstance(node, ast.alias) and node.name == "derive_seed"
+    ]
+    assert found == []
