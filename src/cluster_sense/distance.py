@@ -14,13 +14,18 @@ bit only where the BLAS GEMM rounds every element the same way whatever the
 operand shape (with OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU: n a multiple
 of 8 and no one-row block, which numpy computes with GEMV). So a given n
 always splits into the same blocks, and results stay reproducible.
+Silhouette reads each block of a larger matrix as a panel, its columns from
+the block's diagonal on (distance_rows with first = start), so each pair is
+computed once; a panel is its own product, and so rounds like the whole
+rows only where those shapes do.
 
 Every BLAS product in the package runs on one BLAS thread, under a pin
 this module holds. pairwise_sq_distances pins its own product, so
 k-means++'s center distances, Lloyd's assignment steps, the distance matrix,
 silhouette's blocks and Davies-Bouldin's centroid distances run pinned
 wherever they are called from; for_each_row_block holds the pin around the
-work it maps, which covers silhouette's per-cluster products. OpenBLAS
+work and the commits it runs, which covers silhouette's per-cluster
+products. OpenBLAS
 rounds a product differently at different thread counts, so a product
 computed on several BLAS threads by a serial sweep would not have the bits
 of the same product computed by a pooled sweep, which runs on one; with
@@ -29,9 +34,12 @@ build happens to round. Pinned products also never wake OpenBLAS's own
 threads, which would keep spinning for a while after each product and take
 CPU from the threads that do the work. Cores are kept busy by the sweep's
 worker pool and by for_each_row_block, which spreads a matrix of several
-blocks over as many threads as BLAS had, one whole block per thread; the
-partition never depends on the thread count, so neither do the bits. A
-serial sweep of matrices that fit one block runs on one core.
+blocks over as many threads as BLAS had, one whole block per thread. There
+a block's work writes only its own block, while other blocks run; what it
+adds to rows of other blocks it hands to its commit, which runs once every
+earlier block has committed, one commit at a time. Neither the partition
+nor the commit order depends on the thread count, so neither do the bits.
+A serial sweep of matrices that fit one block runs on one core.
 """
 
 from __future__ import annotations
@@ -163,6 +171,7 @@ def pairwise_sq_distances(
     b: np.ndarray,
     a_sq: np.ndarray | None = None,
     b_sq: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared Euclidean distances between rows of `a` and rows of `b`.
 
@@ -175,6 +184,10 @@ def pairwise_sq_distances(
     the rows around it). A caller that measures many `b` against one `a` (a
     k-means fit), or many row blocks against one matrix, computes them once
     instead of once per call. The result is bit-identical either way.
+
+    out, when given, is a C-contiguous float64 array of the result's shape;
+    the product is written into it (the same GEMM, so the same bits) and it
+    is returned.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -187,7 +200,7 @@ def pairwise_sq_distances(
     # the only result-sized buffer is the result itself. The product runs on
     # one BLAS thread, as every product does (see the module docstring).
     with _single_blas_thread():
-        d2 = a @ b.T
+        d2 = np.matmul(a, b.T, out=out)
     d2 *= -2.0
     step = max(1, _SUM_CHUNK_BYTES // (8 * max(b_sq.size, 1)))
     for start in range(0, d2.shape[0], step):
@@ -210,22 +223,34 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def distance_rows(
-    x: np.ndarray, start: int, stop: int, sq_norms: np.ndarray | None = None
+    x: np.ndarray,
+    start: int,
+    stop: int,
+    sq_norms: np.ndarray | None = None,
+    first: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rows start:stop of the n x n Euclidean distance matrix of `x`.
+    """Rows start:stop, columns first:n, of the n x n Euclidean distance
+    matrix of `x`.
 
     The self-distance entries (i, i) are exactly zero. sq_norms, when given,
     is np.einsum("ij,ij->i", x, x) of the float64 `x`; a caller computing
     several blocks of one matrix computes it once. The rows are the same
-    either way.
+    either way. out, when given, receives the result as in
+    pairwise_sq_distances. Columns from first = 0 are the whole rows; a
+    block's panel from first = start is the part on and above the diagonal.
+    Such a panel is a different GEMM from the whole rows, so it may round
+    apart from their slice in the last bits.
     """
     x = np.asarray(x, dtype=np.float64)
     if sq_norms is None:
         sq_norms = np.einsum("ij,ij->i", x, x)
-    d = pairwise_sq_distances(x[start:stop], x, sq_norms[start:stop], sq_norms)
+    d = pairwise_sq_distances(
+        x[start:stop], x[first:], sq_norms[start:stop], sq_norms[first:], out
+    )
     np.sqrt(d, out=d)
-    rows = np.arange(stop - start)
-    d[rows, start + rows] = 0.0
+    rows = np.arange(max(first - start, 0), stop - start)
+    d[rows, start + rows - first] = 0.0
     return d
 
 
@@ -241,25 +266,66 @@ def map_on_one_blas_thread(work: Callable, items: Sequence, threads: int) -> lis
             return [work(item) for item in items]
         with ThreadPoolExecutor(threads) as pool:
             try:
-                return list(pool.map(work, items))
+                # What pool.map does, but every future lives to the end: with
+                # pool.map's generator, an n = 8192 sweep's peak RSS measured
+                # up to 1.3 MB higher, from where glibc placed its chunks.
+                futures = [pool.submit(work, item) for item in items]
+                return [future.result() for future in futures]
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
 
 
-def for_each_row_block(n: int, work: Callable[[int, int], None]) -> None:
-    """Call work(start, stop) for every block of row_blocks(n), on one BLAS thread.
+def for_each_row_block(
+    n: int,
+    work: Callable[[int, int], object],
+    commit: Callable[[int, int, object], None] = lambda start, stop, result: None,
+) -> None:
+    """For every block of row_blocks(n), work(start, stop) and then
+    commit(start, stop, result) with what work returned; on one BLAS thread,
+    with the commits in block order.
 
     With several blocks they run on min(blocks, T) threads, T being the
     OpenBLAS thread count before the pin (1 inside another pin, such as a
     pooled sweep's, and when BLAS cannot be controlled), one whole block per
-    thread. So work may run concurrently with itself and must write only
-    what belongs to its own rows. Errors propagate as in
-    map_on_one_blas_thread.
+    thread. work may run concurrently with itself and with commits, so it
+    must write only what belongs to its own block. commit runs on the same
+    thread right after its block's work, once every earlier block has
+    committed, and never concurrently with another commit: it may write
+    anything, and the order of its writes, so their bits, depend on n alone,
+    never on T. A thread holds its block's result until the commit, and
+    takes no other block before, so at most T results are held at once.
+
+    Errors propagate as in map_on_one_blas_thread. A block that raises, in
+    work or in commit, releases the blocks waiting to commit, which return
+    without committing, and no block starts its work after it.
     """
     blocks = row_blocks(n)
     threads = min(len(blocks), blas_thread_count() or 1)
-    map_on_one_blas_thread(lambda block: work(*block), blocks, threads)
+    turn = threading.Condition()
+    committed = 0
+    failed = False
+
+    def run(index):
+        nonlocal committed, failed
+        start, stop = blocks[index]
+        if failed:
+            return
+        try:
+            result = work(start, stop)
+            with turn:
+                turn.wait_for(lambda: committed == index or failed)
+                if not failed:
+                    commit(start, stop, result)
+                    committed += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    map_on_one_blas_thread(run, range(len(blocks)), threads)
 
 
 def pairwise_distances(x: np.ndarray) -> np.ndarray:

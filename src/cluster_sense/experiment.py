@@ -107,6 +107,9 @@ class SweepConfig:
         object.__setattr__(self, "max_ratio", Fraction(self.max_ratio))
         if not self.datasets:
             raise ValueError("at least one dataset source is required")
+        for source in self.datasets:
+            if not isinstance(source, (GeneratorSource, FileSource)):
+                raise ValueError(f"{source!r} is not a GeneratorSource or FileSource")
         for what, values in (
             ("dataset name", [source.name for source in self.datasets]),
             ("noise kind", [kind.value for kind in self.noise_kinds]),

@@ -154,19 +154,24 @@ def silhouette(
     clusters contribute 0.
 
     `assignments` is a stack (R, n) of labelings of the same points, giving
-    a float64 array of R values; a 1-D labeling raises ValueError. Distance
-    rows are computed one row block at a time, once for the whole stack, and
-    each block is reduced to per-cluster sums with one product per labeling,
-    all on one BLAS thread and with blocks spread over threads (see
-    distance.for_each_row_block). So memory is O(T * block * n + R * n * k)
-    for T threads rather than O(n^2), and each value has the same bits as a
-    call with that labeling alone, whatever the thread counts.
+    a float64 array of R values; a 1-D labeling raises ValueError. Each row
+    block computes its panel, its distance rows from its diagonal on, once
+    for the whole stack, so every pair is computed once. Per labeling, the
+    panel times the one-hot labeling gives the block's own per-cluster sums;
+    the transposed panel times the block's one-hot rows gives the later
+    rows' sums over the block's points, added at the block's commit in
+    block order. All of it runs on one BLAS thread with blocks spread over
+    threads (see distance.for_each_row_block). Memory is at most T panels of
+    block * n floats, for T threads, each held until its block commits, plus
+    the sums and one-hot matrices, 2 * R * n * k floats: O(T * block * n +
+    R * n * k) rather than O(n^2). Each value has the same bits as a call
+    with that labeling alone, whatever the thread counts.
 
     distances, when given, must be pairwise_distances(matrix) of the same
-    float64 matrix (ValueError unless it is n x n). Its rows are read in
-    place of computing them, and it is not written to; pairwise_distances
-    builds only a one-block matrix, which is the block this would compute,
-    so every value keeps its bits.
+    float64 matrix (ValueError unless it is n x n). Its panels are read from
+    it in place of computing them, and it is not written to;
+    pairwise_distances builds only a one-block matrix, which is one panel,
+    the product this would compute, so every value keeps its bits.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     labelings = _stack(assignments)
@@ -182,18 +187,32 @@ def silhouette(
         distances = check_distances(distances, n)
 
     onehots = [np.eye(counts.size)[dense] for dense, counts in present]
-    all_sums = [np.empty_like(onehot) for onehot in onehots]
+    all_sums = [np.zeros_like(onehot) for onehot in onehots]
     sq_norms = np.einsum("ij,ij->i", matrix, matrix) if distances is None else None
 
-    def reduce_block(start, stop):
+    def panel_sums(start, stop):
+        # The block's distances on and above the diagonal, columns start:n,
+        # and its own rows' sums over them. The panel takes a whole block's
+        # memory however narrow it is, so that every panel allocates alike.
         if distances is None:
-            rows = distance_rows(matrix, start, stop, sq_norms)
+            rows = stop - start
+            out = np.empty(rows * n)[: rows * (n - start)].reshape(rows, n - start)
+            panel = distance_rows(matrix, start, stop, sq_norms, first=start, out=out)
         else:
-            rows = distances[start:stop]
-        for cluster_sums, onehot in zip(all_sums, onehots):
-            cluster_sums[start:stop] = rows @ onehot
+            panel = distances[start:stop, start:]
+        return panel, [panel @ onehot[start:] for onehot in onehots]
 
-    for_each_row_block(n, reduce_block)
+    def add_sums(start, stop, computed):
+        # By symmetry the panel also holds the later rows' distances to the
+        # block's points; their product runs here, one panel at a time, so
+        # no thread holds more than its panel while it waits to commit.
+        panel, own_sums = computed
+        rows = stop - start
+        for cluster_sums, own, onehot in zip(all_sums, own_sums, onehots):
+            cluster_sums[start:stop] += own
+            cluster_sums[stop:] += panel[:, rows:].T @ onehot[start:stop]
+
+    for_each_row_block(n, panel_sums, add_sums)
 
     values = []
     for cluster_sums, (dense, counts) in zip(all_sums, present):

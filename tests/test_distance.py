@@ -1,7 +1,9 @@
 """Row-block distance kernel tests: block layout, one-shot equivalence, memory
 shape, and the BLAS threading blocks run under."""
 
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -155,6 +157,22 @@ class TestBlockedMatrix:
         np.testing.assert_allclose(distance_rows(x, 5, 6), full[5:6], rtol=1e-13, atol=0.0)
         assert distance_rows(x, 5, 6)[0, 5] == 0.0
 
+    def test_panels_from_a_first_column(self):
+        # Silhouette's panels start at their block's diagonal; any first
+        # column gives the columns from it on, written into `out` when given.
+        x = self._matrix(5)
+        full = _one_shot(x)
+        cases = [(0, 128, 0), (128, 256, 128), (256, 320, 9), (5, 17, 9), (5, 17, 40)]
+        for start, stop, first in cases:
+            panel = distance_rows(x, start, stop, first=first)
+            assert panel.shape == (stop - start, self.N - first)
+            np.testing.assert_allclose(panel, full[start:stop, first:], rtol=1e-13, atol=0.0)
+            diagonal = np.arange(max(start, first), stop)
+            assert np.all(panel[diagonal - start, diagonal - first] == 0.0)
+            out = np.empty_like(panel)
+            assert distance_rows(x, start, stop, first=first, out=out) is out
+            assert out.tobytes() == panel.tobytes()
+
     def test_any_n_matches_one_shot_within_rounding(self, block_rows):
         # For n that is not a multiple of the GEMM tile width the edge columns
         # may round differently from the one-shot matrix; only the last bits.
@@ -239,6 +257,120 @@ class TestForEachRowBlock:
         assert np.array_equal(pairwise_distances(x), expected)
         assert kernel_pins.products == [("cluster_sense.distance", 1, 1)]
         assert distance.blas_thread_count() == controlled_blas
+
+
+class TestOrderedCommit:
+    N = 40  # ten 4-row blocks
+
+    def test_commits_follow_their_block_in_block_order_one_at_a_time(
+        self, block_rows, controlled_blas
+    ):
+        # Later blocks finish first; each still commits in block order, on
+        # the thread that ran its block, with what that block returned, and
+        # no two commits overlap.
+        block_rows(self.N, 4)
+        lock = threading.Lock()
+        committed, active = [], []
+
+        def work(start, stop):
+            time.sleep(0.002 * (self.N - start) / 4)
+            return start, stop, threading.get_ident()
+
+        def commit(start, stop, result):
+            with lock:
+                active.append(1)
+                overlapping = len(active)
+            time.sleep(0.001)
+            committed.append((start, stop, result, threading.get_ident(), overlapping))
+            with lock:
+                active.pop()
+
+        distance.for_each_row_block(self.N, work, commit)
+        assert [(start, stop) for start, stop, *_ in committed] == row_blocks(self.N)
+        assert all(result == (start, stop, thread) for start, stop, result, thread, _ in committed)
+        assert {overlapping for *_, overlapping in committed} == {1}
+        assert threading.get_ident() not in {thread for *_, thread, _ in committed}
+
+    def test_each_thread_holds_one_result_until_its_commit(self, block_rows, controlled_blas):
+        # The first block holds up every commit: the other thread finishes
+        # its block and waits, so T blocks are started and not committed,
+        # and never more.
+        block_rows(self.N, 4)
+        lock = threading.Lock()
+        counts = {"started": 0, "committed": 0, "most": 0}
+
+        def work(start, stop):
+            with lock:
+                counts["started"] += 1
+                counts["most"] = max(counts["most"], counts["started"] - counts["committed"])
+            if start == 0:
+                time.sleep(0.2)
+
+        def commit(start, stop, result):
+            with lock:
+                counts["committed"] += 1
+
+        distance.for_each_row_block(self.N, work, commit)
+        assert counts["committed"] == len(row_blocks(self.N))
+        assert counts["most"] == controlled_blas
+
+    def test_more_threads_than_cores_lose_no_commit(self, monkeypatch, block_rows):
+        # Six threads, one-row blocks and a shortened switch interval: a
+        # commit that overlapped another, or ran out of turn, would lose an
+        # update to the counter or break the order.
+        monkeypatch.setattr(distance, "blas_thread_count", lambda: 6)
+        block_rows(self.N, 1)
+        counter = {"value": 0}
+        order = []
+
+        def commit(start, stop, result):
+            value = counter["value"]
+            time.sleep(0)  # invites a switch inside the read-modify-write
+            counter["value"] = value + 1
+            order.append(result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=distance.for_each_row_block,
+                args=(self.N, lambda start, stop: start, commit),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert counter["value"] == self.N
+        assert order == list(range(self.N))
+
+    @pytest.mark.parametrize("where", ["work", "commit"])
+    def test_an_error_releases_waiting_blocks_and_starts_no_other(
+        self, block_rows, controlled_blas, where
+    ):
+        # Block 2 of 10 raises. Blocks 0 and 1 commit; of the rest only those
+        # already running finish their work, and none commits.
+        block_rows(self.N, 4)
+        started, committed = [], []
+
+        def work(start, stop):
+            started.append(start)
+            if where == "work" and start == 8:
+                time.sleep(0.05)  # long enough for block 1 to commit
+                raise TypeError("bug in block 8")
+
+        def commit(start, stop, result):
+            if where == "commit" and start == 8:
+                raise TypeError("bug in block 8")
+            committed.append(start)
+
+        with pytest.raises(TypeError, match="bug in block 8"):
+            distance.for_each_row_block(self.N, work, commit)
+        assert committed == [0, 4]
+        assert max(started) <= 4 * (2 + controlled_blas - 1)
+        assert distance.blas_thread_count() == controlled_blas
+        assert distance._blas_pin_depth == 0
 
 
 class TestBlasCoreName:

@@ -209,6 +209,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=re.escape(repr(value))):
             _toy_config(**{field: (value,)})
 
+    @pytest.mark.parametrize("value", ["x", None, {"name": "toy", "dims": 8}, NoiseKind.GAUSSIAN])
+    def test_other_dataset_entries_are_named(self, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            SweepConfig(datasets=(TOY, value))
+
     def test_defaults(self):
         config = SweepConfig(datasets=(TOY,))
         assert config.max_ratio == Fraction(3)
@@ -491,11 +496,14 @@ class TestRunSweep:
         # per drawn matrix above level 0 and once for the shared level-0
         # matrix of each cell's repeats. In one block the sweep builds the
         # whole distance matrix and k-means++ squares its rows; in 40-row
-        # blocks (40, 40, 16) silhouette computes each block itself and
-        # k-means++ its own squared distances. So this also compares the two
-        # D^2 sources of k-means++. n = 96 is a multiple of 8, where blocks
-        # round like the whole matrix (see cluster_sense.distance), and the
-        # summary bytes must not change.
+        # blocks (40, 40, 16) silhouette computes each block's panel itself
+        # and k-means++ its own squared distances. So this also compares the
+        # two D^2 sources of k-means++. n = 96 is a multiple of 8, where
+        # blocks round like the whole matrix (see cluster_sense.distance), so
+        # the labelings, and with them every label metric and Davies-Bouldin,
+        # keep their bytes. Silhouette sums each pair once from the panels,
+        # in another order than the one-block product, so its values move by
+        # rounding only.
         ds = generate_dim_like(4, 6, 16, 4.0, seed=5)
         save_dataset(ds, tmp_path / "d.txt", tmp_path / "l.txt")
         source = FileSource(
@@ -504,12 +512,19 @@ class TestRunSweep:
         config = _toy_config(
             datasets=(source,), max_ratio=Fraction(1), redraw_noise_per_repeat=True, repeats=2
         )
-        one_block = summary_csv_text(run_sweep(config))
+        one_block = run_sweep(config).cells
         block_rows(ds.n_points, 40)
         assert len(distance.row_blocks(ds.n_points)) == 3
-        many_blocks = summary_csv_text(run_sweep(config))
-        assert many_blocks == one_block
-        assert "error" not in one_block
+        many_blocks = run_sweep(config).cells
+        assert all(cell.status == "ok" for cell in one_block)
+        assert len(many_blocks) == len(one_block)
+        for one, many in zip(one_block, many_blocks):
+            if one.metric != "silhouette":
+                assert many == one
+                continue
+            assert replace(many, values=one.values, mean=one.mean, std=one.std) == one
+            assert many.values == pytest.approx(one.values, rel=1e-12, abs=0.0)
+            assert many.mean == pytest.approx(one.mean, rel=1e-12, abs=0.0)
 
     def test_fixed_noise_file_sweep_never_holds_an_n_by_n_matrix(self, tmp_path, block_rows):
         # n = 512 in 64-row blocks (8 blocks). numpy reports its buffers to

@@ -1,6 +1,8 @@
 """Metric tests: frozen hand values, brute-force oracles, and invariants."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -239,20 +241,27 @@ class TestAdjustedRandIndex:
 
 
 def _blocked_matrix(matrix):
-    """The n x n distance matrix stacked from the row blocks silhouette
-    computes, so its rows have the bits of those blocks."""
-    return np.vstack(
-        [distance.distance_rows(matrix, *block) for block in distance.row_blocks(len(matrix))]
-    )
+    """The n x n distance matrix stacked from the panels silhouette computes:
+    each row block from its diagonal on, mirrored below the diagonal. So the
+    panels silhouette reads from it have the bits of those it computes."""
+    n = len(matrix)
+    full = np.empty((n, n))
+    for start, stop in distance.row_blocks(n):
+        full[start:stop, start:] = distance.distance_rows(matrix, start, stop, first=start)
+    below = np.tril_indices(n, -1)
+    full[below] = full.T[below]
+    return full
 
 
 def _silhouette_from_matrix(monkeypatch, matrix, stack):
-    """Silhouette with its distance rows sliced from a full matrix instead of
-    computed block by block."""
+    """Silhouette with its distance panels sliced from a full matrix instead
+    of computed block by block."""
     full = _blocked_matrix(matrix)
     with monkeypatch.context() as patch:
         patch.setattr(
-            metrics, "distance_rows", lambda x, start, stop, sq_norms: full[start:stop]
+            metrics,
+            "distance_rows",
+            lambda x, start, stop, sq_norms, first, out: full[start:stop, first:],
         )
         return silhouette(matrix, stack)
 
@@ -353,6 +362,97 @@ class TestBlockedSilhouette:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+
+def _clustered(n, d, seed):
+    """n points around four centers, the four-cluster truth, and a stack of
+    it, a tenth of it relabeled, and two of its clusters merged."""
+    rng = np.random.default_rng(seed)
+    truth = np.arange(n) % 4
+    matrix = rng.normal(size=(4, d))[truth] * 3.0 + rng.normal(size=(n, d))
+    relabeled = truth.copy()
+    relabeled[rng.choice(n, n // 10, replace=False)] = rng.integers(0, 4, n // 10)
+    return matrix, np.stack([truth, relabeled, np.minimum(truth, 2)])
+
+
+class TestSilhouettePanels:
+    """Silhouette of several row blocks: each block computes its panel from
+    its diagonal on, and the sums of the pairs left of the diagonal come from
+    earlier blocks' panels, added in block order."""
+
+    # n a multiple of 8 in equal blocks, n not a multiple of 8, and a short
+    # last block (88 = 3 * 24 + 16).
+    @pytest.mark.parametrize("n, rows", [(96, 16), (61, 8), (88, 24)])
+    def test_bits_independent_of_threads_and_reruns(self, controlled_blas, block_rows, n, rows):
+        matrix, stack = _clustered(n, 24, seed=n)
+        block_rows(n, rows)
+        on_two = silhouette(matrix, stack)
+        with distance._single_blas_thread():
+            on_one = silhouette(matrix, stack)
+        bits = [v.hex() for v in on_two.tolist()]
+        assert [v.hex() for v in on_one.tolist()] == bits
+        assert [v.hex() for v in silhouette(matrix, stack).tolist()] == bits
+        oracle = [silhouette_oracle(matrix.tolist(), labels.tolist()) for labels in stack]
+        assert on_two.tolist() == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_panel_error_propagates_and_undoes_the_pin(
+        self, monkeypatch, controlled_blas, block_rows
+    ):
+        # The fourth of eight panels raises after the fifth is done and waits
+        # behind it to commit: the error reaches the caller, the waiting
+        # panel is released, and the pin is undone.
+        matrix, stack = _clustered(64, 8, seed=3)
+        block_rows(64, 8)
+        original = metrics.distance_rows
+
+        def failing_rows(x, start, stop, *args, **kwargs):
+            if start == 24:
+                time.sleep(0.2)
+                raise TypeError("bug in a panel")
+            return original(x, start, stop, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "distance_rows", failing_rows)
+        raised = []
+
+        def run():
+            try:
+                silhouette(matrix, stack)
+            except TypeError as error:
+                raised.append(str(error))
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert raised == ["bug in a panel"]
+        assert distance._blas_pin_depth == 0
+        assert distance.blas_thread_count() == controlled_blas
+
+    def test_peak_memory_grows_with_the_stack_by_its_sums(self, controlled_blas, block_rows):
+        # numpy reports its buffers to tracemalloc. Whatever the stack, each
+        # thread holds one panel, at most a block's worth, and the norm sums
+        # added to it, far below one n x n matrix. Each labeling adds its
+        # one-hot matrix and its sums, n x k floats each; the later rows'
+        # sums over a panel are added at its commit, one labeling at a time,
+        # so no thread holds them for the whole stack.
+        n, rows, k = 512, 16, 8
+        block_rows(n, rows)
+        rng = np.random.default_rng(21)
+        matrix = rng.normal(size=(n, 4))
+
+        def peak(labelings):
+            stack = np.stack([rng.permutation(n) % k for _ in range(labelings)])
+            tracemalloc.start()
+            try:
+                silhouette(matrix, stack)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_labeling = n * k * 8
+        one, many = peak(1), peak(33)
+        assert one < n * n * 8 / 2
+        assert many - one < 32 * 3 * per_labeling
 
 
 @st.composite

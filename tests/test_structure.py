@@ -197,3 +197,24 @@ def test_only_experiment_derives_seeds():
         or isinstance(node, ast.alias) and node.name == "derive_seed"
     ]
     assert found == []
+
+
+def test_only_distance_imports_threads():
+    # Threads run only in distance: the sweep's worker pool and the row-block
+    # panels, whose commits it orders beside the BLAS pin. A thread started
+    # elsewhere would escape both the pin and the commit order.
+    found = [
+        f"{module}:{node.lineno}: {name}"
+        for module, tree in _trees().items()
+        if module != "distance"
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [node.module or ""]
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.split(".")[0] in ("threading", "concurrent", "_thread")
+    ]
+    assert found == []
