@@ -214,16 +214,18 @@ def _error_code(exc: Exception) -> str:
 class _Cell:
     """One sweep cell: a dataset, noise kind, scaling and augmentation level.
 
-    `noise` holds the curve's fixed noise columns up to its largest level,
-    shared by every cell of the curve. It is None when noise is redrawn per
-    repeat, or when the curve's draw raised: the cell then draws its own
-    columns and meets that error itself.
+    `curve` is the read-only matrix of the baseline with the curve's fixed
+    noise columns up to its largest level stacked to the right, shared by
+    every cell of the curve: a cell's unscaled matrix is a column prefix of
+    it. It is None when noise is redrawn per repeat, or when the curve's
+    draw raised: the cell then draws its own columns and meets that error
+    itself.
     """
 
     dataset_index: int
     base: LabeledDataset
     spec: NoiseSpec
-    noise: Optional[np.ndarray]
+    curve: Optional[np.ndarray]
     scaling: ScalingKind
     level: int
 
@@ -268,11 +270,15 @@ def _cell_matrices(cell: _Cell, config: SweepConfig):
     """Yield (scaled matrix, k-means seeds of the repeats clustered on it).
 
     Every matrix is the baseline with the cell's `level` noise columns (none
-    at level 0) stacked to the right: a new array, scaled in place, so it is
-    the one matrix-sized array the cell holds. A redraw cell with columns to
-    draw draws them once per repeat, one matrix each. Any other cell is one
-    matrix for all its repeats, its columns sliced from the curve's draw or,
-    when the curve has none, drawn by the cell.
+    at level 0) stacked to the right. A cell of a fixed-noise curve reads it
+    as the column prefix of the curve's matrix, one matrix for all its
+    repeats: unscaled, that read-only view is the matrix and the cell owns
+    none; scaled, it is scaled into one new array. A strided prefix gives
+    the products and reductions the same bits as a contiguous copy. Any
+    other cell stacks its matrix into a new array and scales it in place, so
+    it is the one matrix-sized array the cell holds: a redraw cell with
+    columns to draw draws them once per repeat, one matrix each; a cell of a
+    curve whose draw raised draws its own columns once.
     """
     base, spec, level = cell.base, cell.spec, cell.level
     seeds = [
@@ -289,10 +295,13 @@ def _cell_matrices(cell: _Cell, config: SweepConfig):
     if config.redraw_noise_per_repeat and level > 0:
         for repeat, seed in enumerate(seeds):
             yield stacked(append_noise(base, spec, level, seed=(spec.seed, repeat))), [seed]
-    elif cell.noise is None:
+    elif cell.curve is None:
         yield stacked(append_noise(base, spec, level)), seeds
     else:
-        yield stacked(cell.noise[:, :level]), seeds
+        prefix = cell.curve[:, : base.n_features + level]
+        # none in place writes nothing, so the read-only prefix passes.
+        out = prefix if cell.scaling is ScalingKind.NONE else None
+        yield apply_scaling(prefix, cell.scaling, out=out), seeds
 
 
 def _run_cell(cell: _Cell, config: SweepConfig) -> list[SweepCell]:
@@ -302,7 +311,7 @@ def _run_cell(cell: _Cell, config: SweepConfig) -> list[SweepCell]:
     # k-means++ reads its centers' distances from it too. The tolerance is
     # taken first, so the matrix-sized temporary of its variance is freed
     # before the distances exist. Both names are dropped before the next
-    # matrix is drawn, so one matrix is alive at a time.
+    # matrix is drawn, so the cell owns at most one matrix at a time.
     scores = []
     try:
         for scaled, seeds in _cell_matrices(cell, config):
@@ -340,6 +349,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     aborting the sweep; any other exception propagates. A draw of no noise
     columns raises nothing, so a level-0 cell never fails on its noise.
 
+    Each fixed-noise curve (a dataset and noise kind) is stacked once into
+    one read-only matrix: the baseline with the noise columns of its widest
+    level, kept for the whole sweep. Its cells read their matrices as column
+    prefixes of it, so the curve holds one extra copy of the baseline and an
+    unscaled cell copies nothing (see _cell_matrices).
+
     With more than one worker the cells run on a thread pool, and OpenBLAS
     (if that is numpy's BLAS) is held to one thread meanwhile, its previous
     count restored afterwards. Every BLAS product runs on one BLAS thread
@@ -375,13 +390,14 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 stats.sigma,
                 seed=noise_sequence_seed(config.master_seed, dataset_index, kind),
             )
-            noise = None
+            curve = None
             if not config.redraw_noise_per_repeat:
                 # If this raises, each cell draws its columns and meets it.
                 with contextlib.suppress(ValueError):
-                    noise = append_noise(base, spec, levels[-1])
+                    curve = np.hstack([base.points, append_noise(base, spec, levels[-1])])
+                    curve.flags.writeable = False
             cells.extend(
-                _Cell(dataset_index, base, spec, noise, scaling, level)
+                _Cell(dataset_index, base, spec, curve, scaling, level)
                 for scaling in config.scalings
                 for level in levels
             )

@@ -29,9 +29,12 @@ def apply_scaling(
 
     out, when given, must be a float64 array of the matrix's shape, and may be
     the matrix itself: every statistic is taken from the input before `out`
-    is written, so the result has the same bits as a copy would. Nothing is
-    written when the call raises: a column whose mean, std or largest
-    deviation from its mean overflows float64 raises a ValueError naming it.
+    is written, so the result has the same bits as a copy would. With
+    kind = none and `out` the matrix itself, nothing is written at all, so
+    that matrix may be read-only: the call only checks it and returns it.
+    Nothing is written when the call raises: a column whose mean, std or
+    largest deviation from its mean overflows float64 raises a ValueError
+    naming it.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -49,7 +52,8 @@ def apply_scaling(
         )
 
     if kind is ScalingKind.NONE:
-        np.copyto(out, matrix)
+        if out is not matrix:
+            np.copyto(out, matrix)
         return out
     # Entries near the float64 limit can overflow a column's mean, its std,
     # or its deviations from a finite mean: that raises here, before `out`

@@ -307,29 +307,48 @@ class TestRunSweep:
                 )
         assert by_kind["gaussian"] == by_kind["uniform"]
 
-    def test_augmented_cells_equal_manual_pipeline(self):
-        config = _toy_config(noise_kinds=(NoiseKind.GAUSSIAN,))
+    def test_augmented_cells_equal_manual_pipeline(self, monkeypatch):
+        # A fixed-noise cell reads its matrix as a column prefix of its
+        # curve's matrix. At level 0 and the widest level, for both noise
+        # kinds and every scaling, the matrix it fits and every per-repeat
+        # value must have the bits of the contiguous pipeline: np.hstack,
+        # apply_scaling, fit and evaluate_clustering. A product or reduction
+        # that rounds a strided prefix apart from a contiguous copy fails
+        # here.
+        fitted_on = {}
+        original_fit = experiment.fit
+
+        def recording(matrix, kmeans_config, **kwargs):
+            fitted_on[kmeans_config.seed] = matrix.tobytes()
+            return original_fit(matrix, kmeans_config, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit", recording)
+        config = _toy_config(scalings=tuple(ScalingKind))
         result = run_sweep(config)
         base = TOY.load()
         stats = compute_stats(base)
-        spec = NoiseSpec(
-            NoiseKind.GAUSSIAN,
-            stats.mu,
-            stats.sigma,
-            seed=noise_sequence_seed(config.master_seed, 0, NoiseKind.GAUSSIAN),
-        )
-        level = 4
-        matrix = np.hstack([base.points, append_noise(base, spec, level)])
-        scaled = apply_scaling(matrix, ScalingKind.NONE)
+        levels = sweep_levels(base.n_features, config.max_ratio, config.ratio_step)
         raw = _raw_values(result)
-        for repeat in range(config.repeats):
-            seed = cell_kmeans_seed(
-                config.master_seed, 0, NoiseKind.GAUSSIAN, ScalingKind.NONE, level, repeat
-            )
-            fitted = fit(scaled, KMeansConfig(k=base.n_clusters, seed=seed))
-            scores = evaluate_clustering(scaled, fitted.assignments[None], base.labels)
-            for metric, (value,) in scores.items():
-                assert raw[("toy", "gaussian", "none", level, metric, repeat)] == value
+        checked = 0
+        for kind in config.noise_kinds:
+            sequence = noise_sequence_seed(config.master_seed, 0, kind)
+            spec = NoiseSpec(kind, stats.mu, stats.sigma, seed=sequence)
+            for level in (0, levels[-1]):
+                matrix = np.hstack([base.points, append_noise(base, spec, level)])
+                for scaling in config.scalings:
+                    scaled = apply_scaling(matrix, scaling)
+                    assert scaled.flags.c_contiguous
+                    for repeat in range(config.repeats):
+                        seed = cell_kmeans_seed(config.master_seed, 0, kind, scaling, level, repeat)
+                        assert fitted_on[seed] == scaled.tobytes()
+                        fitted = fit(scaled, KMeansConfig(k=base.n_clusters, seed=seed))
+                        scores = evaluate_clustering(scaled, fitted.assignments[None], base.labels)
+                        for metric, (value,) in scores.items():
+                            key = ("toy", kind.value, scaling.value, level, metric, repeat)
+                            assert raw[key] == value, key
+                            checked += 1
+        assert levels[-1] == 4
+        assert checked == 2 * 2 * 3 * config.repeats * len(METRIC_NAMES)
 
     @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redraw"])
     def test_every_cell_equals_the_oracle(self, monkeypatch, redraw):
@@ -442,7 +461,7 @@ class TestRunSweep:
         assert all(math.isnan(c.mean) and math.isnan(c.std) for c in degraded)
 
     def test_a_curve_whose_noise_draw_fails_keeps_no_noise(self, tmp_path, monkeypatch):
-        # The curve's fixed-noise draw raises, so its cells hold no noise and
+        # The curve's fixed-noise draw raises, so its cells hold no curve and
         # no exception: each draws its own columns inside _run_cell, where a
         # level above 0 raises InvalidNoiseRange and level 0 draws none.
         seen = []
@@ -450,7 +469,7 @@ class TestRunSweep:
 
         def recording(cell, config):
             rows = original(cell, config)
-            seen.append((cell.level > 0, cell.noise, rows[0].status))
+            seen.append((cell.level > 0, cell.curve, rows[0].status))
             return rows
 
         monkeypatch.setattr(experiment, "_run_cell", recording)
@@ -462,7 +481,7 @@ class TestRunSweep:
             workers=1,
         )
         run_sweep(config)
-        assert seen and all(noise is None for _, noise, _ in seen)
+        assert seen and all(curve is None for _, curve, _ in seen)
         assert {(above, status) for above, _, status in seen} == {
             (False, "ok"),
             (True, "error:uniform-range"),
@@ -550,16 +569,26 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("redraw", [False, True])
     def test_stacked_matrix_is_scaled_in_place(self, monkeypatch, redraw):
-        # Every cell, level 0 included, stacks its matrix once into a new
-        # array and scales that array in place: every matrix comes back from
-        # apply_scaling as the same object, which owns its data. While the
-        # repeats are fitted, the matrix being fitted is the only one of them
-        # alive, and every per-repeat noise draw is gone. The fixed-noise
-        # columns are shared by all cells and stay alive.
-        stacked, draws, wide_fits = [], [], []
+        # A redraw sweep stacks every matrix, level 0 included, once into a
+        # new array and scales that array in place: every matrix comes back
+        # from apply_scaling as the same object, which owns its data, and
+        # every per-repeat noise draw is gone while it is fitted. A
+        # fixed-noise cell reads its matrix as a column prefix of its curve's
+        # read-only matrix: unscaled, that view is the matrix it fits, so it
+        # owns none; scaled, apply_scaling returns one new array it owns.
+        # Either way, while a cell's repeats are fitted no other matrix a
+        # cell owns is alive, and no cell writes a curve.
+        owned, draws, wide_fits, curves, running = [], [], [], {}, []
+        original_run = experiment._run_cell
         original_append = experiment.append_noise
         original_scaling = experiment.apply_scaling
         original_fit = experiment.fit
+
+        def tracked_run(cell, config):
+            if cell.curve is not None:
+                curves.setdefault(id(cell.curve), (cell.curve, cell.curve.tobytes()))
+            running[:] = [cell]
+            return original_run(cell, config)
 
         def tracked_append(*args, **kwargs):
             columns = original_append(*args, **kwargs)
@@ -569,17 +598,31 @@ class TestRunSweep:
 
         def tracked_scaling(matrix, kind, **kwargs):
             scaled = original_scaling(matrix, kind, **kwargs)
-            assert scaled is matrix and matrix.flags.owndata
-            stacked.append(weakref.ref(matrix))
+            curve = running[0].curve
+            if curve is None:
+                assert scaled is matrix and matrix.flags.owndata
+            elif kind is ScalingKind.NONE:
+                assert scaled is matrix and not matrix.flags.writeable
+                assert np.shares_memory(matrix, curve)
+                return scaled
+            else:
+                assert scaled.flags.owndata and not np.shares_memory(scaled, curve)
+            owned.append(weakref.ref(scaled))
             return scaled
 
         def checked_fit(matrix, kmeans_config, **kwargs):
             assert [ref for ref in draws if ref() is not None] == []
-            alive = [ref() for ref in stacked if ref() is not None]
-            assert len(alive) == 1 and alive[0] is matrix
+            alive = [ref() for ref in owned if ref() is not None]
+            cell = running[0]
+            if cell.curve is not None and cell.scaling is ScalingKind.NONE:
+                assert alive == [] and not matrix.flags.writeable
+                assert np.shares_memory(matrix, cell.curve)
+            else:
+                assert len(alive) == 1 and alive[0] is matrix
             wide_fits.append(matrix.shape[1] > TOY.dims)
             return original_fit(matrix, kmeans_config, **kwargs)
 
+        monkeypatch.setattr(experiment, "_run_cell", tracked_run)
         monkeypatch.setattr(experiment, "append_noise", tracked_append)
         monkeypatch.setattr(experiment, "apply_scaling", tracked_scaling)
         monkeypatch.setattr(experiment, "fit", checked_fit)
@@ -587,6 +630,10 @@ class TestRunSweep:
         assert all(c.status == "ok" for c in result.cells)
         assert any(wide_fits) and not all(wide_fits)
         assert (len(draws) > 0) == redraw
+        # One curve per noise kind, each read-only and unwritten by its cells.
+        assert len(curves) == (0 if redraw else 2)
+        for curve, before in curves.values():
+            assert not curve.flags.writeable and curve.tobytes() == before
 
     def test_each_matrix_is_freed_before_the_next_is_drawn(self, monkeypatch):
         # With per-repeat noise a cell draws one matrix per repeat. Neither

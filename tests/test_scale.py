@@ -27,6 +27,21 @@ class TestApplyScaling:
         out[0, 0] = 99.0
         assert matrix[0, 0] == 1.0
 
+    def test_none_in_place_writes_nothing(self):
+        # The sweep passes a read-only column prefix of a shared curve matrix
+        # as both matrix and out: none checks it and returns it unwritten.
+        curve = np.random.default_rng(11).normal(size=(6, 5))
+        curve.flags.writeable = False
+        before = curve.tobytes()
+        prefix = curve[:, :3]
+        assert apply_scaling(prefix, ScalingKind.NONE, out=prefix) is prefix
+        assert apply_scaling(curve, ScalingKind.NONE, out=curve) is curve
+        assert curve.tobytes() == before
+        bad = np.array([[1.0], [np.inf]])
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match="finite"):
+            apply_scaling(bad, ScalingKind.NONE, out=bad)
+
     def test_centered_column(self):
         out = apply_scaling(np.array([[1.0], [2.0], [3.0]]), ScalingKind.CENTERED)
         assert np.allclose(out[:, 0], [-1.0, 0.0, 1.0])
