@@ -345,12 +345,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary_path.write_text(summary_csv_text(result), encoding="utf-8")
     (out / "raw.csv").write_text(raw_csv_text(result), encoding="utf-8")
 
+    # A sweep cell's rows that are not "ok" share one status and message.
     degraded = {}
     for cell in result.cells:
         if cell.status != "ok":
-            key = (cell.dataset, cell.noise, cell.scaling, cell.level, cell.status)
+            key = (cell.dataset, cell.noise, cell.scaling, cell.level, cell.status, cell.message)
             degraded[key] = degraded.get(key, 0) + 1
-    for (dataset, noise, scaling, level, status), count in sorted(degraded.items()):
+    for (dataset, noise, scaling, level, status, _), count in sorted(degraded.items()):
         print(
             f"warning: {dataset}/{noise}/{scaling} level {level}: "
             f"{count} metric cell(s) marked {status}",
@@ -370,8 +371,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         "numpy_version": np.__version__,
         "blas_build": _blas_build(),
         "config": _config_record(result.config),
-        # Sweep cells with at least one row not "ok".
-        "degraded_cells": len({key[:4] for key in degraded}),
+        # Sweep cells with at least one row not "ok", and each one's status
+        # and message, in sweep order.
+        "degraded_cells": len(degraded),
+        "degraded": [
+            dict(zip(("dataset", "noise", "scaling", "level", "status", "message"), key))
+            for key in degraded
+        ],
         "emitted_files": [
             {"kind": "summary_csv", "path": "summary.csv"},
             {"kind": "raw_csv", "path": "raw.csv"},

@@ -8,25 +8,31 @@ The n x n distance matrix is computed in row blocks (row_blocks), so its one
 reader, silhouette, needs O(block * n) memory for it instead of O(n^2). A
 matrix that fits BLOCK_BYTES is one block; a larger one is split into blocks
 of half that budget. Only a one-block matrix is ever held whole:
-pairwise_distances builds it in a single call, and the sweep shares it
-between k-means++ and silhouette. Blocks match that single product bit for
-bit only where the BLAS GEMM rounds every element the same way whatever the
-operand shape (with OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU: n a multiple
-of 8 and no one-row block, which numpy computes with GEMV). So a given n
-always splits into the same blocks, and results stay reproducible.
-Silhouette reads each block of a larger matrix as a panel, its columns from
-the block's diagonal on (distance_rows with first = start), so each pair is
-computed once; a panel is its own product, and so rounds like the whole
-rows only where those shapes do.
+pairwise_distances builds it in a single product of pairwise_sq_distances'
+|a|^2 + |b|^2 - 2ab expansion, and the sweep shares it between k-means++ and
+silhouette. Silhouette reads each block of a larger matrix as a panel, its
+columns from the block's diagonal on, so each pair is computed once. A
+panel is one product of augmented operands: the column side
+[x | 1 | |x|^2] (panel_operand, n x (d + 2), built once per matrix) and the
+block's row side [-2 x_I | |x_I|^2 | 1], so the GEMM adds the norms inside
+its sum and no elementwise pass but the clamp, the square root and the
+diagonal follows. It rounds like the expansion, with the same cancellation
+of the norms, but not to its bits; its distances hold n * (d + 2) more
+floats than the panels themselves. A panel matches the slice of the same
+product over the whole matrix bit for bit only where the BLAS GEMM rounds
+every element the same way whatever the operand shape (with OpenBLAS 0.3.31
+on an AVX-512 x86-64 CPU: block starts and sizes multiples of 8 and no
+one-row block, which numpy computes with GEMV). So a given n always splits
+into the same blocks, and results stay reproducible.
 
 Every BLAS product in the package runs on one BLAS thread, under a pin
-this module holds. pairwise_sq_distances pins its own product, so
-k-means++'s center distances, Lloyd's assignment steps, the distance matrix,
-silhouette's blocks and Davies-Bouldin's centroid distances run pinned
-wherever they are called from; for_each_row_block holds the pin around the
-work and the commits it runs, which covers silhouette's per-cluster
-products. OpenBLAS
-rounds a product differently at different thread counts, so a product
+this module holds. pairwise_sq_distances and panel pin their own products,
+so k-means++'s center distances, Lloyd's assignment steps, the distance
+matrix, silhouette's panels and Davies-Bouldin's centroid distances run
+pinned wherever they are called from; for_each_row_block holds the pin
+around the work and the commits it runs, which covers silhouette's
+per-cluster products. OpenBLAS rounds a product differently at different
+thread counts, so a product
 computed on several BLAS threads by a serial sweep would not have the bits
 of the same product computed by a pooled sweep, which runs on one; with
 every product pinned the two agree by construction, not by how one BLAS
@@ -222,36 +228,52 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def distance_rows(
-    x: np.ndarray,
-    start: int,
-    stop: int,
-    sq_norms: np.ndarray | None = None,
-    first: int = 0,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Rows start:stop, columns first:n, of the n x n Euclidean distance
-    matrix of `x`.
+def panel_operand(x: np.ndarray) -> np.ndarray:
+    """[x | 1 | |x|^2]: the n x (d + 2) column side of every panel of the
+    distance matrix of `x`, built once per matrix.
 
-    The self-distance entries (i, i) are exactly zero. sq_norms, when given,
-    is np.einsum("ij,ij->i", x, x) of the float64 `x`; a caller computing
-    several blocks of one matrix computes it once. The rows are the same
-    either way. out, when given, receives the result as in
-    pairwise_sq_distances. Columns from first = 0 are the whole rows; a
-    block's panel from first = start is the part on and above the diagonal.
-    Such a panel is a different GEMM from the whole rows, so it may round
-    apart from their slice in the last bits.
+    |x|^2 is np.einsum("ij,ij->i", x, x) of the float64 `x`. A panel reads
+    its row side from the same array (see panel), so one operand serves
+    every block.
     """
     x = np.asarray(x, dtype=np.float64)
-    if sq_norms is None:
-        sq_norms = np.einsum("ij,ij->i", x, x)
-    d = pairwise_sq_distances(
-        x[start:stop], x[first:], sq_norms[start:stop], sq_norms[first:], out
-    )
-    np.sqrt(d, out=d)
-    rows = np.arange(max(first - start, 0), stop - start)
-    d[rows, start + rows - first] = 0.0
-    return d
+    n, d = x.shape
+    operand = np.empty((n, d + 2))
+    operand[:, :d] = x
+    operand[:, d] = 1.0
+    np.einsum("ij,ij->i", x, x, out=operand[:, d + 1])
+    return operand
+
+
+def panel(
+    operand: np.ndarray, start: int, stop: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows start:stop, columns start:n, of the Euclidean distance matrix
+    whose panel_operand is `operand`: a row block from its diagonal on.
+
+    One product of augmented operands, the row side [-2 x_I | |x_I|^2 | 1]
+    built from the block's operand rows and the column side the operand
+    itself, so the product already holds |x_i|^2 + |x_j|^2 - 2 x_i.x_j; what
+    is left is the clamp at 0, the square root in place and the diagonal,
+    set to exactly zero. The product runs on one BLAS thread, under its own
+    pin. It rounds like the |a|^2 + |b|^2 - 2ab expansion of
+    pairwise_sq_distances, but not to its bits: the norms are added inside
+    the GEMM's sum. out, when given, is a C-contiguous float64 array of the
+    result's shape; the panel is written into it and it is returned.
+    """
+    d = operand.shape[1] - 2
+    rows = np.empty((stop - start, d + 2))
+    # -2 x is exact unless it overflows, so it costs no rounding.
+    np.multiply(operand[start:stop, :d], -2.0, out=rows[:, :d])
+    rows[:, d] = operand[start:stop, d + 1]
+    rows[:, d + 1] = 1.0
+    with _single_blas_thread():
+        d2 = np.matmul(rows, operand[start:].T, out=out)
+    np.maximum(d2, 0.0, out=d2)
+    np.sqrt(d2, out=d2)
+    diagonal = np.arange(stop - start)
+    d2[diagonal, diagonal] = 0.0
+    return d2
 
 
 def map_on_one_blas_thread(work: Callable, items: Sequence, threads: int) -> list:
@@ -332,17 +354,20 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     """Full n x n Euclidean distance matrix with an exactly zero diagonal.
 
     Only a matrix that row_blocks makes one block is built, as the single
-    product distance_rows(x, 0, n); a larger one raises ValueError before
-    anything is allocated.
+    product pairwise_sq_distances(x, x); a larger one raises ValueError
+    before anything is allocated.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if len(row_blocks(n)) > 1:
         raise ValueError(
             f"a {n} x {n} distance matrix is more than one row block; "
-            "read it a block at a time with distance_rows"
+            "read it a panel at a time with panel"
         )
-    return distance_rows(x, 0, n)
+    d = pairwise_sq_distances(x, x)
+    np.sqrt(d, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def check_distances(distances: np.ndarray, n: int) -> np.ndarray:

@@ -136,7 +136,9 @@ class SweepConfig:
 class SweepCell:
     """One metric in one sweep cell: its per-repeat values, in repeat order,
     and their mean and population std. `values` is empty when the cell's
-    repeats did not finish."""
+    repeats did not finish. `message` says why a row is not "ok": the text
+    of the exception that failed the cell, or NON_FINITE_MESSAGE; it is
+    empty for an "ok" row."""
 
     dataset: str
     noise: str
@@ -149,6 +151,11 @@ class SweepCell:
     repeats: int
     status: str
     values: tuple[float, ...]
+    message: str = ""
+
+
+# The message of a row whose status is error:non-finite-metric.
+NON_FINITE_MESSAGE = "a repeat's value of this metric is not finite"
 
 
 @dataclass(frozen=True)
@@ -239,7 +246,8 @@ def _cell_rows(
     """The cell's row per metric: its values, joined in repeat order from
     `scores` (one evaluate_clustering result per matrix), and their mean and
     population std, or NaN and status error:<code> when the cell failed
-    (`error`) or the metric has a non-finite value."""
+    (`error`, whose text becomes the message) or the metric has a
+    non-finite value."""
     key = dict(
         dataset=cell.base.name,
         noise=cell.spec.kind.value,
@@ -252,6 +260,7 @@ def _cell_rows(
     for metric in METRIC_NAMES:
         values = np.concatenate([score[metric] for score in scores]) if scores else np.empty(0)
         code = failed or (None if np.all(np.isfinite(values)) else "non-finite-metric")
+        message = "" if code is None else str(error) if failed else NON_FINITE_MESSAGE
         rows.append(
             SweepCell(
                 **key,
@@ -261,6 +270,7 @@ def _cell_rows(
                 repeats=config.repeats,
                 status=f"error:{code}" if code else "ok",
                 values=tuple(values.tolist()),
+                message=message,
             )
         )
     return rows

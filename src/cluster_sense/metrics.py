@@ -17,11 +17,13 @@ import numpy as np
 from .dataset import dense_remap
 from .distance import (
     check_distances,
-    distance_rows,
     for_each_row_block,
+    pairwise_distances,
     pairwise_sq_distances,
+    panel,
+    panel_operand,
+    row_blocks,
 )
-from .distance import pairwise_distances  # noqa: F401  (unused; perfbench traces this name)
 
 METRIC_NAMES = ("nmi", "ri", "ari", "silhouette", "davies_bouldin")
 
@@ -155,23 +157,33 @@ def silhouette(
 
     `assignments` is a stack (R, n) of labelings of the same points, giving
     a float64 array of R values; a 1-D labeling raises ValueError. Each row
-    block computes its panel, its distance rows from its diagonal on, once
-    for the whole stack, so every pair is computed once. Per labeling, the
+    block reads its panel, its distance rows from its diagonal on, once for
+    the whole stack, so every pair is computed once. Per labeling, the
     panel times the one-hot labeling gives the block's own per-cluster sums;
     the transposed panel times the block's one-hot rows gives the later
     rows' sums over the block's points, added at the block's commit in
     block order. All of it runs on one BLAS thread with blocks spread over
-    threads (see distance.for_each_row_block). Memory is at most T panels of
-    block * n floats, for T threads, each held until its block commits, plus
-    the sums and one-hot matrices, 2 * R * n * k floats: O(T * block * n +
-    R * n * k) rather than O(n^2). Each value has the same bits as a call
-    with that labeling alone, whatever the thread counts.
+    threads (see distance.for_each_row_block). Each value has the same bits
+    as a call with that labeling alone, whatever the thread counts.
+
+    A matrix that row_blocks makes one block is pairwise_distances(matrix),
+    its one panel, given or built here. A matrix of several blocks computes
+    each panel as one product of augmented operands (distance.panel): the
+    column side [x | 1 | |x|^2], n * (d + 2) floats built once per call, and
+    a block's row side [-2 x_I | |x_I|^2 | 1], so the product is
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j and only the clamp, the square root and
+    the zero diagonal follow. It rounds like pairwise_distances' expansion
+    but not to its bits, so values of n > 1024 points may differ from those
+    of the expansion in their last bits. Memory is at most T panels of
+    block * n floats, for T threads, each held until its block commits, the
+    column-side operand and the sums and one-hot matrices, 2 * R * n * k
+    floats: O(T * block * n + n * d + R * n * k) rather than O(n^2).
 
     distances, when given, must be pairwise_distances(matrix) of the same
     float64 matrix (ValueError unless it is n x n). Its panels are read from
     it in place of computing them, and it is not written to;
-    pairwise_distances builds only a one-block matrix, which is one panel,
-    the product this would compute, so every value keeps its bits.
+    pairwise_distances builds only a one-block matrix, the one this would
+    build, so every value keeps its bits.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     labelings = _stack(assignments)
@@ -185,10 +197,12 @@ def silhouette(
         raise ValueError("silhouette requires at least 2 distinct clusters")
     if distances is not None:
         distances = check_distances(distances, n)
+    elif len(row_blocks(n)) == 1:
+        distances = pairwise_distances(matrix)
+    operand = panel_operand(matrix) if distances is None else None
 
     onehots = [np.eye(counts.size)[dense] for dense, counts in present]
     all_sums = [np.zeros_like(onehot) for onehot in onehots]
-    sq_norms = np.einsum("ij,ij->i", matrix, matrix) if distances is None else None
 
     def panel_sums(start, stop):
         # The block's distances on and above the diagonal, columns start:n,
@@ -197,20 +211,20 @@ def silhouette(
         if distances is None:
             rows = stop - start
             out = np.empty(rows * n)[: rows * (n - start)].reshape(rows, n - start)
-            panel = distance_rows(matrix, start, stop, sq_norms, first=start, out=out)
+            block = panel(operand, start, stop, out)
         else:
-            panel = distances[start:stop, start:]
-        return panel, [panel @ onehot[start:] for onehot in onehots]
+            block = distances[start:stop, start:]
+        return block, [block @ onehot[start:] for onehot in onehots]
 
     def add_sums(start, stop, computed):
         # By symmetry the panel also holds the later rows' distances to the
         # block's points; their product runs here, one panel at a time, so
         # no thread holds more than its panel while it waits to commit.
-        panel, own_sums = computed
+        block, own_sums = computed
         rows = stop - start
         for cluster_sums, own, onehot in zip(all_sums, own_sums, onehots):
             cluster_sums[start:stop] += own
-            cluster_sums[stop:] += panel[:, rows:].T @ onehot[start:stop]
+            cluster_sums[stop:] += block[:, rows:].T @ onehot[start:stop]
 
     for_each_row_block(n, panel_sums, add_sums)
 
@@ -250,9 +264,14 @@ def davies_bouldin(matrix: np.ndarray, assignments: np.ndarray) -> float:
     centroids = np.empty((kp, matrix.shape[1]))
     delta = np.empty(kp)
     for j in range(kp):
+        # members is a copy (a boolean-mask gather), so its spread is taken
+        # in place: the same passes as the squared differences, no temporary.
         members = matrix[dense == j]
         centroids[j] = members.mean(axis=0)
-        delta[j] = float(np.sqrt(((members - centroids[j]) ** 2).sum(axis=1)).mean())
+        members -= centroids[j]
+        np.square(members, out=members)
+        sums = members.sum(axis=1)
+        delta[j] = float(np.sqrt(sums, out=sums).mean())
 
     big_delta = np.sqrt(pairwise_sq_distances(centroids, centroids))
     off_diag = ~np.eye(kp, dtype=bool)

@@ -50,7 +50,8 @@ def controlled_blas(blas_threads):
 
 @pytest.fixture
 def kernel_pins(monkeypatch):
-    """Probe of the pin pairwise_sq_distances holds around its product.
+    """Probe of the pin the distance kernels, pairwise_sq_distances and
+    panel, hold around their products.
 
     `.products` gets, for each product, from any thread: (name of the module
     that called the kernel, BLAS thread count inside the pin, pin depth
@@ -60,7 +61,7 @@ def kernel_pins(monkeypatch):
     """
     probe = types.SimpleNamespace(products=[], hook=None)
     original = distance._single_blas_thread
-    kernel = distance.pairwise_sq_distances.__code__
+    kernels = {distance.pairwise_sq_distances.__code__, distance.panel.__code__}
 
     @contextlib.contextmanager
     def kernel_pin(caller):
@@ -72,7 +73,7 @@ def kernel_pins(monkeypatch):
 
     def pin():
         frame = sys._getframe(1)
-        if frame.f_code is not kernel:
+        if frame.f_code not in kernels:
             return original()
         return kernel_pin(frame.f_back.f_globals["__name__"])
 

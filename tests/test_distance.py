@@ -11,9 +11,10 @@ import pytest
 
 from cluster_sense import distance
 from cluster_sense.distance import (
-    distance_rows,
     pairwise_distances,
     pairwise_sq_distances,
+    panel,
+    panel_operand,
     row_blocks,
 )
 
@@ -26,8 +27,16 @@ def _one_shot(x):
 
 
 def _assembled(x):
-    """The n x n matrix stacked from its row blocks, as silhouette reads it."""
-    return np.vstack([distance_rows(x, start, stop) for start, stop in row_blocks(len(x))])
+    """The n x n matrix assembled from the panels silhouette computes, each
+    row block from its diagonal on, mirrored below the diagonal."""
+    n = len(x)
+    operand = panel_operand(x)
+    full = np.empty((n, n))
+    for start, stop in row_blocks(n):
+        full[start:stop, start:] = panel(operand, start, stop)
+    below = np.tril_indices(n, -1)
+    full[below] = full.T[below]
+    return full
 
 
 def _traced_peak(fn):
@@ -77,15 +86,15 @@ class TestSquaredDistances:
         assert np.array_equal(whole, textbook)
 
     def test_norms_of_a_row_slice_are_the_slice_of_the_norms(self):
-        # distance_rows takes its blocks' norms from the whole matrix's.
+        # A panel takes its row side's norms from the whole matrix's operand.
         rng = np.random.default_rng(10)
         x = rng.normal(size=(300, 37)) * 40.0 + 7.0
         x_sq = np.einsum("ij,ij->i", x, x)
+        operand = panel_operand(x)
         for start, stop in [(0, 300), (0, 1), (5, 6), (17, 250), (128, 256), (299, 300)]:
             part = x[start:stop]
             assert np.einsum("ij,ij->i", part, part).tobytes() == x_sq[start:stop].tobytes()
-            shared = distance_rows(x, start, stop, x_sq)
-            assert shared.tobytes() == distance_rows(x, start, stop).tobytes()
+            assert operand[start:stop].tobytes() == panel_operand(part).tobytes()
 
     def test_peak_memory_is_the_result_plus_one_chunk(self):
         # The textbook formula holds two more result-sized temporaries.
@@ -116,11 +125,12 @@ class TestRowBlocks:
 
 
 class TestBlockedMatrix:
-    # n is a multiple of 8 and no block is a single row: there OpenBLAS rounds
-    # every element the same way whatever the GEMM shape (see the
-    # cluster_sense.distance docstring), so blocks match the one-shot bits.
-    # pairwise_distances builds only a one-block matrix, so the tests of
-    # several blocks stack distance_rows blocks themselves.
+    # n is a multiple of 8 and so is every block's start and size: there
+    # OpenBLAS rounds every element the same way whatever the GEMM shape (see
+    # the cluster_sense.distance docstring), so panels match the slices of
+    # the whole matrix computed as one panel bit for bit. pairwise_distances
+    # builds only a one-block matrix, so the tests of several blocks compute
+    # the panels themselves.
     N, D, ROWS = 320, 6, 128
 
     def _matrix(self, seed=0):
@@ -130,13 +140,19 @@ class TestBlockedMatrix:
         x = self._matrix()
         block_rows(self.N, self.ROWS)
         assert row_blocks(self.N) == [(0, 128), (128, 256), (256, 320)]
-        assert np.array_equal(_assembled(x), _one_shot(x))
+        whole = panel(panel_operand(x), 0, self.N)
+        assert np.array_equal(np.triu(_assembled(x)), np.triu(whole))
 
     def test_several_blocks_symmetric_with_zero_diagonal(self, block_rows):
+        # Entry (i, j) adds |x_i|^2 before |x_j|^2 inside the product and
+        # (j, i) the other way round, so the two agree within rounding; each
+        # pair is computed once, in the panel of the earlier row.
         x = self._matrix(1)
         block_rows(self.N, self.ROWS)
         d = _assembled(x)
-        assert np.array_equal(d, d.T)
+        whole = panel(panel_operand(x), 0, self.N)
+        np.testing.assert_allclose(whole, whole.T, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(d, whole.T, rtol=1e-13, atol=0.0)
         assert np.all(np.diag(d) == 0.0)
 
     def test_single_block_equals_one_shot_bit_for_bit(self):
@@ -145,33 +161,37 @@ class TestBlockedMatrix:
         assert len(row_blocks(1024)) == 1
         assert np.array_equal(pairwise_distances(x), _one_shot(x))
 
-    def test_rows_are_slices_of_the_matrix(self, block_rows):
+    def test_rows_are_slices_of_the_matrix(self):
         x = self._matrix(3)
-        block_rows(self.N, self.ROWS)
-        full = _assembled(x)
-        for start, stop in [(0, 128), (256, 320), (5, 7), (17, 250)]:
-            rows = distance_rows(x, start, stop)
-            assert rows.shape == (stop - start, self.N)
-            assert np.array_equal(rows, full[start:stop])
+        operand = panel_operand(x)
+        whole = panel(operand, 0, self.N)
+        for start, stop in [(0, 128), (256, 320), (5, 7), (8, 136), (17, 250)]:
+            rows = panel(operand, start, stop)
+            assert rows.shape == (stop - start, self.N - start)
+            if start % 8 == 0 and (stop - start) % 8 == 0:
+                assert np.array_equal(rows, whole[start:stop, start:])
+            np.testing.assert_allclose(rows, whole[start:stop, start:], rtol=1e-13, atol=0.0)
         # numpy computes a one-row product with GEMV, which may round apart.
-        np.testing.assert_allclose(distance_rows(x, 5, 6), full[5:6], rtol=1e-13, atol=0.0)
-        assert distance_rows(x, 5, 6)[0, 5] == 0.0
+        np.testing.assert_allclose(panel(operand, 5, 6), whole[5:6, 5:], rtol=1e-13, atol=0.0)
+        assert panel(operand, 5, 6)[0, 0] == 0.0
 
     def test_panels_from_a_first_column(self):
-        # Silhouette's panels start at their block's diagonal; any first
-        # column gives the columns from it on, written into `out` when given.
+        # Silhouette's panels start at their block's diagonal, the block's
+        # first row, written into `out` when given. The augmented product
+        # adds the norms inside the GEMM, so it rounds apart from the
+        # expansion of pairwise_sq_distances, within rounding.
         x = self._matrix(5)
         full = _one_shot(x)
-        cases = [(0, 128, 0), (128, 256, 128), (256, 320, 9), (5, 17, 9), (5, 17, 40)]
-        for start, stop, first in cases:
-            panel = distance_rows(x, start, stop, first=first)
-            assert panel.shape == (stop - start, self.N - first)
-            np.testing.assert_allclose(panel, full[start:stop, first:], rtol=1e-13, atol=0.0)
-            diagonal = np.arange(max(start, first), stop)
-            assert np.all(panel[diagonal - start, diagonal - first] == 0.0)
-            out = np.empty_like(panel)
-            assert distance_rows(x, start, stop, first=first, out=out) is out
-            assert out.tobytes() == panel.tobytes()
+        operand = panel_operand(x)
+        for start, stop in [(0, 128), (128, 256), (256, 320), (5, 17), (40, 41)]:
+            block = panel(operand, start, stop)
+            assert block.shape == (stop - start, self.N - start)
+            np.testing.assert_allclose(block, full[start:stop, start:], rtol=1e-13, atol=0.0)
+            diagonal = np.arange(stop - start)
+            assert np.all(block[diagonal, diagonal] == 0.0)
+            out = np.empty_like(block)
+            assert panel(operand, start, stop, out) is out
+            assert out.tobytes() == block.tobytes()
 
     def test_any_n_matches_one_shot_within_rounding(self, block_rows):
         # For n that is not a multiple of the GEMM tile width the edge columns
@@ -181,7 +201,6 @@ class TestBlockedMatrix:
         assert row_blocks(301)[-1] == (256, 301)
         d = _assembled(x)
         np.testing.assert_allclose(d, _one_shot(x), rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(d, d.T, rtol=1e-13, atol=0.0)
         assert np.all(np.diag(d) == 0.0)
 
     @pytest.mark.parametrize("n, rows", [(1025, 511), (1024, 32)])
@@ -201,6 +220,42 @@ class TestBlockedMatrix:
     def test_tiny_inputs(self, n):
         x = np.arange(n * 2, dtype=float).reshape(n, 2)
         assert np.array_equal(pairwise_distances(x), _one_shot(x))
+
+
+class TestPanel:
+    """The augmented product silhouette computes its panels with."""
+
+    def test_operand_is_the_points_a_one_and_their_squared_norms(self):
+        x = np.random.default_rng(15).normal(size=(37, 5)) * 4.0 - 2.0
+        operand = panel_operand(x)
+        assert operand.shape == (37, 7) and operand.flags.c_contiguous
+        assert operand[:, :5].tobytes() == x.tobytes()
+        assert np.all(operand[:, 5] == 1.0)
+        assert operand[:, 6].tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0, 1e3])
+    def test_error_is_in_the_class_of_the_expansion(self, offset):
+        # Against distances from direct differences, the augmented product's
+        # worst relative error over eight draws stays within twice the
+        # |a|^2 + |b|^2 - 2ab expansion's: both cancel the same norms.
+        worst = {"panel": 0.0, "expansion": 0.0}
+        off = ~np.eye(200, dtype=bool)
+        for seed in range(8):
+            x = np.random.default_rng(seed).normal(size=(200, 12)) + offset
+            reference = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+            for name, d in (("panel", panel(panel_operand(x), 0, 200)), ("expansion", _one_shot(x))):
+                error = np.abs(d - reference)[off] / reference[off]
+                worst[name] = max(worst[name], float(error.max()))
+        assert worst["panel"] <= 2.0 * worst["expansion"]
+
+    def test_product_runs_pinned(self, controlled_blas, kernel_pins):
+        # One product per panel, inside its own pin at depth 1.
+        x = np.random.default_rng(16).normal(size=(64, 300))
+        operand = panel_operand(x)
+        for start, stop in [(0, 32), (32, 64)]:
+            panel(operand, start, stop)
+        assert kernel_pins.products == [(__name__, 1, 1)] * 2
+        assert distance.blas_thread_count() == controlled_blas
 
 
 class TestForEachRowBlock:

@@ -41,7 +41,7 @@ from cluster_sense.experiment import (
 )
 from cluster_sense.kmeans import KMeansConfig, fit
 from cluster_sense.metrics import METRIC_NAMES, evaluate_clustering
-from cluster_sense.perturb import NoiseKind, NoiseSpec, append_noise
+from cluster_sense.perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
 from cluster_sense.scale import ScalingKind, apply_scaling
 from cluster_sense.dataset import compute_stats
 
@@ -460,6 +460,45 @@ class TestRunSweep:
         assert degraded and all(c.status == "error:uniform-range" for c in degraded)
         assert all(math.isnan(c.mean) and math.isnan(c.std) for c in degraded)
 
+    def test_error_cells_keep_their_message_in_the_manifest(self, tmp_path):
+        # Each uniform cell above level 0 fails on InvalidNoiseRange: its rows
+        # carry the exception's text, and the manifest lists each such cell
+        # once with it, while ok rows carry no message.
+        source = _negative_source(tmp_path)
+        base = source.load()
+        stats = compute_stats(base)
+        spec = NoiseSpec(NoiseKind.UNIFORM, stats.mu, stats.sigma, seed=0)
+        with pytest.raises(InvalidNoiseRange) as raised:
+            append_noise(base, spec, 1)
+        config_text = (
+            "noise = gaussian, uniform\nscaling = none\nmax_ratio = 2:3\nrepeats = 2\n"
+            f"[dataset]\ndata = {source.data_path}\nlabels = {source.labels_path}\n"
+        )
+        (tmp_path / "sweep.cfg").write_text(config_text, encoding="utf-8")
+        result = run_sweep(cli.parse_config(tmp_path / "sweep.cfg"))
+        failed = [c for c in result.cells if c.status != "ok"]
+        assert failed and all(c.noise == "uniform" and c.level > 0 for c in failed)
+        assert {(c.status, c.message) for c in failed} == {
+            ("error:uniform-range", str(raised.value))
+        }
+        assert {c.message for c in result.cells if c.status == "ok"} == {""}
+        out = tmp_path / "out"
+        command = ["run", "--config", str(tmp_path / "sweep.cfg"), "--out", str(out)]
+        assert cli.main(command) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["degraded"] == [
+            {
+                "dataset": "d",
+                "noise": "uniform",
+                "scaling": "none",
+                "level": level,
+                "status": "error:uniform-range",
+                "message": str(raised.value),
+            }
+            for level in (1, 2)
+        ]
+        assert manifest["degraded_cells"] == 2
+
     def test_a_curve_whose_noise_draw_fails_keeps_no_noise(self, tmp_path, monkeypatch):
         # The curve's fixed-noise draw raises, so its cells hold no curve and
         # no exception: each draws its own columns inside _run_cell, where a
@@ -664,29 +703,32 @@ class TestRunSweep:
         assert len(draws) > 1 and len(held) > len(draws)
 
     def _count_distance_work(self, monkeypatch):
-        calls = {"pairwise_distances": 0, "distance_rows": 0, "apply_scaling": 0}
+        calls = {"pairwise_distances": 0, "silhouette_matrix": 0, "panel": 0, "apply_scaling": 0}
 
-        def counted(module, name):
+        def counted(module, name, key=None):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key or name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
         counted(experiment, "pairwise_distances")
         counted(experiment, "apply_scaling")
-        counted(metrics_module, "distance_rows")
+        counted(metrics_module, "pairwise_distances", "silhouette_matrix")
+        counted(metrics_module, "panel")
         return calls
 
     def test_single_block_matrix_is_built_once_per_scaled_matrix(self, monkeypatch):
+        # The cell builds it, and silhouette reads it: it builds none of its
+        # own and computes no panel.
         calls = self._count_distance_work(monkeypatch)
         result = run_sweep(_toy_config(redraw_noise_per_repeat=True, workers=1))
         assert all(c.status == "ok" for c in result.cells)
         assert calls["apply_scaling"] > 0
         assert calls["pairwise_distances"] == calls["apply_scaling"]
-        assert calls["distance_rows"] == 0
+        assert calls["silhouette_matrix"] == calls["panel"] == 0
 
     def test_matrix_of_several_blocks_is_never_built(self, monkeypatch, block_rows):
         calls = self._count_distance_work(monkeypatch)
@@ -695,8 +737,8 @@ class TestRunSweep:
         assert len(distance.row_blocks(n)) >= 2
         result = run_sweep(_toy_config(workers=1))
         assert all(c.status == "ok" for c in result.cells)
-        assert calls["pairwise_distances"] == 0
-        assert calls["distance_rows"] > 0
+        assert calls["pairwise_distances"] == calls["silhouette_matrix"] == 0
+        assert calls["panel"] == calls["apply_scaling"] * len(distance.row_blocks(n))
 
     def test_provenance_echo(self):
         config = _toy_config()
@@ -1210,6 +1252,7 @@ class TestErrorHandling:
         monkeypatch.setattr(experiment, "fit", refusing_fit)
         result = run_sweep(_toy_config(workers=2))
         assert {c.status for c in result.cells} == {"error:value-error"}
+        assert {c.message for c in result.cells} == {"data condition"}
 
     def test_non_finite_metric_degrades_only_that_metric(self, monkeypatch):
         monkeypatch.setattr(metrics_module, "davies_bouldin", lambda *args: math.inf)
@@ -1218,10 +1261,11 @@ class TestErrorHandling:
         for cell in result.cells:
             if cell.metric == "davies_bouldin":
                 assert cell.status == "error:non-finite-metric"
+                assert cell.message == experiment.NON_FINITE_MESSAGE
                 assert math.isnan(cell.mean) and math.isnan(cell.std)
                 assert cell.values == (math.inf,) * config.repeats
             else:
-                assert cell.status == "ok"
+                assert (cell.status, cell.message) == ("ok", "")
         raw = _csv_rows(raw_csv_text(result))
         assert len(raw) == len(result.cells) * config.repeats
         written = [row["value"] for row in raw if row["metric"] == "davies_bouldin"]
@@ -1343,16 +1387,16 @@ class TestErrorHandling:
         n = TOY.clusters * TOY.per_cluster
         block_rows(n, 8)
         assert len(distance.row_blocks(n)) == 8
-        original = metrics_module.distance_rows
+        original = metrics_module.panel
         calls = []
 
-        def failing_rows(*args, **kwargs):
+        def failing_panel(*args, **kwargs):
             calls.append(1)
             if len(calls) == 3:
                 raise TypeError("bug in a distance block")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(metrics_module, "distance_rows", failing_rows)
+        monkeypatch.setattr(metrics_module, "panel", failing_panel)
         with pytest.raises(TypeError, match="bug in a distance block"):
             run_sweep(_toy_config(workers=1))
         assert experiment.blas_thread_count() == blas_threads

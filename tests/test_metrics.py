@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cluster_sense import distance, metrics
+from cluster_sense.dataset import dense_remap
 from cluster_sense.distance import pairwise_distances
 from cluster_sense.metrics import (
     METRIC_NAMES,
@@ -241,27 +242,31 @@ class TestAdjustedRandIndex:
 
 
 def _blocked_matrix(matrix):
-    """The n x n distance matrix stacked from the panels silhouette computes:
-    each row block from its diagonal on, mirrored below the diagonal. So the
-    panels silhouette reads from it have the bits of those it computes."""
+    """The n x n distance matrix silhouette computes: pairwise_distances for
+    one block; else each row block's panel from its diagonal on, mirrored
+    below the diagonal. So the panels silhouette reads from it have the bits
+    of those it computes."""
     n = len(matrix)
+    blocks = distance.row_blocks(n)
+    if len(blocks) == 1:
+        return pairwise_distances(matrix)
+    operand = distance.panel_operand(matrix)
     full = np.empty((n, n))
-    for start, stop in distance.row_blocks(n):
-        full[start:stop, start:] = distance.distance_rows(matrix, start, stop, first=start)
+    for start, stop in blocks:
+        full[start:stop, start:] = distance.panel(operand, start, stop)
     below = np.tril_indices(n, -1)
     full[below] = full.T[below]
     return full
 
 
 def _silhouette_from_matrix(monkeypatch, matrix, stack):
-    """Silhouette with its distance panels sliced from a full matrix instead
-    of computed block by block."""
+    """Silhouette with its distances sliced from a full matrix instead of
+    computed: the one-block matrix, or each panel."""
     full = _blocked_matrix(matrix)
     with monkeypatch.context() as patch:
+        patch.setattr(metrics, "pairwise_distances", lambda x: full)
         patch.setattr(
-            metrics,
-            "distance_rows",
-            lambda x, start, stop, sq_norms, first, out: full[start:stop, first:],
+            metrics, "panel", lambda operand, start, stop, out: full[start:stop, start:]
         )
         return silhouette(matrix, stack)
 
@@ -321,6 +326,30 @@ class TestSilhouette:
         direct = silhouette(matrix, [labels])
         assert direct.tolist() == _silhouette_from_matrix(monkeypatch, matrix, [labels]).tolist()
 
+    def test_one_block_call_computes_pairwise_distances(self, monkeypatch):
+        # Without `distances`, a one-block matrix is pairwise_distances,
+        # looked up by its module name, which a tracer wraps: the call has
+        # the bits of one given that matrix, and computes no panel.
+        rng = np.random.default_rng(19)
+        matrix = rng.normal(size=(120, 5)) * 2.0 + 3.0
+        stack = np.stack([rng.integers(0, k, 120) for k in (2, 4, 7)])
+        assert len(distance.row_blocks(120)) == 1
+        given = silhouette(matrix, stack, pairwise_distances(matrix))
+        built = []
+
+        def recording(x):
+            built.append(x.shape)
+            return pairwise_distances(x)
+
+        def no_panel(*args):
+            raise AssertionError("a panel was computed")
+
+        monkeypatch.setattr(metrics, "pairwise_distances", recording)
+        monkeypatch.setattr(metrics, "panel", no_panel)
+        direct = silhouette(matrix, stack)
+        assert built == [(120, 5)]
+        assert [v.hex() for v in direct.tolist()] == [v.hex() for v in given.tolist()]
+
 
 class TestBlockedSilhouette:
     """Silhouette over row blocks of the distance matrix (budget shrunk)."""
@@ -338,6 +367,18 @@ class TestBlockedSilhouette:
         assert [blocked] == _silhouette_from_matrix(monkeypatch, matrix, [labels]).tolist()
         oracle = silhouette_oracle(matrix.tolist(), labels.tolist())
         assert blocked == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("offset, rel", [(0.0, 1e-12), (10.0, 1e-12), (1e3, 1e-6)])
+    def test_several_blocks_agree_with_oracle_far_from_the_origin(self, block_rows, offset, rel):
+        # The augmented panels cancel |x|^2 terms that grow with the offset,
+        # as the |a|^2 + |b|^2 - 2ab expansion does; 13 panels of n = 200.
+        block_rows(200, 16)
+        for seed in range(10):
+            matrix, stack = _clustered(200, 4, seed)
+            matrix += offset
+            (value,) = silhouette(matrix, stack[1:2])
+            oracle = silhouette_oracle(matrix.tolist(), stack[1].tolist())
+            assert value == pytest.approx(oracle, rel=rel, abs=0.0)
 
     def test_block_budget_changes_nothing_but_rounding(self, block_rows):
         rng = np.random.default_rng(11)
@@ -403,15 +444,15 @@ class TestSilhouettePanels:
         # panel is released, and the pin is undone.
         matrix, stack = _clustered(64, 8, seed=3)
         block_rows(64, 8)
-        original = metrics.distance_rows
+        original = metrics.panel
 
-        def failing_rows(x, start, stop, *args, **kwargs):
+        def failing_panel(operand, start, stop, out):
             if start == 24:
                 time.sleep(0.2)
                 raise TypeError("bug in a panel")
-            return original(x, start, stop, *args, **kwargs)
+            return original(operand, start, stop, out)
 
-        monkeypatch.setattr(metrics, "distance_rows", failing_rows)
+        monkeypatch.setattr(metrics, "panel", failing_panel)
         raised = []
 
         def run():
@@ -453,6 +494,30 @@ class TestSilhouettePanels:
         one, many = peak(1), peak(33)
         assert one < n * n * 8 / 2
         assert many - one < 32 * 3 * per_labeling
+
+    @pytest.mark.parametrize("labelings", [1, 5])
+    def test_peak_memory_is_panels_operand_and_sums(self, controlled_blas, block_rows, labelings):
+        # numpy reports its buffers to tracemalloc. At most T panels of
+        # block * n floats are held at once, beside the column-side operand,
+        # n * (d + 2) floats, and each labeling's one-hot matrix and sums,
+        # 2 * n * k floats. The slack covers one labeling's transposed
+        # product at a commit (n * k floats per thread), the label arrays
+        # and the row sides (a few n floats per labeling) and 64 KiB. A row
+        # side built for all n rows at once would add another operand.
+        n, rows, d, k = 512, 16, 64, 8
+        block_rows(n, rows)
+        rng = np.random.default_rng(23)
+        matrix = rng.normal(size=(n, d))
+        stack = np.stack([rng.permutation(n) % k for _ in range(labelings)])
+        tracemalloc.start()
+        try:
+            silhouette(matrix, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = controlled_blas * rows * n + n * (d + 2) + 2 * labelings * n * k
+        slack = controlled_blas * n * k + 4 * labelings * n + 64 * 1024 // 8
+        assert peak < 8 * (bound + slack)
 
 
 @st.composite
@@ -601,6 +666,34 @@ class TestDaviesBouldin:
     def test_rejects_single_cluster(self):
         with pytest.raises(ValueError, match="2 distinct clusters"):
             davies_bouldin(np.zeros((3, 1)), [1, 1, 1])
+
+    def test_spreads_in_place_keep_the_bits_of_the_squared_differences(self):
+        # Each cluster's spread is taken in place in its gathered members;
+        # the same passes over the same values as the expression with
+        # temporaries, sqrt(((members - centroid) ** 2).sum(axis=1)).mean().
+        def with_temporaries(matrix, labels):
+            dense = dense_remap(labels)
+            kp = int(dense.max()) + 1
+            centroids = np.empty((kp, matrix.shape[1]))
+            delta = np.empty(kp)
+            for j in range(kp):
+                members = matrix[dense == j]
+                centroids[j] = members.mean(axis=0)
+                delta[j] = float(np.sqrt(((members - centroids[j]) ** 2).sum(axis=1)).mean())
+            big_delta = np.sqrt(distance.pairwise_sq_distances(centroids, centroids))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = (delta[:, None] + delta[None, :]) / big_delta
+            ratios[np.eye(kp, dtype=bool)] = -np.inf
+            return float(ratios.max(axis=1).mean())
+
+        rng = np.random.default_rng(25)
+        for _ in range(30):
+            n, d, k = int(rng.integers(8, 300)), int(rng.integers(1, 80)), int(rng.integers(2, 9))
+            matrix = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-1e3, 1e3)
+            labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+            rng.shuffle(labels)
+            expected = with_temporaries(matrix, labels)
+            assert davies_bouldin(matrix, labels).hex() == expected.hex()
 
     def test_centroid_distances_run_on_one_blas_thread(self, controlled_blas, kernel_pins):
         # 128 centroids in 256 dimensions: a product OpenBLAS would run on

@@ -2,9 +2,9 @@
 
 Every BLAS product runs on one BLAS thread under a pin that `distance` holds
 (see cluster_sense.distance), so the pin is named nowhere else, and products
-are written only where such a pin is held: in the distance kernel, which
-pins its own, and in silhouette, whose per-cluster products run inside
-for_each_row_block's pin.
+are written only where such a pin is held: in the two distance kernels,
+pairwise_sq_distances and panel, which pin their own, and in silhouette,
+whose per-cluster products run inside for_each_row_block's pin.
 """
 
 import ast
@@ -13,7 +13,11 @@ from pathlib import Path
 import cluster_sense
 
 SOURCES = sorted(Path(cluster_sense.__file__).parent.glob("*.py"))
-PRODUCT_SITES = {("distance", "pairwise_sq_distances"), ("metrics", "silhouette")}
+PRODUCT_SITES = {
+    ("distance", "pairwise_sq_distances"),
+    ("distance", "panel"),
+    ("metrics", "silhouette"),
+}
 # numpy functions that hand a product to BLAS, as the @ operator does.
 PRODUCT_CALLS = {"dot", "inner", "matmul", "tensordot", "vdot"}
 
@@ -44,11 +48,6 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert found == []
 
 
-# metrics binds pairwise_distances only so that perfbench can trace calls
-# made through that name.
-UNUSED_IMPORTS = {("metrics", "pairwise_distances")}
-
-
 def _exported(tree):
     """The names a module's __all__ lists."""
     return {
@@ -71,7 +70,7 @@ def test_every_imported_name_is_used():
             ):
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
-                    if name not in used and (module, name) not in UNUSED_IMPORTS:
+                    if name not in used:
                         found.append(f"{module}:{node.lineno}: {name}")
     assert found == []
 
