@@ -22,9 +22,9 @@ import numpy as np
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
 from .distance import (
     blas_thread_count,
+    fits_one_block,
     map_on_one_blas_thread,
     pairwise_distances,
-    row_blocks,
 )
 from .kmeans import KMeansConfig, default_tolerance, fit
 from .metrics import METRIC_NAMES, evaluate_clustering
@@ -326,8 +326,7 @@ def _run_cell(cell: _Cell, config: SweepConfig) -> list[SweepCell]:
     try:
         for scaled, seeds in _cell_matrices(cell, config):
             tolerance = default_tolerance(scaled)
-            one_block = len(row_blocks(scaled.shape[0])) == 1
-            distances = pairwise_distances(scaled) if one_block else None
+            distances = pairwise_distances(scaled) if fits_one_block(scaled.shape[0]) else None
             assignments = np.stack(
                 [
                     fit(

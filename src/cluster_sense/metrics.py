@@ -17,12 +17,12 @@ import numpy as np
 from .dataset import dense_remap
 from .distance import (
     check_distances,
-    for_each_row_block,
+    fits_one_block,
+    for_each_tile,
     pairwise_distances,
     pairwise_sq_distances,
-    panel,
-    panel_operand,
-    row_blocks,
+    tile,
+    tile_operand,
 )
 
 METRIC_NAMES = ("nmi", "ri", "ari", "silhouette", "davies_bouldin")
@@ -146,6 +146,42 @@ def _stack(assignments) -> np.ndarray:
     return labelings
 
 
+def _cluster_sums(
+    matrix: np.ndarray, present: list, distances: np.ndarray | None
+) -> list[np.ndarray]:
+    """Per (dense labels, counts) of `present`, the n x k sums of each
+    point's distances to each cluster, tile by tile (see silhouette)."""
+    n = matrix.shape[0]
+    operand = tile_operand(matrix) if distances is None else None
+    onehots = [np.eye(counts.size)[dense] for dense, counts in present]
+    all_sums = [np.zeros_like(onehot) for onehot in onehots]
+
+    def tile_sums(rows, columns, out):
+        if distances is None:
+            block = tile(operand, rows, columns, out)
+        elif out is None:
+            block = distances[rows, columns]
+        else:
+            # Copied, so the products below see the layout of a computed tile.
+            block = out
+            np.copyto(block, distances[rows, columns])
+        return block, [block @ onehot[columns] for onehot in onehots]
+
+    def add_sums(rows, columns, computed):
+        # By symmetry the tile's columns past its strip also hold those
+        # rows' distances to the strip's points; their product runs here,
+        # one W x k product at a time, so no thread holds more than its
+        # tile while it waits to commit.
+        block, own_sums = computed
+        later = slice(max(rows.stop, columns.start), columns.stop)
+        for cluster_sums, own, onehot in zip(all_sums, own_sums, onehots):
+            cluster_sums[rows] += own
+            cluster_sums[later] += block[:, later.start - columns.start :].T @ onehot[rows]
+
+    for_each_tile(n, tile_sums, add_sums)
+    return all_sums
+
+
 def silhouette(
     matrix: np.ndarray, assignments: np.ndarray, distances: np.ndarray | None = None
 ) -> np.ndarray:
@@ -156,34 +192,42 @@ def silhouette(
     clusters contribute 0.
 
     `assignments` is a stack (R, n) of labelings of the same points, giving
-    a float64 array of R values; a 1-D labeling raises ValueError. Each row
-    block reads its panel, its distance rows from its diagonal on, once for
-    the whole stack, so every pair is computed once. Per labeling, the
-    panel times the one-hot labeling gives the block's own per-cluster sums;
-    the transposed panel times the block's one-hot rows gives the later
-    rows' sums over the block's points, added at the block's commit in
-    block order. All of it runs on one BLAS thread with blocks spread over
-    threads (see distance.for_each_row_block). Each value has the same bits
-    as a call with that labeling alone, whatever the thread counts.
+    a float64 array of R values; a 1-D labeling raises ValueError. The
+    distance matrix's upper triangle is read once for the whole stack, tile
+    by tile (distance.tiles), so every pair is computed once. Per labeling,
+    a tile times the one-hot labeling of its columns gives its rows'
+    per-cluster sums; the transposed tile's columns past its strip times
+    the strip's one-hot rows gives those later rows' sums over the strip's
+    points. Both are added at the tile's commit, in tile order. All of it
+    runs on one BLAS thread with tiles spread over threads (see
+    distance.for_each_tile). Each value has the same bits as a call with
+    that labeling alone, whatever the thread counts.
 
-    A matrix that row_blocks makes one block is pairwise_distances(matrix),
-    its one panel, given or built here. A matrix of several blocks computes
-    each panel as one product of augmented operands (distance.panel): the
-    column side [x | 1 | |x|^2], n * (d + 2) floats built once per call, and
-    a block's row side [-2 x_I | |x_I|^2 | 1], so the product is
+    A matrix that fits one block is pairwise_distances(matrix), its one
+    tile, given or built here. A larger matrix computes each tile as one
+    product of augmented operands (distance.tile): the column side
+    [x | 1 | |x|^2], n * (d + 2) floats built once per call, and a strip's
+    row side [-2 x_I | |x_I|^2 | 1], so the product is
     |x_i|^2 + |x_j|^2 - 2 x_i.x_j and only the clamp, the square root and
     the zero diagonal follow. It rounds like pairwise_distances' expansion
-    but not to its bits, so values of n > 1024 points may differ from those
-    of the expansion in their last bits. Memory is at most T panels of
-    block * n floats, for T threads, each held until its block commits, the
-    column-side operand and the sums and one-hot matrices, 2 * R * n * k
-    floats: O(T * block * n + n * d + R * n * k) rather than O(n^2).
+    but not to its bits, and its sums are added tile by tile, so values of
+    n > 1024 points may differ from those of the expansion in their last
+    bits; they depend on n alone, never on the thread count. For T threads,
+    d columns and k clusters, memory is at most
+    T * TILE_ROWS * TILE_COLUMNS + n * (d + 2) + 2 * R * n * k floats: a
+    tile buffer per thread, reused for every tile it takes, the column-side
+    operand, and each labeling's one-hot matrix and sums. Beside them are
+    the row sides and each held tile's own sums (TILE_ROWS * (d + 2 + R * k)
+    floats per thread), the one W x k product of the commit running (W at
+    most TILE_COLUMNS) and the label arrays (R * n integers): O(n * d +
+    R * n * k) for any n, rather than O(n^2).
 
     distances, when given, must be pairwise_distances(matrix) of the same
-    float64 matrix (ValueError unless it is n x n). Its panels are read from
-    it in place of computing them, and it is not written to;
-    pairwise_distances builds only a one-block matrix, the one this would
-    build, so every value keeps its bits.
+    float64 matrix (ValueError unless it is n x n), or for a matrix past one
+    block the matrix its tiles make. It is read in place of computing the
+    tiles, the same tiles in the same order, each copied into its thread's
+    tile buffer past one block, and it is not written to; so every value
+    keeps its bits.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     labelings = _stack(assignments)
@@ -197,43 +241,16 @@ def silhouette(
         raise ValueError("silhouette requires at least 2 distinct clusters")
     if distances is not None:
         distances = check_distances(distances, n)
-    elif len(row_blocks(n)) == 1:
+    elif fits_one_block(n):
         distances = pairwise_distances(matrix)
-    operand = panel_operand(matrix) if distances is None else None
-
-    onehots = [np.eye(counts.size)[dense] for dense, counts in present]
-    all_sums = [np.zeros_like(onehot) for onehot in onehots]
-
-    def panel_sums(start, stop):
-        # The block's distances on and above the diagonal, columns start:n,
-        # and its own rows' sums over them. The panel takes a whole block's
-        # memory however narrow it is, so that every panel allocates alike.
-        if distances is None:
-            rows = stop - start
-            out = np.empty(rows * n)[: rows * (n - start)].reshape(rows, n - start)
-            block = panel(operand, start, stop, out)
-        else:
-            block = distances[start:stop, start:]
-        return block, [block @ onehot[start:] for onehot in onehots]
-
-    def add_sums(start, stop, computed):
-        # By symmetry the panel also holds the later rows' distances to the
-        # block's points; their product runs here, one panel at a time, so
-        # no thread holds more than its panel while it waits to commit.
-        block, own_sums = computed
-        rows = stop - start
-        for cluster_sums, own, onehot in zip(all_sums, own_sums, onehots):
-            cluster_sums[start:stop] += own
-            cluster_sums[stop:] += block[:, rows:].T @ onehot[start:stop]
-
-    for_each_row_block(n, panel_sums, add_sums)
 
     values = []
-    for cluster_sums, (dense, counts) in zip(all_sums, present):
+    for cluster_sums, (dense, counts) in zip(_cluster_sums(matrix, present, distances), present):
         own_counts = counts[dense]
         with np.errstate(invalid="ignore", divide="ignore"):
             d_w = cluster_sums[np.arange(n), dense] / (own_counts - 1)
-        mean_to = cluster_sums / counts[None, :]
+        # The sums are not read again, so their means take their place.
+        mean_to = np.divide(cluster_sums, counts[None, :], out=cluster_sums)
         mean_to[np.arange(n), dense] = np.inf
         d_n = mean_to.min(axis=1)
 

@@ -1,5 +1,5 @@
 """Fixtures shared by the test modules: OpenBLAS thread-count control, a
-probe of the distance kernel's pin and the distance row-block budget."""
+probe of the distance kernel's pin and the distance tile shape."""
 
 import contextlib
 import sys
@@ -51,7 +51,7 @@ def controlled_blas(blas_threads):
 @pytest.fixture
 def kernel_pins(monkeypatch):
     """Probe of the pin the distance kernels, pairwise_sq_distances and
-    panel, hold around their products.
+    tile, hold around their products.
 
     `.products` gets, for each product, from any thread: (name of the module
     that called the kernel, BLAS thread count inside the pin, pin depth
@@ -61,7 +61,7 @@ def kernel_pins(monkeypatch):
     """
     probe = types.SimpleNamespace(products=[], hook=None)
     original = distance._single_blas_thread
-    kernels = {distance.pairwise_sq_distances.__code__, distance.panel.__code__}
+    kernels = {distance.pairwise_sq_distances.__code__, distance.tile.__code__}
 
     @contextlib.contextmanager
     def kernel_pin(caller):
@@ -82,25 +82,23 @@ def kernel_pins(monkeypatch):
 
 
 @pytest.fixture
-def block_rows(monkeypatch):
-    """set(n, rows): patch distance.BLOCK_BYTES for the test so that an n x n
-    matrix splits into blocks of `rows` rows, the last possibly shorter, or
-    is one block when rows >= n.
+def tile_shape(monkeypatch):
+    """set(n, rows, columns=n): patch distance's budgets for the test so
+    that an n x n matrix is one block when rows >= n, and otherwise is read
+    in strips of `rows` rows, the last possibly shorter, each from its
+    diagonal on in tiles of `columns` columns, the last possibly narrower.
 
-    A matrix of several blocks gets half the budget per block, so blocks of
-    n / 2 rows or more, short of the whole matrix, cannot be made; asking for
-    them fails the test.
+    With the default `columns` each strip is one tile, from its diagonal to
+    the last column. Matrices of fewer points than n fit one block.
     """
 
-    def set_rows(n, rows):
-        if rows >= n:
-            budget = 8 * n * n
-        elif rows > 1:
-            budget = 2 * rows * 8 * n
-        else:
-            budget = 8 * n  # half a row: every block still gets one row
-        monkeypatch.setattr(distance, "BLOCK_BYTES", budget)
-        expected = [(start, min(start + rows, n)) for start in range(0, n, rows)]
-        assert distance.row_blocks(n) == expected, f"no budget splits {n} rows into {rows}"
+    def set_shape(n, rows, columns=None):
+        one_block = 8 * n * n
+        monkeypatch.setattr(distance, "BLOCK_BYTES", one_block if rows >= n else one_block - 1)
+        monkeypatch.setattr(distance, "TILE_ROWS", rows)
+        monkeypatch.setattr(distance, "TILE_COLUMNS", columns or n)
+        strips = [(r.start, r.stop) for r, c in distance.tiles(n) if c.start == r.start]
+        step = min(rows, n)
+        assert strips == [(start, min(start + step, n)) for start in range(0, n, step)]
 
-    return set_rows
+    return set_shape

@@ -1,5 +1,5 @@
-"""Row-block distance kernel tests: block layout, one-shot equivalence, memory
-shape, and the BLAS threading blocks run under."""
+"""Distance kernel tests: tile layout, one-shot equivalence, memory shape,
+and the BLAS threading tiles run under."""
 
 import sys
 import threading
@@ -11,11 +11,12 @@ import pytest
 
 from cluster_sense import distance
 from cluster_sense.distance import (
+    fits_one_block,
     pairwise_distances,
     pairwise_sq_distances,
-    panel,
-    panel_operand,
-    row_blocks,
+    tile,
+    tile_operand,
+    tiles,
 )
 
 
@@ -27,13 +28,13 @@ def _one_shot(x):
 
 
 def _assembled(x):
-    """The n x n matrix assembled from the panels silhouette computes, each
-    row block from its diagonal on, mirrored below the diagonal."""
+    """The n x n matrix assembled from the tiles silhouette computes, each
+    strip from its diagonal on, mirrored below the diagonal."""
     n = len(x)
-    operand = panel_operand(x)
+    operand = tile_operand(x)
     full = np.empty((n, n))
-    for start, stop in row_blocks(n):
-        full[start:stop, start:] = panel(operand, start, stop)
+    for rows, columns in tiles(n):
+        full[rows, columns] = tile(operand, rows, columns)
     below = np.tril_indices(n, -1)
     full[below] = full.T[below]
     return full
@@ -86,15 +87,15 @@ class TestSquaredDistances:
         assert np.array_equal(whole, textbook)
 
     def test_norms_of_a_row_slice_are_the_slice_of_the_norms(self):
-        # A panel takes its row side's norms from the whole matrix's operand.
+        # A tile takes its row side's norms from the whole matrix's operand.
         rng = np.random.default_rng(10)
         x = rng.normal(size=(300, 37)) * 40.0 + 7.0
         x_sq = np.einsum("ij,ij->i", x, x)
-        operand = panel_operand(x)
+        operand = tile_operand(x)
         for start, stop in [(0, 300), (0, 1), (5, 6), (17, 250), (128, 256), (299, 300)]:
             part = x[start:stop]
             assert np.einsum("ij,ij->i", part, part).tobytes() == x_sq[start:stop].tobytes()
-            assert operand[start:stop].tobytes() == panel_operand(part).tobytes()
+            assert operand[start:stop].tobytes() == tile_operand(part).tobytes()
 
     def test_peak_memory_is_the_result_plus_one_chunk(self):
         # The textbook formula holds two more result-sized temporaries.
@@ -103,54 +104,85 @@ class TestSquaredDistances:
         assert _traced_peak(lambda: pairwise_sq_distances(x, x)) < 1.25 * n * n * 8
 
 
+def _spans(n):
+    """(row start, row stop, column start, column stop) of each tile of
+    tiles(n), in tile order."""
+    return [(rows.start, rows.stop, columns.start, columns.stop) for rows, columns in tiles(n)]
+
+
 class TestRowBlocks:
+    """The tile partition: one tile within one block, 1 MiB tiles past it."""
+
     def test_default_budget_is_one_n1024_matrix(self):
         assert distance.BLOCK_BYTES == 8 * 1024 * 1024
-        assert row_blocks(1024) == [(0, 1024)]
-        # Above one block, each block holds half the budget.
-        assert row_blocks(1025) == [(0, 511), (511, 1022), (1022, 1025)]
-        assert row_blocks(8192) == [(s, s + 64) for s in range(0, 8192, 64)]
+        assert fits_one_block(1024) and not fits_one_block(1025)
+        assert _spans(1024) == [(0, 1024, 0, 1024)]
+        # Past one block, tiles of 128 rows by 1024 columns (1 MiB), each
+        # strip from its diagonal on, whatever n is.
+        assert 8 * distance.TILE_ROWS * distance.TILE_COLUMNS == 1024 * 1024
+        assert _spans(1025)[:3] == [(0, 128, 0, 1024), (0, 128, 1024, 1025), (128, 256, 128, 1025)]
+        assert _spans(1025)[-2:] == [(896, 1024, 896, 1025), (1024, 1025, 1024, 1025)]
+        assert _spans(8192) == [
+            (start, start + 128, first, min(first + 1024, 8192))
+            for start in range(0, 8192, 128)
+            for first in range(start, 8192, 1024)
+        ]
 
-    def test_blocks_cover_rows_once_with_short_last_block(self, block_rows):
-        block_rows(40, 7)
-        blocks = row_blocks(40)
-        assert blocks == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 35), (35, 40)]
+    def test_blocks_cover_rows_once_with_short_last_block(self, tile_shape):
+        # Strips of 7 rows, the last of 5, in tiles of 16 columns: every
+        # entry from a row's strip diagonal on is read once, none before it.
+        tile_shape(40, 7, 16)
+        assert _spans(40)[:4] == [(0, 7, 0, 16), (0, 7, 16, 32), (0, 7, 32, 40), (7, 14, 7, 23)]
+        assert _spans(40)[-1] == (35, 40, 35, 40)
+        covered = np.zeros((40, 40), dtype=int)
+        for rows, columns in tiles(40):
+            covered[rows, columns] += 1
+        strip_start = np.arange(40) // 7 * 7
+        assert np.array_equal(covered, (np.arange(40)[None, :] >= strip_start[:, None]).astype(int))
 
     def test_budget_below_one_row_still_makes_progress(self, monkeypatch):
+        # The smallest tile, one entry, still covers the upper triangle.
         monkeypatch.setattr(distance, "BLOCK_BYTES", 1)
-        assert row_blocks(3) == [(0, 1), (1, 2), (2, 3)]
+        monkeypatch.setattr(distance, "TILE_ROWS", 1)
+        monkeypatch.setattr(distance, "TILE_COLUMNS", 1)
+        assert _spans(3) == [
+            (0, 1, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3), (1, 2, 1, 2), (1, 2, 2, 3), (2, 3, 2, 3)
+        ]
 
     def test_no_rows_no_blocks(self):
-        assert row_blocks(0) == []
+        assert _spans(0) == []
 
 
 class TestBlockedMatrix:
-    # n is a multiple of 8 and so is every block's start and size: there
+    # n is a multiple of 8 and so is every tile's start and size: there
     # OpenBLAS rounds every element the same way whatever the GEMM shape (see
-    # the cluster_sense.distance docstring), so panels match the slices of
-    # the whole matrix computed as one panel bit for bit. pairwise_distances
-    # builds only a one-block matrix, so the tests of several blocks compute
-    # the panels themselves.
-    N, D, ROWS = 320, 6, 128
+    # the cluster_sense.distance docstring), so tiles match the slices of
+    # the whole matrix computed as one tile bit for bit. pairwise_distances
+    # builds only a one-block matrix, so the tests of several tiles compute
+    # the tiles themselves.
+    N, D, ROWS, COLUMNS = 320, 6, 128, 64
 
     def _matrix(self, seed=0):
         return np.random.default_rng(seed).normal(size=(self.N, self.D)) * 3.0 + 1.0
 
-    def test_several_blocks_equal_one_shot_bit_for_bit(self, block_rows):
-        x = self._matrix()
-        block_rows(self.N, self.ROWS)
-        assert row_blocks(self.N) == [(0, 128), (128, 256), (256, 320)]
-        whole = panel(panel_operand(x), 0, self.N)
-        assert np.array_equal(np.triu(_assembled(x)), np.triu(whole))
+    def _whole(self, x):
+        return tile(tile_operand(x), slice(0, self.N), slice(0, self.N))
 
-    def test_several_blocks_symmetric_with_zero_diagonal(self, block_rows):
+    def test_several_blocks_equal_one_shot_bit_for_bit(self, tile_shape):
+        x = self._matrix()
+        tile_shape(self.N, self.ROWS, self.COLUMNS)
+        assert _spans(self.N)[:3] == [(0, 128, 0, 64), (0, 128, 64, 128), (0, 128, 128, 192)]
+        assert _spans(self.N)[-1] == (256, 320, 256, 320)
+        assert np.array_equal(np.triu(_assembled(x)), np.triu(self._whole(x)))
+
+    def test_several_blocks_symmetric_with_zero_diagonal(self, tile_shape):
         # Entry (i, j) adds |x_i|^2 before |x_j|^2 inside the product and
         # (j, i) the other way round, so the two agree within rounding; each
-        # pair is computed once, in the panel of the earlier row.
+        # pair is computed once, in the tile of the earlier row's strip.
         x = self._matrix(1)
-        block_rows(self.N, self.ROWS)
+        tile_shape(self.N, self.ROWS, self.COLUMNS)
         d = _assembled(x)
-        whole = panel(panel_operand(x), 0, self.N)
+        whole = self._whole(x)
         np.testing.assert_allclose(whole, whole.T, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(d, whole.T, rtol=1e-13, atol=0.0)
         assert np.all(np.diag(d) == 0.0)
@@ -158,60 +190,67 @@ class TestBlockedMatrix:
     def test_single_block_equals_one_shot_bit_for_bit(self):
         # The dim256 benchmark shape: n = 1024 fills the default budget exactly.
         x = np.random.default_rng(2).normal(size=(1024, 288))
-        assert len(row_blocks(1024)) == 1
+        assert fits_one_block(1024)
         assert np.array_equal(pairwise_distances(x), _one_shot(x))
 
     def test_rows_are_slices_of_the_matrix(self):
         x = self._matrix(3)
-        operand = panel_operand(x)
-        whole = panel(operand, 0, self.N)
-        for start, stop in [(0, 128), (256, 320), (5, 7), (8, 136), (17, 250)]:
-            rows = panel(operand, start, stop)
-            assert rows.shape == (stop - start, self.N - start)
-            if start % 8 == 0 and (stop - start) % 8 == 0:
-                assert np.array_equal(rows, whole[start:stop, start:])
-            np.testing.assert_allclose(rows, whole[start:stop, start:], rtol=1e-13, atol=0.0)
+        operand = tile_operand(x)
+        whole = self._whole(x)
+        spans = [(0, 128, 0, 320), (256, 320, 256, 320), (5, 7, 5, 320), (8, 136, 8, 320),
+                 (17, 250, 17, 320), (0, 128, 128, 256), (8, 16, 200, 320), (40, 48, 0, 64)]
+        for start, stop, first, last in spans:
+            rows = tile(operand, slice(start, stop), slice(first, last))
+            assert rows.shape == (stop - start, last - first)
+            if all(v % 8 == 0 for v in (start, stop, first)):
+                assert np.array_equal(rows, whole[start:stop, first:last])
+            np.testing.assert_allclose(rows, whole[start:stop, first:last], rtol=1e-13, atol=0.0)
         # numpy computes a one-row product with GEMV, which may round apart.
-        np.testing.assert_allclose(panel(operand, 5, 6), whole[5:6, 5:], rtol=1e-13, atol=0.0)
-        assert panel(operand, 5, 6)[0, 0] == 0.0
+        one_row = tile(operand, slice(5, 6), slice(5, self.N))
+        np.testing.assert_allclose(one_row, whole[5:6, 5:], rtol=1e-13, atol=0.0)
+        assert one_row[0, 0] == 0.0
 
     def test_panels_from_a_first_column(self):
-        # Silhouette's panels start at their block's diagonal, the block's
-        # first row, written into `out` when given. The augmented product
-        # adds the norms inside the GEMM, so it rounds apart from the
-        # expansion of pairwise_sq_distances, within rounding.
+        # A tile from its strip's diagonal on, or right of it, written into
+        # `out` when given. The augmented product adds the norms inside the
+        # GEMM, so it rounds apart from the expansion of
+        # pairwise_sq_distances, within rounding; entries on the diagonal
+        # are exactly zero.
         x = self._matrix(5)
         full = _one_shot(x)
-        operand = panel_operand(x)
-        for start, stop in [(0, 128), (128, 256), (256, 320), (5, 17), (40, 41)]:
-            block = panel(operand, start, stop)
-            assert block.shape == (stop - start, self.N - start)
-            np.testing.assert_allclose(block, full[start:stop, start:], rtol=1e-13, atol=0.0)
-            diagonal = np.arange(stop - start)
-            assert np.all(block[diagonal, diagonal] == 0.0)
+        operand = tile_operand(x)
+        spans = [(0, 128, 0, 320), (128, 256, 128, 192), (256, 320, 256, 320), (5, 17, 5, 320),
+                 (40, 41, 40, 320), (0, 16, 8, 40), (16, 32, 64, 320)]
+        for start, stop, first, last in spans:
+            rows, columns = slice(start, stop), slice(first, last)
+            block = tile(operand, rows, columns)
+            assert block.shape == (stop - start, last - first)
+            np.testing.assert_allclose(block, full[rows, columns], rtol=1e-13, atol=0.0)
+            diagonal = np.arange(max(start, first), min(stop, last))
+            assert np.all(block[diagonal - start, diagonal - first] == 0.0)
             out = np.empty_like(block)
-            assert panel(operand, start, stop, out) is out
+            assert tile(operand, rows, columns, out) is out
             assert out.tobytes() == block.tobytes()
 
-    def test_any_n_matches_one_shot_within_rounding(self, block_rows):
+    def test_any_n_matches_one_shot_within_rounding(self, tile_shape):
         # For n that is not a multiple of the GEMM tile width the edge columns
         # may round differently from the one-shot matrix; only the last bits.
         x = np.random.default_rng(4).normal(size=(301, 9))
-        block_rows(301, 64)
-        assert row_blocks(301)[-1] == (256, 301)
+        tile_shape(301, 64, 100)
+        assert _spans(301)[-1] == (256, 301, 256, 301)
         d = _assembled(x)
         np.testing.assert_allclose(d, _one_shot(x), rtol=1e-13, atol=0.0)
         assert np.all(np.diag(d) == 0.0)
 
     @pytest.mark.parametrize("n, rows", [(1025, 511), (1024, 32)])
-    def test_several_blocks_raise_before_allocating(self, block_rows, n, rows):
+    def test_several_blocks_raise_before_allocating(self, tile_shape, n, rows):
         # numpy reports its buffers to tracemalloc: the call allocates less
-        # than one block before it refuses the whole matrix.
+        # than one strip before it refuses the whole matrix.
         x = np.random.default_rng(5).normal(size=(n, 8))
-        block_rows(n, rows)
+        tile_shape(n, rows)
 
         def refused():
-            with pytest.raises(ValueError, match="more than one row block"):
+            with pytest.raises(ValueError, match="more than one block"):
                 pairwise_distances(x)
 
         assert _traced_peak(refused) < rows * n * 8
@@ -223,11 +262,11 @@ class TestBlockedMatrix:
 
 
 class TestPanel:
-    """The augmented product silhouette computes its panels with."""
+    """The augmented product silhouette computes its tiles with."""
 
     def test_operand_is_the_points_a_one_and_their_squared_norms(self):
         x = np.random.default_rng(15).normal(size=(37, 5)) * 4.0 - 2.0
-        operand = panel_operand(x)
+        operand = tile_operand(x)
         assert operand.shape == (37, 7) and operand.flags.c_contiguous
         assert operand[:, :5].tobytes() == x.tobytes()
         assert np.all(operand[:, 5] == 1.0)
@@ -238,70 +277,91 @@ class TestPanel:
         # Against distances from direct differences, the augmented product's
         # worst relative error over eight draws stays within twice the
         # |a|^2 + |b|^2 - 2ab expansion's: both cancel the same norms.
-        worst = {"panel": 0.0, "expansion": 0.0}
+        worst = {"tile": 0.0, "expansion": 0.0}
         off = ~np.eye(200, dtype=bool)
+        whole = slice(0, 200)
         for seed in range(8):
             x = np.random.default_rng(seed).normal(size=(200, 12)) + offset
             reference = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
-            for name, d in (("panel", panel(panel_operand(x), 0, 200)), ("expansion", _one_shot(x))):
+            for name, d in (("tile", tile(tile_operand(x), whole, whole)), ("expansion", _one_shot(x))):
                 error = np.abs(d - reference)[off] / reference[off]
                 worst[name] = max(worst[name], float(error.max()))
-        assert worst["panel"] <= 2.0 * worst["expansion"]
+        assert worst["tile"] <= 2.0 * worst["expansion"]
 
     def test_product_runs_pinned(self, controlled_blas, kernel_pins):
-        # One product per panel, inside its own pin at depth 1.
+        # One product per tile, inside its own pin at depth 1.
         x = np.random.default_rng(16).normal(size=(64, 300))
-        operand = panel_operand(x)
+        operand = tile_operand(x)
         for start, stop in [(0, 32), (32, 64)]:
-            panel(operand, start, stop)
+            tile(operand, slice(start, stop), slice(start, 64))
         assert kernel_pins.products == [(__name__, 1, 1)] * 2
         assert distance.blas_thread_count() == controlled_blas
 
 
 class TestForEachRowBlock:
+    """distance.for_each_tile: which threads run the tiles, pinned how."""
+
     N = 40
 
     def _run(self):
-        """(start, stop, thread, BLAS thread count) of each block, in call order."""
+        """(span, thread, BLAS thread count, out) of each tile, in call order."""
         seen = []
         lock = threading.Lock()
 
-        def work(start, stop):
+        def work(rows, columns, out):
             with lock:
-                seen.append(
-                    (start, stop, threading.get_ident(), distance.blas_thread_count())
-                )
+                span = (rows.start, rows.stop, columns.start, columns.stop)
+                seen.append((span, threading.get_ident(), distance.blas_thread_count(), out))
 
-        distance.for_each_row_block(self.N, work)
+        distance.for_each_tile(self.N, work)
         return seen
 
-    def test_blocks_run_once_each_pinned_on_up_to_blas_threads(self, block_rows, controlled_blas):
-        block_rows(self.N, 4)
+    def test_blocks_run_once_each_pinned_on_up_to_blas_threads(self, tile_shape, controlled_blas):
+        # The calling thread is one of at most T threads that run tiles.
+        tile_shape(self.N, 4, 16)
         seen = self._run()
-        assert sorted((start, stop) for start, stop, _, _ in seen) == row_blocks(self.N)
-        assert {count for *_, count in seen} == {1}
-        threads = {thread for _, _, thread, _ in seen}
-        assert len(threads) <= controlled_blas and threading.get_ident() not in threads
+        assert sorted(span for span, *_ in seen) == _spans(self.N)
+        assert {count for _, _, count, _ in seen} == {1}
+        threads = {thread for _, thread, _, _ in seen}
+        assert len(threads | {threading.get_ident()}) <= controlled_blas
         assert distance.blas_thread_count() == controlled_blas
 
-    def test_inside_a_pin_blocks_run_on_the_calling_thread(self, block_rows, controlled_blas):
-        block_rows(self.N, 4)
+    def test_each_thread_reuses_one_tile_buffer(self, tile_shape, controlled_blas):
+        # out is the tile's shape, C-contiguous, and a view of the one
+        # TILE_ROWS x TILE_COLUMNS buffer its thread takes every tile into.
+        tile_shape(self.N, 4, 16)
+        seen = self._run()
+        buffers = {}
+        for (start, stop, first, last), thread, _, out in seen:
+            assert out.shape == (stop - start, last - first) and out.flags.c_contiguous
+            assert out.base.size == 4 * 16
+            buffers.setdefault(thread, set()).add(id(out.base))
+        assert all(len(ids) == 1 for ids in buffers.values())
+
+    def test_one_block_is_one_tile_on_the_calling_thread_without_a_buffer(self, controlled_blas):
+        seen = self._run()
+        assert [(span, thread, out) for span, thread, _, out in seen] == [
+            ((0, self.N, 0, self.N), threading.get_ident(), None)
+        ]
+
+    def test_inside_a_pin_blocks_run_on_the_calling_thread(self, tile_shape, controlled_blas):
+        tile_shape(self.N, 4, 16)
         with distance._single_blas_thread():
             seen = self._run()
-        assert [(start, stop) for start, stop, _, _ in seen] == row_blocks(self.N)
-        assert {thread for _, _, thread, _ in seen} == {threading.get_ident()}
+        assert [span for span, *_ in seen] == _spans(self.N)
+        assert {thread for _, thread, _, _ in seen} == {threading.get_ident()}
 
-    def test_uncontrollable_blas_runs_blocks_serially_without_a_pool(self, monkeypatch, block_rows):
+    def test_uncontrollable_blas_runs_blocks_serially_without_a_pool(self, monkeypatch, tile_shape):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(distance, "_openblas_thread_controls", lambda: None)
         monkeypatch.setattr(distance, "ThreadPoolExecutor", no_pool)
-        block_rows(self.N, 4)
+        tile_shape(self.N, 4, 16)
         seen = self._run()
-        assert [(start, stop) for start, stop, _, _ in seen] == row_blocks(self.N)
-        assert {thread for _, _, thread, _ in seen} == {threading.get_ident()}
-        assert {count for *_, count in seen} == {None}
+        assert [span for span, *_ in seen] == _spans(self.N)
+        assert {thread for _, thread, _, _ in seen} == {threading.get_ident()}
+        assert {count for _, _, count, _ in seen} == {None}
 
     def test_single_block_matrix_is_computed_pinned(self, controlled_blas, kernel_pins):
         # One product, inside the kernel's pin at depth 1: the caller holds
@@ -315,70 +375,72 @@ class TestForEachRowBlock:
 
 
 class TestOrderedCommit:
-    N = 40  # ten 4-row blocks
+    N = 40  # ten 4-row strips
 
     def test_commits_follow_their_block_in_block_order_one_at_a_time(
-        self, block_rows, controlled_blas
+        self, tile_shape, controlled_blas
     ):
-        # Later blocks finish first; each still commits in block order, on
-        # the thread that ran its block, with what that block returned, and
-        # no two commits overlap.
-        block_rows(self.N, 4)
+        # Later tiles finish first; each still commits in tile order, on the
+        # thread that ran its tile, with what that tile returned, and no two
+        # commits overlap. The calling thread is one of at most T threads.
+        tile_shape(self.N, 4, 16)
         lock = threading.Lock()
         committed, active = [], []
 
-        def work(start, stop):
-            time.sleep(0.002 * (self.N - start) / 4)
-            return start, stop, threading.get_ident()
+        def work(rows, columns, out):
+            time.sleep(0.002 * (self.N - rows.start) / 4)
+            return (rows.start, rows.stop, columns.start, columns.stop), threading.get_ident()
 
-        def commit(start, stop, result):
+        def commit(rows, columns, result):
             with lock:
                 active.append(1)
                 overlapping = len(active)
             time.sleep(0.001)
-            committed.append((start, stop, result, threading.get_ident(), overlapping))
+            span = (rows.start, rows.stop, columns.start, columns.stop)
+            committed.append((span, result, threading.get_ident(), overlapping))
             with lock:
                 active.pop()
 
-        distance.for_each_row_block(self.N, work, commit)
-        assert [(start, stop) for start, stop, *_ in committed] == row_blocks(self.N)
-        assert all(result == (start, stop, thread) for start, stop, result, thread, _ in committed)
+        distance.for_each_tile(self.N, work, commit)
+        assert [span for span, *_ in committed] == _spans(self.N)
+        assert all(result == (span, thread) for span, result, thread, _ in committed)
         assert {overlapping for *_, overlapping in committed} == {1}
-        assert threading.get_ident() not in {thread for *_, thread, _ in committed}
+        threads = {thread for _, _, thread, _ in committed}
+        assert len(threads | {threading.get_ident()}) <= controlled_blas
 
-    def test_each_thread_holds_one_result_until_its_commit(self, block_rows, controlled_blas):
-        # The first block holds up every commit: the other thread finishes
-        # its block and waits, so T blocks are started and not committed,
+    def test_each_thread_holds_one_result_until_its_commit(self, tile_shape, controlled_blas):
+        # The first tile holds up every commit: the other thread finishes
+        # its tile and waits, so T tiles are started and not committed,
         # and never more.
-        block_rows(self.N, 4)
+        tile_shape(self.N, 4)
         lock = threading.Lock()
         counts = {"started": 0, "committed": 0, "most": 0}
 
-        def work(start, stop):
+        def work(rows, columns, out):
             with lock:
                 counts["started"] += 1
                 counts["most"] = max(counts["most"], counts["started"] - counts["committed"])
-            if start == 0:
+            if rows.start == 0:
                 time.sleep(0.2)
 
-        def commit(start, stop, result):
+        def commit(rows, columns, result):
             with lock:
                 counts["committed"] += 1
 
-        distance.for_each_row_block(self.N, work, commit)
-        assert counts["committed"] == len(row_blocks(self.N))
+        distance.for_each_tile(self.N, work, commit)
+        assert counts["committed"] == len(_spans(self.N))
         assert counts["most"] == controlled_blas
 
-    def test_more_threads_than_cores_lose_no_commit(self, monkeypatch, block_rows):
-        # Six threads, one-row blocks and a shortened switch interval: a
+    def test_more_threads_than_cores_lose_no_commit(self, monkeypatch, tile_shape):
+        # Six threads, one-row strips and a shortened switch interval: a
         # commit that overlapped another, or ran out of turn, would lose an
         # update to the counter or break the order.
         monkeypatch.setattr(distance, "blas_thread_count", lambda: 6)
-        block_rows(self.N, 1)
+        tile_shape(self.N, 1)
         counter = {"value": 0}
         order = []
 
-        def commit(start, stop, result):
+        def commit(rows, columns, result):
             value = counter["value"]
             time.sleep(0)  # invites a switch inside the read-modify-write
             counter["value"] = value + 1
@@ -388,8 +450,8 @@ class TestOrderedCommit:
         sys.setswitchinterval(1e-6)
         try:
             runner = threading.Thread(
-                target=distance.for_each_row_block,
-                args=(self.N, lambda start, stop: start, commit),
+                target=distance.for_each_tile,
+                args=(self.N, lambda rows, columns, out: rows.start, commit),
                 daemon=True,
             )
             runner.start()
@@ -402,28 +464,78 @@ class TestOrderedCommit:
 
     @pytest.mark.parametrize("where", ["work", "commit"])
     def test_an_error_releases_waiting_blocks_and_starts_no_other(
-        self, block_rows, controlled_blas, where
+        self, tile_shape, controlled_blas, where
     ):
-        # Block 2 of 10 raises. Blocks 0 and 1 commit; of the rest only those
+        # Tile 2 of 10 raises. Tiles 0 and 1 commit; of the rest only those
         # already running finish their work, and none commits.
-        block_rows(self.N, 4)
+        tile_shape(self.N, 4)
         started, committed = [], []
 
-        def work(start, stop):
-            started.append(start)
-            if where == "work" and start == 8:
-                time.sleep(0.05)  # long enough for block 1 to commit
-                raise TypeError("bug in block 8")
+        def work(rows, columns, out):
+            started.append(rows.start)
+            if where == "work" and rows.start == 8:
+                time.sleep(0.05)  # long enough for tile 1 to commit
+                raise TypeError("bug in tile 8")
 
-        def commit(start, stop, result):
-            if where == "commit" and start == 8:
-                raise TypeError("bug in block 8")
-            committed.append(start)
+        def commit(rows, columns, result):
+            if where == "commit" and rows.start == 8:
+                raise TypeError("bug in tile 8")
+            committed.append(rows.start)
 
-        with pytest.raises(TypeError, match="bug in block 8"):
-            distance.for_each_row_block(self.N, work, commit)
+        with pytest.raises(TypeError, match="bug in tile 8"):
+            distance.for_each_tile(self.N, work, commit)
         assert committed == [0, 4]
         assert max(started) <= 4 * (2 + controlled_blas - 1)
+        assert distance.blas_thread_count() == controlled_blas
+        assert distance._blas_pin_depth == 0
+
+
+class TestMapOnOneBlasThread:
+    def test_items_run_on_the_caller_and_up_to_t_minus_1_helpers(self, controlled_blas):
+        # Each item waits a little, so every participant takes some; the
+        # results keep the items' order.
+        seen = []
+
+        def work(item):
+            time.sleep(0.002)
+            seen.append((threading.get_ident(), distance.blas_thread_count()))
+            return item * item
+
+        assert distance.map_on_one_blas_thread(work, range(30), 3) == [i * i for i in range(30)]
+        threads = {thread for thread, _ in seen}
+        assert threading.get_ident() in threads and len(threads) <= 3
+        assert {count for _, count in seen} == {1}
+        assert distance.blas_thread_count() == controlled_blas
+
+    def test_one_thread_runs_on_the_caller_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(distance, "ThreadPoolExecutor", no_pool)
+        seen = []
+        assert distance.map_on_one_blas_thread(lambda item: seen.append(item) or -item, [3, 1, 2], 1) == [-3, -1, -2]
+        assert seen == [3, 1, 2]
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_first_error_propagates_drops_queued_items_and_restores_blas(
+        self, controlled_blas, where
+    ):
+        # The first item the failing participant takes raises at once; the
+        # other participant's item raises later. The first error propagates,
+        # no further item starts, and the count and pin depth come back.
+        caller = threading.get_ident()
+        started = []
+
+        def work(item):
+            started.append(item)
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise TypeError(f"bug on the {where}")
+            time.sleep(0.2)
+            raise ValueError("a later error")
+
+        with pytest.raises(TypeError, match=f"bug on the {where}"):
+            distance.map_on_one_blas_thread(work, range(100), 2)
+        assert len(started) <= 2 and set(started) <= {0, 1}
         assert distance.blas_thread_count() == controlled_blas
         assert distance._blas_pin_depth == 0
 

@@ -549,19 +549,19 @@ class TestRunSweep:
             fixed_values[key] != redrawn_values[key] for key in fixed_values
         )
 
-    def test_row_block_budget_does_not_change_summary_bytes(self, tmp_path, block_rows):
+    def test_row_block_budget_does_not_change_summary_bytes(self, tmp_path, tile_shape):
         # A file dataset with per-repeat noise: every silhouette runs once
         # per drawn matrix above level 0 and once for the shared level-0
         # matrix of each cell's repeats. In one block the sweep builds the
         # whole distance matrix and k-means++ squares its rows; in 40-row
-        # blocks (40, 40, 16) silhouette computes each block's panel itself
-        # and k-means++ its own squared distances. So this also compares the
-        # two D^2 sources of k-means++. n = 96 is a multiple of 8, where
-        # blocks round like the whole matrix (see cluster_sense.distance), so
-        # the labelings, and with them every label metric and Davies-Bouldin,
-        # keep their bytes. Silhouette sums each pair once from the panels,
-        # in another order than the one-block product, so its values move by
-        # rounding only.
+        # strips (40, 40, 16) of 48-column tiles silhouette computes each
+        # tile itself and k-means++ its own squared distances. So this also
+        # compares the two D^2 sources of k-means++. n = 96 is a multiple of
+        # 8, where tiles round like the whole matrix (see
+        # cluster_sense.distance), so the labelings, and with them every
+        # label metric and Davies-Bouldin, keep their bytes. Silhouette sums
+        # each pair once from the tiles, in another order than the one-block
+        # product, so its values move by rounding only.
         ds = generate_dim_like(4, 6, 16, 4.0, seed=5)
         save_dataset(ds, tmp_path / "d.txt", tmp_path / "l.txt")
         source = FileSource(
@@ -571,8 +571,8 @@ class TestRunSweep:
             datasets=(source,), max_ratio=Fraction(1), redraw_noise_per_repeat=True, repeats=2
         )
         one_block = run_sweep(config).cells
-        block_rows(ds.n_points, 40)
-        assert len(distance.row_blocks(ds.n_points)) == 3
+        tile_shape(ds.n_points, 40, 48)
+        assert len(list(distance.tiles(ds.n_points))) == 5
         many_blocks = run_sweep(config).cells
         assert all(cell.status == "ok" for cell in one_block)
         assert len(many_blocks) == len(one_block)
@@ -584,8 +584,8 @@ class TestRunSweep:
             assert many.values == pytest.approx(one.values, rel=1e-12, abs=0.0)
             assert many.mean == pytest.approx(one.mean, rel=1e-12, abs=0.0)
 
-    def test_fixed_noise_file_sweep_never_holds_an_n_by_n_matrix(self, tmp_path, block_rows):
-        # n = 512 in 64-row blocks (8 blocks). numpy reports its buffers to
+    def test_fixed_noise_file_sweep_never_holds_an_n_by_n_matrix(self, tmp_path, tile_shape):
+        # n = 512 in 64 x 128 tiles (8 strips). numpy reports its buffers to
         # tracemalloc, so one n x n float64 matrix alive anywhere in the sweep
         # (such as a per-cell distance cache) would put the peak above it.
         ds = generate_dim_like(4, 8, 64, 4.0, seed=6)
@@ -595,8 +595,8 @@ class TestRunSweep:
         )
         config = _toy_config(datasets=(source,), max_ratio=Fraction(1, 2), repeats=2, workers=1)
         n = ds.n_points
-        block_rows(n, 64)
-        assert len(distance.row_blocks(n)) >= 4
+        tile_shape(n, 64, 128)
+        assert not distance.fits_one_block(n)
         tracemalloc.start()
         try:
             result = run_sweep(config)
@@ -703,7 +703,7 @@ class TestRunSweep:
         assert len(draws) > 1 and len(held) > len(draws)
 
     def _count_distance_work(self, monkeypatch):
-        calls = {"pairwise_distances": 0, "silhouette_matrix": 0, "panel": 0, "apply_scaling": 0}
+        calls = {"pairwise_distances": 0, "silhouette_matrix": 0, "tile": 0, "apply_scaling": 0}
 
         def counted(module, name, key=None):
             original = getattr(module, name)
@@ -717,28 +717,29 @@ class TestRunSweep:
         counted(experiment, "pairwise_distances")
         counted(experiment, "apply_scaling")
         counted(metrics_module, "pairwise_distances", "silhouette_matrix")
-        counted(metrics_module, "panel")
+        counted(metrics_module, "tile")
         return calls
 
     def test_single_block_matrix_is_built_once_per_scaled_matrix(self, monkeypatch):
         # The cell builds it, and silhouette reads it: it builds none of its
-        # own and computes no panel.
+        # own and computes no tile.
         calls = self._count_distance_work(monkeypatch)
         result = run_sweep(_toy_config(redraw_noise_per_repeat=True, workers=1))
         assert all(c.status == "ok" for c in result.cells)
         assert calls["apply_scaling"] > 0
         assert calls["pairwise_distances"] == calls["apply_scaling"]
-        assert calls["silhouette_matrix"] == calls["panel"] == 0
+        assert calls["silhouette_matrix"] == calls["tile"] == 0
 
-    def test_matrix_of_several_blocks_is_never_built(self, monkeypatch, block_rows):
+    def test_matrix_of_several_blocks_is_never_built(self, monkeypatch, tile_shape):
         calls = self._count_distance_work(monkeypatch)
         n = TOY.clusters * TOY.per_cluster
-        block_rows(n, 12)
-        assert len(distance.row_blocks(n)) >= 2
+        tile_shape(n, 12, 24)
+        tiles = len(list(distance.tiles(n)))
+        assert tiles > 6
         result = run_sweep(_toy_config(workers=1))
         assert all(c.status == "ok" for c in result.cells)
         assert calls["pairwise_distances"] == calls["silhouette_matrix"] == 0
-        assert calls["panel"] == calls["apply_scaling"] * len(distance.row_blocks(n))
+        assert calls["tile"] == calls["apply_scaling"] * tiles
 
     def test_provenance_echo(self):
         config = _toy_config()
@@ -1077,12 +1078,12 @@ def test_golden_bytes_on_every_recorded_kernel(kernel):
     assert done.returncode == 0, done.stdout[-4000:]
 
 
-def _criterion8_config(case, tmp_path, block_rows):
+def _criterion8_config(case, tmp_path, tile_shape):
     """A sweep config whose serial bytes must equal its pooled bytes.
 
     n1003 is one distance block, n = 1003. blocked_file is n = 999 read from
-    a file, split into eight 128-row blocks, which a serial sweep runs on two
-    threads. Both wrote different silhouette bytes serially while OpenBLAS ran
+    a file, read in eight 128-row strips of 256-column tiles, which a serial
+    sweep runs on two threads. Both wrote different silhouette bytes serially while OpenBLAS ran
     their distance products on two threads.
     """
     if case == "wide":
@@ -1097,8 +1098,8 @@ def _criterion8_config(case, tmp_path, block_rows):
             name="file", data_path=str(tmp_path / "d.txt"), labels_path=str(tmp_path / "l.txt")
         )
         kind, scaling, step = NoiseKind.UNIFORM, ScalingKind.NONE, 32
-        block_rows(ds.n_points, 128)
-        assert len(distance.row_blocks(ds.n_points)) == 8
+        tile_shape(ds.n_points, 128, 256)
+        assert len({rows.start for rows, _ in distance.tiles(ds.n_points)}) == 8
     return _toy_config(
         datasets=(source,),
         noise_kinds=(kind,),
@@ -1125,9 +1126,9 @@ def _record_calls(monkeypatch, module, name):
 class TestWorkersAndBlas:
     @pytest.mark.parametrize("case", ["wide", "n1003", "blocked_file"])
     def test_wide_config_bytes_independent_of_workers(
-        self, case, blas_threads, tmp_path, block_rows
+        self, case, blas_threads, tmp_path, tile_shape
     ):
-        config = _criterion8_config(case, tmp_path, block_rows)
+        config = _criterion8_config(case, tmp_path, tile_shape)
         serial = run_sweep(replace(config, workers=1))
         pooled = run_sweep(replace(config, workers=2))
         assert summary_csv_text(pooled) == summary_csv_text(serial)
@@ -1174,13 +1175,13 @@ class TestWorkersAndBlas:
         assert experiment.blas_thread_count() == controlled_blas
 
     def test_serial_sweep_fits_a_matrix_of_several_blocks_on_one_blas_thread(
-        self, monkeypatch, controlled_blas, block_rows, kernel_pins
+        self, monkeypatch, controlled_blas, tile_shape, kernel_pins
     ):
         # Every k-means product of such a matrix runs inside the kernel's pin
         # at depth 1, so the fits hold no pin of their own, and silhouette
-        # reads OpenBLAS's own count to spread its blocks over.
-        block_rows(TOY.clusters * TOY.per_cluster, 8)
-        silhouette_counts = _record_calls(monkeypatch, metrics_module, "for_each_row_block")
+        # reads OpenBLAS's own count to spread its tiles over.
+        tile_shape(TOY.clusters * TOY.per_cluster, 8, 16)
+        silhouette_counts = _record_calls(monkeypatch, metrics_module, "for_each_tile")
         result = run_sweep(_toy_config(workers=1))
         assert all(c.status == "ok" for c in result.cells)
         kmeans_products = [
@@ -1335,12 +1336,12 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("error", [TypeError, ValueError])
     def test_fit_error_on_a_matrix_of_several_blocks_undoes_the_pin(
-        self, monkeypatch, blas_threads, block_rows, kernel_pins, error
+        self, monkeypatch, blas_threads, tile_shape, kernel_pins, error
     ):
         # The first k-means product of one fit raises inside the kernel's
         # pin: a bug propagates, a data condition degrades the cell, and
         # either way the count and the pin depth are as they were.
-        block_rows(TOY.clusters * TOY.per_cluster, 12)
+        tile_shape(TOY.clusters * TOY.per_cluster, 12, 24)
         config = _toy_config(workers=1)
         target = cell_kmeans_seed(
             config.master_seed, 0, NoiseKind.GAUSSIAN, ScalingKind.NONE, 2, 1
@@ -1364,7 +1365,7 @@ class TestErrorHandling:
 
         monkeypatch.setattr(experiment, "fit", tracking_fit)
         kernel_pins.hook = fail
-        silhouette_counts = _record_calls(monkeypatch, metrics_module, "for_each_row_block")
+        silhouette_counts = _record_calls(monkeypatch, metrics_module, "for_each_tile")
         if error is TypeError:
             with pytest.raises(TypeError, match="pinned k-means product"):
                 run_sweep(config)
@@ -1380,23 +1381,24 @@ class TestErrorHandling:
         assert distance._blas_pin_depth == 0
 
     def test_programming_error_in_a_distance_block_propagates(
-        self, monkeypatch, blas_threads, block_rows
+        self, monkeypatch, blas_threads, tile_shape
     ):
-        # Eight blocks per matrix, run on two threads: the third block raises
-        # while others may be running, and the pin is still undone.
+        # Eight strips of 16-column tiles per matrix, run on two threads: the
+        # third tile raises while others may be running, and the pin is
+        # still undone.
         n = TOY.clusters * TOY.per_cluster
-        block_rows(n, 8)
-        assert len(distance.row_blocks(n)) == 8
-        original = metrics_module.panel
+        tile_shape(n, 8, 16)
+        assert len({rows.start for rows, _ in distance.tiles(n)}) == 8
+        original = metrics_module.tile
         calls = []
 
-        def failing_panel(*args, **kwargs):
+        def failing_tile(*args, **kwargs):
             calls.append(1)
             if len(calls) == 3:
                 raise TypeError("bug in a distance block")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(metrics_module, "panel", failing_panel)
+        monkeypatch.setattr(metrics_module, "tile", failing_tile)
         with pytest.raises(TypeError, match="bug in a distance block"):
             run_sweep(_toy_config(workers=1))
         assert experiment.blas_thread_count() == blas_threads
@@ -1454,11 +1456,11 @@ class TestLayerTrace:
         assert metrics["distance.matrices_built"] == metrics["scale.calls"]
         assert metrics["metrics.silhouette_reuse_frac"] == 1.0
 
-    def test_matrices_of_several_blocks_trace_no_built_matrix(self, block_rows):
+    def test_matrices_of_several_blocks_trace_no_built_matrix(self, tile_shape):
         layertrace = _load_layertrace()
         n = TOY.clusters * TOY.per_cluster
-        block_rows(n, 12)
-        assert len(distance.row_blocks(n)) >= 2
+        tile_shape(n, 12, 24)
+        assert not distance.fits_one_block(n)
         tracer = layertrace.Tracer()
         tracer.install()
         try:

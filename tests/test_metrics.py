@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cluster_sense import distance, metrics
 from cluster_sense.dataset import dense_remap
-from cluster_sense.distance import pairwise_distances
+from cluster_sense.distance import fits_one_block, pairwise_distances
 from cluster_sense.metrics import (
     METRIC_NAMES,
     adjusted_rand_index,
@@ -243,32 +243,20 @@ class TestAdjustedRandIndex:
 
 def _blocked_matrix(matrix):
     """The n x n distance matrix silhouette computes: pairwise_distances for
-    one block; else each row block's panel from its diagonal on, mirrored
-    below the diagonal. So the panels silhouette reads from it have the bits
-    of those it computes."""
+    one block; else each tile from the tile kernel, and the entries no tile
+    holds, left of each strip's diagonal, mirrored from those above it. So
+    the tiles silhouette reads from it have the bits of those it computes."""
     n = len(matrix)
-    blocks = distance.row_blocks(n)
-    if len(blocks) == 1:
+    if fits_one_block(n):
         return pairwise_distances(matrix)
-    operand = distance.panel_operand(matrix)
+    operand = distance.tile_operand(matrix)
     full = np.empty((n, n))
-    for start, stop in blocks:
-        full[start:stop, start:] = distance.panel(operand, start, stop)
-    below = np.tril_indices(n, -1)
-    full[below] = full.T[below]
+    held = np.zeros((n, n), dtype=bool)
+    for rows, columns in distance.tiles(n):
+        full[rows, columns] = distance.tile(operand, rows, columns)
+        held[rows, columns] = True
+    full[~held] = full.T[~held]
     return full
-
-
-def _silhouette_from_matrix(monkeypatch, matrix, stack):
-    """Silhouette with its distances sliced from a full matrix instead of
-    computed: the one-block matrix, or each panel."""
-    full = _blocked_matrix(matrix)
-    with monkeypatch.context() as patch:
-        patch.setattr(metrics, "pairwise_distances", lambda x: full)
-        patch.setattr(
-            metrics, "panel", lambda operand, start, stop, out: full[start:stop, start:]
-        )
-        return silhouette(matrix, stack)
 
 
 class TestSilhouette:
@@ -319,21 +307,21 @@ class TestSilhouette:
         with pytest.raises(ValueError, match="2 distinct clusters"):
             silhouette(np.zeros((3, 1)), [[0, 0, 0]])
 
-    def test_precomputed_distances_match(self, monkeypatch):
+    def test_precomputed_distances_match(self):
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(40, 3))
         labels = rng.integers(0, 3, 40)
         direct = silhouette(matrix, [labels])
-        assert direct.tolist() == _silhouette_from_matrix(monkeypatch, matrix, [labels]).tolist()
+        assert direct.tolist() == silhouette(matrix, [labels], _blocked_matrix(matrix)).tolist()
 
     def test_one_block_call_computes_pairwise_distances(self, monkeypatch):
         # Without `distances`, a one-block matrix is pairwise_distances,
         # looked up by its module name, which a tracer wraps: the call has
-        # the bits of one given that matrix, and computes no panel.
+        # the bits of one given that matrix, and computes no tile.
         rng = np.random.default_rng(19)
         matrix = rng.normal(size=(120, 5)) * 2.0 + 3.0
         stack = np.stack([rng.integers(0, k, 120) for k in (2, 4, 7)])
-        assert len(distance.row_blocks(120)) == 1
+        assert fits_one_block(120)
         given = silhouette(matrix, stack, pairwise_distances(matrix))
         built = []
 
@@ -341,38 +329,41 @@ class TestSilhouette:
             built.append(x.shape)
             return pairwise_distances(x)
 
-        def no_panel(*args):
-            raise AssertionError("a panel was computed")
+        def no_tile(*args):
+            raise AssertionError("a tile was computed")
 
         monkeypatch.setattr(metrics, "pairwise_distances", recording)
-        monkeypatch.setattr(metrics, "panel", no_panel)
+        monkeypatch.setattr(metrics, "tile", no_tile)
         direct = silhouette(matrix, stack)
         assert built == [(120, 5)]
         assert [v.hex() for v in direct.tolist()] == [v.hex() for v in given.tolist()]
 
 
 class TestBlockedSilhouette:
-    """Silhouette over row blocks of the distance matrix (budget shrunk)."""
+    """Silhouette over tiles of the distance matrix (budgets shrunk)."""
 
     @pytest.mark.parametrize("n, rows", [(40, 7), (45, 8), (33, 1)])
-    def test_blocked_equals_cached_and_oracle(self, monkeypatch, block_rows, n, rows):
+    def test_blocked_equals_cached_and_oracle(self, tile_shape, n, rows):
+        # Strips of `rows` rows in tiles of 16 columns, several per strip;
+        # given distances are read in the same tiles, in the same order.
         rng = np.random.default_rng(n)
         matrix = rng.normal(size=(n, 3)) * 2.0
         labels = rng.integers(0, 4, n)
         labels[0] = 9  # a singleton cluster contributes 0
-        block_rows(n, rows)
-        blocks = distance.row_blocks(n)
-        assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] <= rows
+        tile_shape(n, rows, 16)
+        strips = [rows.start for rows, _ in distance.tiles(n)]
+        assert len(set(strips)) > 2 and strips.count(0) > 1
         (blocked,) = silhouette(matrix, [labels])
-        assert [blocked] == _silhouette_from_matrix(monkeypatch, matrix, [labels]).tolist()
+        assert [blocked] == silhouette(matrix, [labels], _blocked_matrix(matrix)).tolist()
         oracle = silhouette_oracle(matrix.tolist(), labels.tolist())
         assert blocked == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("offset, rel", [(0.0, 1e-12), (10.0, 1e-12), (1e3, 1e-6)])
-    def test_several_blocks_agree_with_oracle_far_from_the_origin(self, block_rows, offset, rel):
-        # The augmented panels cancel |x|^2 terms that grow with the offset,
-        # as the |a|^2 + |b|^2 - 2ab expansion does; 13 panels of n = 200.
-        block_rows(200, 16)
+    def test_several_blocks_agree_with_oracle_far_from_the_origin(self, tile_shape, offset, rel):
+        # The augmented tiles cancel |x|^2 terms that grow with the offset,
+        # as the |a|^2 + |b|^2 - 2ab expansion does; 13 strips of n = 200
+        # in tiles of 48 columns.
+        tile_shape(200, 16, 48)
         for seed in range(10):
             matrix, stack = _clustered(200, 4, seed)
             matrix += offset
@@ -380,22 +371,22 @@ class TestBlockedSilhouette:
             oracle = silhouette_oracle(matrix.tolist(), stack[1].tolist())
             assert value == pytest.approx(oracle, rel=rel, abs=0.0)
 
-    def test_block_budget_changes_nothing_but_rounding(self, block_rows):
+    def test_block_budget_changes_nothing_but_rounding(self, tile_shape):
         rng = np.random.default_rng(11)
         matrix = rng.normal(size=(203, 5))
         labels = rng.integers(0, 6, 203)
         (whole,) = silhouette(matrix, [labels])
-        block_rows(203, 16)
+        tile_shape(203, 16, 40)
         assert silhouette(matrix, [labels])[0] == pytest.approx(whole, abs=1e-12)
 
-    def test_memory_is_block_times_n_not_n_squared(self, block_rows):
-        # numpy reports its buffers to tracemalloc; 32-row blocks of n = 1024
-        # are 1/32 of the matrix, so the peak stays far below one n x n matrix.
+    def test_memory_is_block_times_n_not_n_squared(self, tile_shape):
+        # numpy reports its buffers to tracemalloc; 32 x 256 tiles of n = 1024
+        # are 1/128 of the matrix, so the peak stays far below one n x n matrix.
         n = 1024
         rng = np.random.default_rng(12)
         matrix = rng.normal(size=(n, 4))
         labels = rng.integers(0, 16, n)
-        block_rows(n, 32)
+        tile_shape(n, 32, 256)
         tracemalloc.start()
         try:
             silhouette(matrix, [labels])
@@ -416,17 +407,49 @@ def _clustered(n, d, seed):
     return matrix, np.stack([truth, relabeled, np.minimum(truth, 2)])
 
 
-class TestSilhouettePanels:
-    """Silhouette of several row blocks: each block computes its panel from
-    its diagonal on, and the sums of the pairs left of the diagonal come from
-    earlier blocks' panels, added in block order."""
+# Interpreter objects of one silhouette call past one block: the helper
+# threads, their locks and the tile loop's closures, about 16 KiB measured,
+# whatever n, d, R and k are.
+LOOP_OBJECT_BYTES = 32 * 1024
 
-    # n a multiple of 8 in equal blocks, n not a multiple of 8, and a short
-    # last block (88 = 3 * 24 + 16).
+
+def _tiled_peak(matrix, stack):
+    """tracemalloc's peak over one silhouette call: numpy reports its
+    buffers to it."""
+    tracemalloc.start()
+    try:
+        silhouette(matrix, stack)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _per_thread_budget(threads, d, labelings, k):
+    """Bytes of what silhouette holds per thread past one block: a tile
+    buffer, a row side and a held tile's own sums; and, once for all
+    threads, the product of the commit running."""
+    rows, columns = distance.TILE_ROWS, distance.TILE_COLUMNS
+    per_thread = rows * columns + rows * (d + 2) + labelings * rows * k
+    return 8 * (threads * per_thread + columns * k)
+
+
+def _per_point_bytes(n, d, labelings, k):
+    """Bytes silhouette holds per point: the column-side operand, each
+    labeling's one-hot matrix and sums, and its dense labels."""
+    return 8 * (n * (d + 2) + 2 * labelings * n * k + labelings * n)
+
+
+class TestSilhouettePanels:
+    """Silhouette past one block: each strip's tiles from its diagonal on,
+    and the sums of the pairs left of the diagonal from earlier strips'
+    tiles, added in tile order."""
+
+    # n a multiple of 8 in equal strips, n not a multiple of 8, and a short
+    # last strip (88 = 3 * 24 + 16); tiles of 32 columns.
     @pytest.mark.parametrize("n, rows", [(96, 16), (61, 8), (88, 24)])
-    def test_bits_independent_of_threads_and_reruns(self, controlled_blas, block_rows, n, rows):
+    def test_bits_independent_of_threads_and_reruns(self, controlled_blas, tile_shape, n, rows):
         matrix, stack = _clustered(n, 24, seed=n)
-        block_rows(n, rows)
+        tile_shape(n, rows, 32)
         on_two = silhouette(matrix, stack)
         with distance._single_blas_thread():
             on_one = silhouette(matrix, stack)
@@ -436,23 +459,34 @@ class TestSilhouettePanels:
         oracle = [silhouette_oracle(matrix.tolist(), labels.tolist()) for labels in stack]
         assert on_two.tolist() == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n", [1100, 3000])
+    def test_default_tiles_bits_independent_of_threads(self, controlled_blas, n):
+        # The default 128 x 1024 tiles, with a short last strip and narrow
+        # last tiles, on T = 2 threads and on one.
+        matrix, stack = _clustered(n, 16, seed=n)
+        assert not fits_one_block(n)
+        on_two = silhouette(matrix, stack)
+        with distance._single_blas_thread():
+            on_one = silhouette(matrix, stack)
+        assert [v.hex() for v in on_one.tolist()] == [v.hex() for v in on_two.tolist()]
+
     def test_panel_error_propagates_and_undoes_the_pin(
-        self, monkeypatch, controlled_blas, block_rows
+        self, monkeypatch, controlled_blas, tile_shape
     ):
-        # The fourth of eight panels raises after the fifth is done and waits
-        # behind it to commit: the error reaches the caller, the waiting
-        # panel is released, and the pin is undone.
+        # The first tile of the fourth of eight strips raises after the next
+        # tile is done and waits behind it to commit: the error reaches the
+        # caller, the waiting tile is released, and the pin is undone.
         matrix, stack = _clustered(64, 8, seed=3)
-        block_rows(64, 8)
-        original = metrics.panel
+        tile_shape(64, 8, 24)
+        original = metrics.tile
 
-        def failing_panel(operand, start, stop, out):
-            if start == 24:
+        def failing_tile(operand, rows, columns, out):
+            if (rows.start, columns.start) == (24, 24):
                 time.sleep(0.2)
-                raise TypeError("bug in a panel")
-            return original(operand, start, stop, out)
+                raise TypeError("bug in a tile")
+            return original(operand, rows, columns, out)
 
-        monkeypatch.setattr(metrics, "panel", failing_panel)
+        monkeypatch.setattr(metrics, "tile", failing_tile)
         raised = []
 
         def run():
@@ -465,19 +499,20 @@ class TestSilhouettePanels:
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
-        assert raised == ["bug in a panel"]
+        assert raised == ["bug in a tile"]
         assert distance._blas_pin_depth == 0
         assert distance.blas_thread_count() == controlled_blas
 
-    def test_peak_memory_grows_with_the_stack_by_its_sums(self, controlled_blas, block_rows):
+    def test_peak_memory_grows_with_the_stack_by_its_sums(self, controlled_blas, tile_shape):
         # numpy reports its buffers to tracemalloc. Whatever the stack, each
-        # thread holds one panel, at most a block's worth, and the norm sums
-        # added to it, far below one n x n matrix. Each labeling adds its
-        # one-hot matrix and its sums, n x k floats each; the later rows'
-        # sums over a panel are added at its commit, one labeling at a time,
-        # so no thread holds them for the whole stack.
+        # thread holds one tile buffer and the row side of its tile, far
+        # below one n x n matrix. Each labeling adds its one-hot matrix and
+        # its sums, n x k floats each, and its dense labels; its share of a
+        # held tile is TILE_ROWS x k floats and the later rows' share is
+        # added at the commit, one labeling at a time, so no thread holds
+        # them for the whole stack.
         n, rows, k = 512, 16, 8
-        block_rows(n, rows)
+        tile_shape(n, rows, 64)
         rng = np.random.default_rng(21)
         matrix = rng.normal(size=(n, 4))
 
@@ -496,33 +531,42 @@ class TestSilhouettePanels:
         assert many - one < 32 * 3 * per_labeling
 
     @pytest.mark.parametrize("labelings", [1, 5])
-    def test_peak_memory_is_panels_operand_and_sums(self, controlled_blas, block_rows, labelings):
-        # numpy reports its buffers to tracemalloc. At most T panels of
-        # block * n floats are held at once, beside the column-side operand,
-        # n * (d + 2) floats, and each labeling's one-hot matrix and sums,
-        # 2 * n * k floats. The slack covers one labeling's transposed
-        # product at a commit (n * k floats per thread), the label arrays
-        # and the row sides (a few n floats per labeling) and 64 KiB. A row
-        # side built for all n rows at once would add another operand.
-        n, rows, d, k = 512, 16, 64, 8
-        block_rows(n, rows)
+    def test_peak_memory_is_panels_operand_and_sums(self, controlled_blas, labelings):
+        # n = 2048 in the default 1 MiB tiles: T tile buffers, the
+        # column-side operand, each labeling's one-hot matrix, sums and
+        # dense labels, each thread's row side and held sums, the one commit
+        # product and the loop's interpreter objects. A whole-strip panel,
+        # or a later-row temporary of (n - stop) x k floats per commit,
+        # would not fit.
+        n, d, k = 2048, 64, 8
         rng = np.random.default_rng(23)
         matrix = rng.normal(size=(n, d))
         stack = np.stack([rng.permutation(n) % k for _ in range(labelings)])
-        tracemalloc.start()
-        try:
-            silhouette(matrix, stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        bound = controlled_blas * rows * n + n * (d + 2) + 2 * labelings * n * k
-        slack = controlled_blas * n * k + 4 * labelings * n + 64 * 1024 // 8
-        assert peak < 8 * (bound + slack)
+        assert not fits_one_block(n)
+        bound = (
+            _per_thread_budget(controlled_blas, d, labelings, k)
+            + _per_point_bytes(n, d, labelings, k)
+            + LOOP_OBJECT_BYTES
+        )
+        assert _tiled_peak(matrix, stack) < bound
+
+    def test_per_thread_term_does_not_grow_with_n(self, controlled_blas):
+        # What the peak holds beyond the per-point arrays stays within the T
+        # tile buffers and what goes with them, about 2.3 MB, at n = 1536
+        # and at n = 6144, where one 128-row strip per thread would be
+        # 12.6 MB.
+        d, k, labelings = 16, 16, 2
+        for n in (1536, 6144):
+            matrix, _ = _clustered(n, d, seed=n)
+            stack = np.stack([np.arange(n) % k, (np.arange(n) // 7) % k])
+            per_thread = _tiled_peak(matrix, stack) - _per_point_bytes(n, d, labelings, k)
+            budget = _per_thread_budget(controlled_blas, d, labelings, k) + LOOP_OBJECT_BYTES
+            assert per_thread < budget, n
 
 
 @st.composite
 def _matrix_and_labelings(draw):
-    """A point matrix, a stack of labelings of its points, and a row-block size.
+    """A point matrix, a stack of labelings of its points, and a tile shape.
 
     Some labelings have a singleton cluster, the stack mixes labelings with
     different numbers of present clusters, and rounded matrices give
@@ -542,18 +586,18 @@ def _matrix_and_labelings(draw):
             labels[draw(st.integers(0, n - 1))] = k  # a singleton cluster
         assume(len(set(labels)) >= 2)
         labelings.append(labels)
-    # Blocks of n / 2 rows or more are one block, the whole matrix.
-    return matrix, np.array(labelings), draw(st.integers(1, max(1, (n - 1) // 2)) | st.just(n))
+    # Strip rows, n or more for one block, and tile columns.
+    return matrix, np.array(labelings), (draw(st.integers(1, n)), draw(st.integers(1, n)))
 
 
 class TestSilhouetteStack:
-    # blas_threads holds OpenBLAS at two threads for every example, so blocks
+    # blas_threads holds OpenBLAS at two threads for every example, so tiles
     # run on two threads; a caller's one-thread pin must change no bit.
     @settings(FIXED_EXAMPLES, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_matrix_and_labelings())
-    def test_stack_equals_single_labelings(self, blas_threads, block_rows, case):
-        matrix, stack, rows = case
-        block_rows(matrix.shape[0], rows)
+    def test_stack_equals_single_labelings(self, blas_threads, tile_shape, case):
+        matrix, stack, (rows, columns) = case
+        tile_shape(matrix.shape[0], rows, columns)
         stacked = silhouette(matrix, stack)
         singles = [value for labels in stack for value in silhouette(matrix, [labels])]
         with distance._single_blas_thread():
@@ -563,19 +607,18 @@ class TestSilhouetteStack:
         bits = [v.hex() for v in singles]
         assert [v.hex() for v in stacked.tolist()] == bits
         assert [v.hex() for v in pinned.tolist()] == bits
-        if len(distance.row_blocks(len(matrix))) == 1:
-            # pairwise_distances builds only this one block, which the call
-            # would compute.
-            given = silhouette(matrix, stack, pairwise_distances(matrix))
-            assert [v.hex() for v in given.tolist()] == bits
+        # Given distances are read in the same tiles, in the same order: the
+        # one-block matrix pairwise_distances builds, or the tiles' matrix.
+        given = silhouette(matrix, stack, _blocked_matrix(matrix))
+        assert [v.hex() for v in given.tolist()] == bits
 
-    def test_evaluate_clustering_stack_equals_single_reports(self, block_rows):
+    def test_evaluate_clustering_stack_equals_single_reports(self, tile_shape):
         rng = np.random.default_rng(13)
         matrix = rng.normal(size=(60, 3))
         truth = rng.integers(0, 3, 60)
         stack = np.stack([rng.integers(0, k, 60) for k in (2, 3, 5)])
         stack[1, 7] = 9  # a singleton cluster
-        block_rows(60, 8)
+        tile_shape(60, 8, 24)
         scores = evaluate_clustering(matrix, stack, truth)
         assert _value_bits(scores) == _single_bits(matrix, stack, truth)
         reused = evaluate_clustering(matrix, stack, truth, distances=_blocked_matrix(matrix))

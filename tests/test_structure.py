@@ -3,8 +3,8 @@
 Every BLAS product runs on one BLAS thread under a pin that `distance` holds
 (see cluster_sense.distance), so the pin is named nowhere else, and products
 are written only where such a pin is held: in the two distance kernels,
-pairwise_sq_distances and panel, which pin their own, and in silhouette,
-whose per-cluster products run inside for_each_row_block's pin.
+pairwise_sq_distances and tile, which pin their own, and in silhouette's
+per-cluster sums, whose products run inside for_each_tile's pin.
 """
 
 import ast
@@ -15,8 +15,8 @@ import cluster_sense
 SOURCES = sorted(Path(cluster_sense.__file__).parent.glob("*.py"))
 PRODUCT_SITES = {
     ("distance", "pairwise_sq_distances"),
-    ("distance", "panel"),
-    ("metrics", "silhouette"),
+    ("distance", "tile"),
+    ("metrics", "_cluster_sums"),
 }
 # numpy functions that hand a product to BLAS, as the @ operator does.
 PRODUCT_CALLS = {"dot", "inner", "matmul", "tensordot", "vdot"}
@@ -199,8 +199,8 @@ def test_only_experiment_derives_seeds():
 
 
 def test_only_distance_imports_threads():
-    # Threads run only in distance: the sweep's worker pool and the row-block
-    # panels, whose commits it orders beside the BLAS pin. A thread started
+    # Threads run only in distance: the sweep's worker pool and the tiles,
+    # whose commits it orders beside the BLAS pin. A thread started
     # elsewhere would escape both the pin and the commit order.
     found = [
         f"{module}:{node.lineno}: {name}"
