@@ -373,7 +373,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config": _config_record(result.config),
         # Sweep cells with at least one row not "ok", and each one's status
         # and message, in sweep order.
-        "degraded_cells": len(degraded),
         "degraded": [
             dict(zip(("dataset", "noise", "scaling", "level", "status", "message"), key))
             for key in degraded

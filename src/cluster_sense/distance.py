@@ -413,25 +413,30 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     anything is allocated.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if not fits_one_block(n):
-        raise ValueError(
-            f"a {n} x {n} distance matrix is more than one block; "
-            "read it a tile at a time with tile"
-        )
+    _refuse_past_one_block(x.shape[0])
     d = pairwise_sq_distances(x, x)
     np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 
 
+def _refuse_past_one_block(n: int) -> None:
+    """ValueError unless the n x n distance matrix fits one block."""
+    if not fits_one_block(n):
+        raise ValueError(
+            f"a {n} x {n} distance matrix is more than one block; "
+            "read it a tile at a time with tile"
+        )
+
+
 def check_distances(distances: np.ndarray, n: int) -> np.ndarray:
-    """`distances` as a float64 array; ValueError unless its shape is (n, n).
+    """`distances` as a float64 array; ValueError, before anything is
+    converted, unless the n x n matrix fits one block and has that shape.
 
     Callers that accept a precomputed matrix take it to be pairwise_distances
-    of their float64 points and only read it.
+    of their float64 points, the only matrix it builds, and only read it.
     """
-    distances = np.asarray(distances, dtype=np.float64)
-    if distances.shape != (n, n):
-        raise ValueError(f"distances must have shape {(n, n)}, got {distances.shape}")
-    return distances
+    _refuse_past_one_block(n)
+    if np.shape(distances) != (n, n):
+        raise ValueError(f"distances must have shape {(n, n)}, got {np.shape(distances)}")
+    return np.asarray(distances, dtype=np.float64)

@@ -165,7 +165,7 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
     config: SweepConfig
     # Resolved worker count and the number of threads silhouette's distance
-    # blocks could be spread over (None when the BLAS thread count cannot be
+    # tiles could be spread over (None when the BLAS thread count cannot be
     # read or set); every BLAS product itself runs on one BLAS thread.
     workers: int = 1
     blas_threads: Optional[int] = None
@@ -369,9 +369,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     count restored afterwards. Every BLAS product runs on one BLAS thread
     whatever the worker count (see cluster_sense.distance), so a serial
     sweep computes the same products, and writes the same bytes, as a pooled
-    one. A serial sweep keeps its cores busy only through silhouette's row
-    blocks of a matrix of several distance blocks, which run on as many
-    threads as OpenBLAS had.
+    one. A serial sweep keeps its cores busy only through silhouette's tiles
+    of a matrix past one distance block, which run on as many threads as
+    OpenBLAS had.
     """
     workers = resolve_workers(config.workers)
 

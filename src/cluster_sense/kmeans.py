@@ -97,7 +97,7 @@ def kmeanspp_init(
     unchanged.
 
     distances, when given, must be pairwise_distances(matrix) of the same
-    float64 matrix (ValueError unless it is n x n); a center's squared
+    float64 matrix (ValueError unless n x n in one block); a center's squared
     distances are then read as its row squared instead of computed, and the
     matrix is not written to. The square of the rounded root differs from
     the expansion in the last bits, and the weights drawn from differ with
@@ -162,7 +162,7 @@ def fit(
     """Run Lloyd iterations from a k-means++ (or explicitly given) start.
 
     distances, when given, must be pairwise_distances(matrix) of the same
-    float64 matrix (ValueError unless it is n x n); k-means++ reads its
+    float64 matrix (ValueError unless n x n in one block); k-means++ reads its
     centers' squared distances from it (see kmeanspp_init). Lloyd's steps do
     not use it.
 

@@ -150,21 +150,15 @@ def _cluster_sums(
     matrix: np.ndarray, present: list, distances: np.ndarray | None
 ) -> list[np.ndarray]:
     """Per (dense labels, counts) of `present`, the n x k sums of each
-    point's distances to each cluster, tile by tile (see silhouette)."""
+    point's distances to each cluster, tile by tile (see silhouette): the
+    one tile of `distances`, a one-block matrix, or else computed tiles."""
     n = matrix.shape[0]
     operand = tile_operand(matrix) if distances is None else None
     onehots = [np.eye(counts.size)[dense] for dense, counts in present]
     all_sums = [np.zeros_like(onehot) for onehot in onehots]
 
     def tile_sums(rows, columns, out):
-        if distances is None:
-            block = tile(operand, rows, columns, out)
-        elif out is None:
-            block = distances[rows, columns]
-        else:
-            # Copied, so the products below see the layout of a computed tile.
-            block = out
-            np.copyto(block, distances[rows, columns])
+        block = tile(operand, rows, columns, out) if distances is None else distances
         return block, [block @ onehot[columns] for onehot in onehots]
 
     def add_sums(rows, columns, computed):
@@ -223,11 +217,9 @@ def silhouette(
     R * n * k) for any n, rather than O(n^2).
 
     distances, when given, must be pairwise_distances(matrix) of the same
-    float64 matrix (ValueError unless it is n x n), or for a matrix past one
-    block the matrix its tiles make. It is read in place of computing the
-    tiles, the same tiles in the same order, each copied into its thread's
-    tile buffer past one block, and it is not written to; so every value
-    keeps its bits.
+    float64 matrix (ValueError unless it is n x n and fits one block, see
+    distance.check_distances). It is read in place of building it, and it
+    is not written to; so every value keeps its bits.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     labelings = _stack(assignments)

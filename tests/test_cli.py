@@ -25,6 +25,7 @@ from cluster_sense.experiment import FileSource, GeneratorSource, SweepConfig
 from cluster_sense.metrics import METRIC_NAMES
 from cluster_sense.perturb import NoiseKind
 from cluster_sense.scale import ScalingKind
+from cluster_sense.svgplot import Series
 
 SMALL_CONFIG = textwrap.dedent(
     """\
@@ -350,6 +351,20 @@ class TestParseConfig:
             assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
             assert f"sweep.cfg:2: unknown key '{key}'" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    def test_line_without_an_equals_sign_names_its_line(self, tmp_path):
+        path = _write(tmp_path / "sweep.cfg", "noise gaussian\n[dataset]\ndims = 4\n")
+        with pytest.raises(cli.ConfigError) as raised:
+            cli.parse_config(path)
+        assert str(raised.value) == f"{path}:1: expected `key = value`, got 'noise gaussian'"
+
+    def test_dataset_section_without_a_source_names_it(self, tmp_path):
+        path = _write(tmp_path / "sweep.cfg", "[dataset]\ndims = 4\n[dataset]\nname = x\n")
+        with pytest.raises(cli.ConfigError) as raised:
+            cli.parse_config(path)
+        assert str(raised.value) == (
+            f"{path}: [dataset] section 2: needs dims (generator) or data + labels (files)"
+        )
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = _write(tmp_path / "sweep.cfg", "repeats = 2\nrepeats = 3\n[dataset]\ndims = 4\n")
@@ -700,7 +715,7 @@ class TestRun:
         assert [key for key, seen in statuses.items() if seen != {"ok"}] == [
             ("neg", "uniform", repr(1 / 3))
         ]
-        assert manifest["degraded_cells"] == 1
+        assert len(manifest["degraded"]) == 1
 
     def test_raw_csv_is_written_without_a_flag(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)
@@ -854,6 +869,13 @@ class TestReport:
         assert rc == 1
         assert "accuracy" in capsys.readouterr().err
 
+    def test_empty_summary_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "summary.csv"
+        empty.write_text("", encoding="utf-8")
+        rc = cli.main(["report", "--summary", str(empty), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {empty}: empty file\n"
+
     def test_wrong_header_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "summary.csv"
         bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -952,6 +974,20 @@ class TestReport:
             ["report", "--summary", str(tmp_path / "none.csv"), "--out", str(tmp_path)]
         )
         assert rc == 1
+
+
+class TestSeries:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"x": (1, 2), "y": (1,)}, "series 'a': 2 x values, 1 y values"),
+            ({"x": (1, 2), "y": (1, 2), "band": ((0, 1),)}, "series 'a': band length 1 != 2"),
+        ],
+    )
+    def test_lengths_that_disagree_are_named(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            Series("a", **fields)
+        assert str(raised.value) == message
 
 
 class TestParser:

@@ -32,6 +32,12 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="labels length"):
             LabeledDataset(points=[[0.0], [1.0]], labels=[0])
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (3,)])
+    def test_rejects_empty_or_not_2d_points(self, shape):
+        with pytest.raises(ValueError) as raised:
+            LabeledDataset(points=np.zeros(shape), labels=np.zeros(shape[0], dtype=int))
+        assert str(raised.value) == "points must be a non-empty 2-D matrix"
+
     def test_rejects_missing_cluster_id(self):
         with pytest.raises(ValueError, match="cover every id"):
             LabeledDataset(points=[[0.0], [1.0]], labels=[0, 2])
@@ -205,6 +211,15 @@ class TestLoader:
         assert loaded.points.tobytes() == ds.points.tobytes()
         assert np.array_equal(loaded.labels, ds.labels)
         assert peak < 1.8 * size
+
+    def test_blank_line_inside_data_names_its_line(self, tmp_path):
+        data = tmp_path / "data.txt"
+        labels = tmp_path / "labels.txt"
+        data.write_text("0 0\n\n1 1\n")
+        labels.write_text("1\n2\n")
+        with pytest.raises(DatasetFormatError) as raised:
+            load_dataset(data, labels)
+        assert str(raised.value) == f"{data}: line 2: blank line inside data"
 
     def test_smallest_well_formed_input(self, tmp_path):
         data = tmp_path / "data.txt"

@@ -18,6 +18,9 @@ from cluster_sense.distance import (
     tile_operand,
     tiles,
 )
+from cluster_sense.kmeans import KMeansConfig, fit, kmeanspp_init
+from cluster_sense.metrics import evaluate_clustering, silhouette
+from cluster_sense.seeding import derive_rng
 
 
 def _one_shot(x):
@@ -259,6 +262,57 @@ class TestBlockedMatrix:
     def test_tiny_inputs(self, n):
         x = np.arange(n * 2, dtype=float).reshape(n, 2)
         assert np.array_equal(pairwise_distances(x), _one_shot(x))
+
+
+# Every public function that takes a precomputed `distances`, called on the
+# points `x` with `given` as that matrix.
+TAKES_DISTANCES = {
+    "kmeanspp_init": lambda x, given: kmeanspp_init(x, 3, derive_rng(0), distances=given),
+    "fit": lambda x, given: fit(x, KMeansConfig(k=3), distances=given),
+    "silhouette": lambda x, given: silhouette(x, [np.arange(len(x)) % 3], given),
+    "evaluate_clustering": lambda x, given: evaluate_clustering(
+        x, [np.arange(len(x)) % 3], np.arange(len(x)) % 2, distances=given
+    ),
+}
+
+
+class TestCheckDistances:
+    """A given distance matrix is one block or nothing, checked in one place."""
+
+    @pytest.mark.parametrize("caller", list(TAKES_DISTANCES))
+    def test_a_matrix_past_one_block_is_refused_alike(self, tile_shape, caller):
+        # pairwise_distances' own matrix, once n no longer fits one block:
+        # every caller raises the one error pairwise_distances raises.
+        x = np.random.default_rng(7).normal(size=(40, 3))
+        given = pairwise_distances(x)
+        tile_shape(40, 8, 16)
+        with pytest.raises(ValueError) as refused:
+            TAKES_DISTANCES[caller](x, given)
+        assert str(refused.value) == (
+            "a 40 x 40 distance matrix is more than one block; read it a tile at a time with tile"
+        )
+
+    @pytest.mark.parametrize("caller", list(TAKES_DISTANCES))
+    @pytest.mark.parametrize(
+        "n, side, message",
+        [
+            (100, 2000, r"distances must have shape \(100, 100\), got \(2000, 2000\)"),
+            (1100, 1100, "a 1100 x 1100 distance matrix is more than one block"),
+        ],
+        ids=["wrong-shape", "past-one-block"],
+    )
+    def test_refused_before_it_is_converted(self, caller, n, side, message):
+        # numpy reports its buffers to tracemalloc. A float32 matrix of the
+        # wrong shape, or one past one block, is refused before its float64
+        # copy, twice its size, is made: the call holds less than the input.
+        x = np.random.default_rng(8).normal(size=(n, 3))
+        given = np.zeros((side, side), dtype=np.float32)
+
+        def refused():
+            with pytest.raises(ValueError, match=message):
+                TAKES_DISTANCES[caller](x, given)
+
+        assert _traced_peak(refused) < given.nbytes
 
 
 class TestPanel:

@@ -43,6 +43,7 @@ from cluster_sense.kmeans import KMeansConfig, fit
 from cluster_sense.metrics import METRIC_NAMES, evaluate_clustering
 from cluster_sense.perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
 from cluster_sense.scale import ScalingKind, apply_scaling
+from cluster_sense.seeding import derive_rng, derive_seed, derive_seed_sequence
 from cluster_sense.dataset import compute_stats
 
 import oracles
@@ -173,6 +174,18 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="dataset"):
             _toy_config(datasets=())
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("noise_kinds", "at least one noise kind is required"),
+            ("scalings", "at least one scaling is required"),
+        ],
+    )
+    def test_empty_noise_kinds_or_scalings_rejected(self, field, message):
+        with pytest.raises(ValueError) as raised:
+            _toy_config(**{field: ()})
+        assert str(raised.value) == message
+
     def test_duplicate_dataset_names_rejected(self):
         # Two sources named alike would merge into one curve in summary.csv.
         twin = GeneratorSource(name="toy", dims=8, seed=4)
@@ -235,6 +248,13 @@ class TestSeedScheme:
             }
             assert len(seeds) == len(NoiseKind) * len(ScalingKind)
         assert len({noise_sequence_seed(11, 0, kind) for kind in NoiseKind}) == len(NoiseKind)
+
+
+    @pytest.mark.parametrize("derive", [derive_seed_sequence, derive_rng, derive_seed])
+    def test_no_seed_parts_rejected(self, derive):
+        with pytest.raises(ValueError) as raised:
+            derive()
+        assert str(raised.value) == "at least one seed part is required"
 
 
 class TestSweepLevels:
@@ -497,7 +517,7 @@ class TestRunSweep:
             }
             for level in (1, 2)
         ]
-        assert manifest["degraded_cells"] == 2
+        assert len(manifest["degraded"]) == 2
 
     def test_a_curve_whose_noise_draw_fails_keeps_no_noise(self, tmp_path, monkeypatch):
         # The curve's fixed-noise draw raises, so its cells hold no curve and

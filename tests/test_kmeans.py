@@ -54,6 +54,11 @@ class TestKMeansConfig:
 
 
 class TestKMeansPlusPlus:
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError) as raised:
+            kmeanspp_init(np.zeros((0, 2)), 1, derive_rng(0))
+        assert str(raised.value) == "matrix must contain at least one point"
+
     def test_k_equals_n_selects_every_point(self):
         rng = np.random.default_rng(0)
         matrix = rng.normal(size=(7, 3))
@@ -225,6 +230,12 @@ class TestDistancesShape:
 
 
 class TestFit:
+    def test_initial_centers_of_another_shape_rejected(self):
+        matrix = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValueError) as raised:
+            fit(matrix, KMeansConfig(k=2), initial_centers=np.zeros((3, 2)))
+        assert str(raised.value) == "initial_centers must have shape (2, 2), got (3, 2)"
+
     def test_two_blob_inertia(self):
         matrix = np.array([[0.0], [0.1], [10.0], [10.1]])
         result = fit(matrix, KMeansConfig(k=2, seed=0))

@@ -222,6 +222,11 @@ class TestAdjustedRandIndex:
         assert adjusted_rand_index(contingency([0, 0, 0], [0, 0, 0])) == 1.0
         assert adjusted_rand_index(contingency([0, 1, 2], [0, 1, 2])) == 1.0
 
+    def test_rejects_single_point(self):
+        with pytest.raises(ValueError) as raised:
+            adjusted_rand_index(contingency([0], [0]))
+        assert str(raised.value) == "adjusted rand index requires at least 2 points"
+
     def test_expected_agreement_matches_permutation_resampling(self):
         # The closed-form E = rows*cols/total is the permutation-model mean
         # of the enumerated pair agreement; estimate it by shuffling.
@@ -239,24 +244,6 @@ class TestAdjustedRandIndex:
         estimate = float(np.mean(a_samples))
         spread = float(np.std(a_samples)) / math.sqrt(len(a_samples))
         assert abs(estimate - closed_form) < 5 * spread + 1e-9
-
-
-def _blocked_matrix(matrix):
-    """The n x n distance matrix silhouette computes: pairwise_distances for
-    one block; else each tile from the tile kernel, and the entries no tile
-    holds, left of each strip's diagonal, mirrored from those above it. So
-    the tiles silhouette reads from it have the bits of those it computes."""
-    n = len(matrix)
-    if fits_one_block(n):
-        return pairwise_distances(matrix)
-    operand = distance.tile_operand(matrix)
-    full = np.empty((n, n))
-    held = np.zeros((n, n), dtype=bool)
-    for rows, columns in distance.tiles(n):
-        full[rows, columns] = distance.tile(operand, rows, columns)
-        held[rows, columns] = True
-    full[~held] = full.T[~held]
-    return full
 
 
 class TestSilhouette:
@@ -307,12 +294,24 @@ class TestSilhouette:
         with pytest.raises(ValueError, match="2 distinct clusters"):
             silhouette(np.zeros((3, 1)), [[0, 0, 0]])
 
+    @pytest.mark.parametrize(
+        "points, labels, message",
+        [
+            (3, [[0, 1]], "matrix and assignments disagree on the number of points"),
+            (1, [[0]], "silhouette requires at least 2 points"),
+        ],
+    )
+    def test_rejects_points_it_cannot_score(self, points, labels, message):
+        with pytest.raises(ValueError) as raised:
+            silhouette(np.zeros((points, 1)), labels)
+        assert str(raised.value) == message
+
     def test_precomputed_distances_match(self):
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(40, 3))
         labels = rng.integers(0, 3, 40)
         direct = silhouette(matrix, [labels])
-        assert direct.tolist() == silhouette(matrix, [labels], _blocked_matrix(matrix)).tolist()
+        assert direct.tolist() == silhouette(matrix, [labels], pairwise_distances(matrix)).tolist()
 
     def test_one_block_call_computes_pairwise_distances(self, monkeypatch):
         # Without `distances`, a one-block matrix is pairwise_distances,
@@ -344,8 +343,9 @@ class TestBlockedSilhouette:
 
     @pytest.mark.parametrize("n, rows", [(40, 7), (45, 8), (33, 1)])
     def test_blocked_equals_cached_and_oracle(self, tile_shape, n, rows):
-        # Strips of `rows` rows in tiles of 16 columns, several per strip;
-        # given distances are read in the same tiles, in the same order.
+        # Strips of `rows` rows in tiles of 16 columns, several per strip.
+        # A given matrix past one block is refused (see
+        # test_distance.TestCheckDistances), so only the oracle is compared.
         rng = np.random.default_rng(n)
         matrix = rng.normal(size=(n, 3)) * 2.0
         labels = rng.integers(0, 4, n)
@@ -354,7 +354,6 @@ class TestBlockedSilhouette:
         strips = [rows.start for rows, _ in distance.tiles(n)]
         assert len(set(strips)) > 2 and strips.count(0) > 1
         (blocked,) = silhouette(matrix, [labels])
-        assert [blocked] == silhouette(matrix, [labels], _blocked_matrix(matrix)).tolist()
         oracle = silhouette_oracle(matrix.tolist(), labels.tolist())
         assert blocked == pytest.approx(oracle, abs=1e-12)
 
@@ -607,10 +606,15 @@ class TestSilhouetteStack:
         bits = [v.hex() for v in singles]
         assert [v.hex() for v in stacked.tolist()] == bits
         assert [v.hex() for v in pinned.tolist()] == bits
-        # Given distances are read in the same tiles, in the same order: the
-        # one-block matrix pairwise_distances builds, or the tiles' matrix.
-        given = silhouette(matrix, stack, _blocked_matrix(matrix))
-        assert [v.hex() for v in given.tolist()] == bits
+        # A given matrix is the one-block matrix pairwise_distances builds,
+        # read in place of building it; past one block it is refused.
+        n = matrix.shape[0]
+        if fits_one_block(n):
+            given = silhouette(matrix, stack, pairwise_distances(matrix))
+            assert [v.hex() for v in given.tolist()] == bits
+        else:
+            with pytest.raises(ValueError, match="more than one block"):
+                silhouette(matrix, stack, np.zeros((n, n)))
 
     def test_evaluate_clustering_stack_equals_single_reports(self, tile_shape):
         rng = np.random.default_rng(13)
@@ -618,11 +622,13 @@ class TestSilhouetteStack:
         truth = rng.integers(0, 3, 60)
         stack = np.stack([rng.integers(0, k, 60) for k in (2, 3, 5)])
         stack[1, 7] = 9  # a singleton cluster
+        # A given one-block matrix is read in place of building it.
+        whole = evaluate_clustering(matrix, stack, truth)
+        reused = evaluate_clustering(matrix, stack, truth, distances=pairwise_distances(matrix))
+        assert _value_bits(reused) == _value_bits(whole)
         tile_shape(60, 8, 24)
         scores = evaluate_clustering(matrix, stack, truth)
         assert _value_bits(scores) == _single_bits(matrix, stack, truth)
-        reused = evaluate_clustering(matrix, stack, truth, distances=_blocked_matrix(matrix))
-        assert _value_bits(reused) == _value_bits(scores)
 
     def test_evaluate_clustering_builds_one_table_per_labeling(self, monkeypatch):
         # Each labeling is counted against the truth once, and that one table
@@ -709,6 +715,11 @@ class TestDaviesBouldin:
     def test_rejects_single_cluster(self):
         with pytest.raises(ValueError, match="2 distinct clusters"):
             davies_bouldin(np.zeros((3, 1)), [1, 1, 1])
+
+    def test_rejects_a_point_count_mismatch(self):
+        with pytest.raises(ValueError) as raised:
+            davies_bouldin(np.zeros((3, 1)), [0, 1])
+        assert str(raised.value) == "matrix and assignments disagree on the number of points"
 
     def test_spreads_in_place_keep_the_bits_of_the_squared_differences(self):
         # Each cluster's spread is taken in place in its gathered members;

@@ -20,6 +20,13 @@ class TestScalingKind:
 
 
 class TestApplyScaling:
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    @pytest.mark.parametrize("kind", list(ScalingKind))
+    def test_rejects_a_matrix_that_is_not_2d(self, kind, shape):
+        with pytest.raises(ValueError) as raised:
+            apply_scaling(np.zeros(shape), kind)
+        assert str(raised.value) == f"matrix must be 2-D, got shape {shape}"
+
     def test_none_is_identity_copy(self):
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = apply_scaling(matrix, ScalingKind.NONE)

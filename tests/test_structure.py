@@ -4,7 +4,8 @@ Every BLAS product runs on one BLAS thread under a pin that `distance` holds
 (see cluster_sense.distance), so the pin is named nowhere else, and products
 are written only where such a pin is held: in the two distance kernels,
 pairwise_sq_distances and tile, which pin their own, and in silhouette's
-per-cluster sums, whose products run inside for_each_tile's pin.
+per-cluster sums, whose products run inside for_each_tile's pin. A given
+distance matrix is accepted only as distance.check_distances allows.
 """
 
 import ast
@@ -216,4 +217,39 @@ def test_only_distance_imports_threads():
         )
         if name.split(".")[0] in ("threading", "concurrent", "_thread")
     ]
+    assert found == []
+
+
+def _takes_distances(function):
+    arguments = function.args
+    return any(arg.arg == "distances" for arg in [*arguments.args, *arguments.kwonlyargs])
+
+
+def test_given_distances_are_checked_in_one_place():
+    # distance.check_distances holds the rule for a precomputed matrix (one
+    # block or nothing), so every other public function with a `distances`
+    # parameter passes it to check_distances or hands it straight on to one
+    # that takes it under this same rule.
+    takers = {
+        top.name: top
+        for tree in _trees().values()
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and not top.name.startswith("_")
+        and _takes_distances(top)
+    }
+    assert {"check_distances", "kmeanspp_init", "fit", "silhouette"} <= set(takers)
+    found = []
+    for name, function in takers.items():
+        handed_to = {
+            _dotted_name(node.func)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and any(
+                isinstance(value, ast.Name) and value.id == "distances"
+                for value in [*node.args, *(keyword.value for keyword in node.keywords)]
+            )
+        }
+        if name != "check_distances" and not handed_to & set(takers):
+            found.append(name)
     assert found == []
