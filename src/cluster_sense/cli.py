@@ -21,14 +21,15 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import __version__
-from .dataset import DatasetFormatError, is_plain_ascii, read_lines, save_dataset
-from .distance import blas_core_name
+from .dataset import is_plain_ascii, read_lines, save_dataset
+from .distance import blas_core_name, blas_thread_count
 from .experiment import (
     DatasetSource,
     FileSource,
     GeneratorSource,
     SweepConfig,
     SweepResult,
+    resolve_workers,
     run_sweep,
 )
 from .metrics import METRIC_NAMES
@@ -364,8 +365,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "output_dir": str(out),
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
-        "workers": result.workers,
-        "blas_threads": result.blas_threads,
+        "workers": resolve_workers(result.config.workers),
+        # OpenBLAS's own thread count (None: another BLAS).
+        "blas_threads": blas_thread_count(),
         # The OpenBLAS kernel; summary.csv's bits depend on it (None: another BLAS).
         "blas_core": blas_core_name(),
         "numpy_version": np.__version__,
@@ -533,7 +535,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ReportError, DatasetFormatError, OSError, ValueError, MemoryError) as exc:
+    except (ReportError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

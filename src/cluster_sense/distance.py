@@ -148,12 +148,13 @@ _blas_pin_saved = 0
 def _single_blas_thread():
     """Limit OpenBLAS to one thread for the body, then restore its count.
 
-    Entered around every BLAS product (see the module docstring) and around
-    a sweep's worker pool, whose threads already use every core; letting
-    each of them also start BLAS threads oversubscribes the CPUs. Nested or
-    overlapping uses share one pin, and the count seen on first entry comes
-    back on last exit. Yields the thread count the body runs with, or None (and changes
-    nothing) when the BLAS cannot be controlled.
+    Entered around every BLAS product (see the module docstring), around
+    for_each_tile's tiles and around _drain's helper threads, which already
+    use every core; letting each of them also start BLAS threads
+    oversubscribes the CPUs. Nested or overlapping uses share one pin, and
+    the count seen on first entry comes back on last exit. Yields the
+    thread count the body runs with, or None (and changes nothing) when the
+    BLAS cannot be controlled.
     """
     global _blas_pin_depth, _blas_pin_saved
     controls = _openblas_thread_controls()
@@ -286,51 +287,55 @@ def tile(
 
 
 def _drain(run: Callable, items: Iterator, threads: int) -> None:
-    """run(item) for every item `items` yields, with OpenBLAS pinned to one
-    thread, on the calling thread plus threads - 1 helpers.
+    """run(item) for every item `items` yields, on the calling thread plus
+    threads - 1 helpers.
 
-    Each participant takes the next item as soon as it is free, so items
-    start in order. The first exception run raises propagates once every
+    With one thread this is a plain loop on the caller, and OpenBLAS keeps
+    whatever count the caller left it. With more, OpenBLAS is pinned to one
+    thread while they run, since the threads already use the cores. Each
+    participant takes the next item as soon as it is free, so items start
+    in order. The first exception run raises propagates once every
     participant has stopped: no item starts after it, and the ones running
     finish first, so the pin is undone with nothing left running.
     """
-    with _single_blas_thread():
-        if threads <= 1:
-            for item in items:
-                run(item)
-            return
-        lock = threading.Lock()
-        errors: list[BaseException] = []
-        done = object()
+    if threads <= 1:
+        for item in items:
+            run(item)
+        return
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+    done = object()
 
-        def participate():
-            while True:
-                try:
-                    with lock:
-                        item = done if errors else next(items, done)
-                    if item is done:
-                        return
-                    run(item)
-                except BaseException as error:
-                    with lock:
-                        errors.append(error)
+    def participate():
+        while True:
+            try:
+                with lock:
+                    item = done if errors else next(items, done)
+                if item is done:
                     return
+                run(item)
+            except BaseException as error:
+                with lock:
+                    errors.append(error)
+                return
 
-        with ThreadPoolExecutor(threads - 1) as helpers:
-            for _ in range(threads - 1):
-                helpers.submit(participate)
-            participate()
-        if errors:
-            raise errors[0]
+    with _single_blas_thread(), ThreadPoolExecutor(threads - 1) as helpers:
+        for _ in range(threads - 1):
+            helpers.submit(participate)
+        participate()
+    if errors:
+        raise errors[0]
 
 
 def map_on_one_blas_thread(work: Callable, items: Sequence, threads: int) -> list:
-    """[work(item) for item in items], with OpenBLAS pinned to one thread.
+    """[work(item) for item in items], on the calling thread plus
+    threads - 1 helpers.
 
-    With threads > 1 the items run on the calling thread plus threads - 1
-    helper threads. The first exception work raises propagates; items not
-    yet started are dropped, and the BLAS count is restored once the running
-    ones finish.
+    With one thread the items run in order on the caller, and work sees
+    OpenBLAS's own count; with more, OpenBLAS is pinned to one thread while
+    they run (see _drain). The first exception work raises propagates;
+    items not yet started are dropped, and the BLAS count is restored once
+    the running ones finish.
     """
     results = [None] * len(items)
 
@@ -348,12 +353,13 @@ def for_each_tile(
     commit: Callable[[slice, slice, object], None] = lambda rows, columns, result: None,
 ) -> None:
     """For every tile of tiles(n), work(rows, columns, out) and then
-    commit(rows, columns, result) with what work returned; on one BLAS
-    thread, with the commits in tile order.
+    commit(rows, columns, result) with what work returned, with the commits
+    in tile order. OpenBLAS is pinned to one thread around them all, whatever
+    the thread count, so the products work and commit compute run pinned.
 
     A matrix that fits one block is one tile, run on the calling thread,
     with out None. A larger one runs on the calling thread plus T - 1
-    helpers, T being the OpenBLAS thread count before the pin (1 inside
+    helpers, T being the OpenBLAS thread count read before the pin (1 inside
     another pin, such as a pooled sweep's, and when BLAS cannot be
     controlled); out is then a C-contiguous float64 array of the tile's
     shape, a view of one TILE_ROWS * TILE_COLUMNS buffer that its thread
@@ -402,7 +408,8 @@ def for_each_tile(
                 turn.notify_all()
             raise
 
-    _drain(run, enumerate(tiles(n)), threads)
+    with _single_blas_thread():
+        _drain(run, enumerate(tiles(n)), threads)
 
 
 def pairwise_distances(x: np.ndarray) -> np.ndarray:
@@ -413,20 +420,16 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     anything is allocated.
     """
     x = np.asarray(x, dtype=np.float64)
-    _refuse_past_one_block(x.shape[0])
-    d = pairwise_sq_distances(x, x)
-    np.sqrt(d, out=d)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
-def _refuse_past_one_block(n: int) -> None:
-    """ValueError unless the n x n distance matrix fits one block."""
+    n = x.shape[0]
     if not fits_one_block(n):
         raise ValueError(
             f"a {n} x {n} distance matrix is more than one block; "
             "read it a tile at a time with tile"
         )
+    d = pairwise_sq_distances(x, x)
+    np.sqrt(d, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def check_distances(distances: np.ndarray, n: int) -> np.ndarray:
@@ -435,8 +438,14 @@ def check_distances(distances: np.ndarray, n: int) -> np.ndarray:
 
     Callers that accept a precomputed matrix take it to be pairwise_distances
     of their float64 points, the only matrix it builds, and only read it.
+    Past one block the remedy is to pass none: each caller then works from
+    the points.
     """
-    _refuse_past_one_block(n)
+    if not fits_one_block(n):
+        raise ValueError(
+            f"a {n} x {n} distance matrix is more than one block; "
+            "pass no distances, and the points are read instead"
+        )
     if np.shape(distances) != (n, n):
         raise ValueError(f"distances must have shape {(n, n)}, got {np.shape(distances)}")
     return np.asarray(distances, dtype=np.float64)

@@ -20,12 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dataset import LabeledDataset, compute_stats, generate_dim_like, load_dataset
-from .distance import (
-    blas_thread_count,
-    fits_one_block,
-    map_on_one_blas_thread,
-    pairwise_distances,
-)
+from .distance import fits_one_block, map_on_one_blas_thread, pairwise_distances
 from .kmeans import KMeansConfig, default_tolerance, fit
 from .metrics import METRIC_NAMES, evaluate_clustering
 from .perturb import InvalidNoiseRange, NoiseKind, NoiseSpec, append_noise
@@ -164,11 +159,6 @@ class SweepResult:
 
     cells: tuple[SweepCell, ...]
     config: SweepConfig
-    # Resolved worker count and the number of threads silhouette's distance
-    # tiles could be spread over (None when the BLAS thread count cannot be
-    # read or set); every BLAS product itself runs on one BLAS thread.
-    workers: int = 1
-    blas_threads: Optional[int] = None
 
 
 def sweep_levels(n_features: int, max_ratio: Fraction, ratio_step: int) -> range:
@@ -364,17 +354,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     prefixes of it, so the curve holds one extra copy of the baseline and an
     unscaled cell copies nothing (see _cell_matrices).
 
-    With more than one worker the cells run on a thread pool, and OpenBLAS
-    (if that is numpy's BLAS) is held to one thread meanwhile, its previous
-    count restored afterwards. Every BLAS product runs on one BLAS thread
-    whatever the worker count (see cluster_sense.distance), so a serial
-    sweep computes the same products, and writes the same bytes, as a pooled
-    one. A serial sweep keeps its cores busy only through silhouette's tiles
-    of a matrix past one distance block, which run on as many threads as
-    OpenBLAS had.
+    The cells run through distance.map_on_one_blas_thread on
+    resolve_workers(config.workers) threads, the calling one included. With
+    more than one, OpenBLAS (if that is numpy's BLAS) is held to one thread
+    meanwhile, its previous count restored afterwards. Every BLAS product
+    runs on one BLAS thread whatever the worker count (see
+    cluster_sense.distance), so a serial sweep computes the same products,
+    and writes the same bytes, as a pooled one. A serial sweep keeps its
+    cores busy only through silhouette's tiles of a matrix past one distance
+    block, which run on as many threads as OpenBLAS had.
     """
-    workers = resolve_workers(config.workers)
-
     cells = []
     for dataset_index, source in enumerate(config.datasets):
         base = source.load()
@@ -411,20 +400,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 for level in levels
             )
 
-    blas_threads = blas_thread_count()
-    if workers <= 1:
-        outcomes = [_run_cell(cell, config) for cell in cells]
-    else:
-        # A bug in one cell ends the sweep without running the queued ones.
-        outcomes = map_on_one_blas_thread(lambda cell: _run_cell(cell, config), cells, workers)
-        blas_threads = None if blas_threads is None else 1
-
-    return SweepResult(
-        cells=tuple(row for rows in outcomes for row in rows),
-        config=config,
-        workers=workers,
-        blas_threads=blas_threads,
+    # A bug in one cell ends the sweep without running the queued ones.
+    outcomes = map_on_one_blas_thread(
+        lambda cell: _run_cell(cell, config), cells, resolve_workers(config.workers)
     )
+    return SweepResult(cells=tuple(row for rows in outcomes for row in rows), config=config)
 
 
 def summarize_tipping(

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cluster_sense
-from cluster_sense import cli, distance, experiment
+from cluster_sense import cli, distance
 from cluster_sense.dataset import LabeledDataset, save_dataset
 from cluster_sense.experiment import FileSource, GeneratorSource, SweepConfig
 from cluster_sense.metrics import METRIC_NAMES
@@ -622,13 +622,14 @@ class TestRun:
             tmp_path / "4" / "summary.csv"
         ).read_bytes()
 
-    def test_manifest_records_workers_and_blas_threads(self, tmp_path):
-        default = experiment.blas_thread_count()
+    def test_manifest_records_workers_and_blas_threads(self, tmp_path, blas_threads):
+        # blas_threads is OpenBLAS's own count, read after the sweep: the
+        # pooled run's pin is undone by then, so both runs record the 2 the
+        # fixture set (None for another BLAS).
         manifests = {workers: self._run_with_workers(tmp_path, workers) for workers in (1, 2)}
         assert manifests[1]["workers"] == 1
-        assert manifests[1]["blas_threads"] == default
         assert manifests[2]["workers"] == 2
-        assert manifests[2]["blas_threads"] == (None if default is None else 1)
+        assert manifests[1]["blas_threads"] == manifests[2]["blas_threads"] == blas_threads
 
     def test_manifest_names_the_blas_kernel_beside_the_summary(self, tmp_path):
         config_path = _write(tmp_path / "sweep.cfg", SMALL_CONFIG)

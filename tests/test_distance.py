@@ -282,14 +282,16 @@ class TestCheckDistances:
     @pytest.mark.parametrize("caller", list(TAKES_DISTANCES))
     def test_a_matrix_past_one_block_is_refused_alike(self, tile_shape, caller):
         # pairwise_distances' own matrix, once n no longer fits one block:
-        # every caller raises the one error pairwise_distances raises.
+        # every caller raises one error, which names their remedy (pass no
+        # matrix), not pairwise_distances' (read tiles).
         x = np.random.default_rng(7).normal(size=(40, 3))
         given = pairwise_distances(x)
         tile_shape(40, 8, 16)
         with pytest.raises(ValueError) as refused:
             TAKES_DISTANCES[caller](x, given)
         assert str(refused.value) == (
-            "a 40 x 40 distance matrix is more than one block; read it a tile at a time with tile"
+            "a 40 x 40 distance matrix is more than one block; "
+            "pass no distances, and the points are read instead"
         )
 
     @pytest.mark.parametrize("caller", list(TAKES_DISTANCES))
@@ -416,6 +418,19 @@ class TestForEachRowBlock:
         assert [span for span, *_ in seen] == _spans(self.N)
         assert {thread for _, thread, _, _ in seen} == {threading.get_ident()}
         assert {count for _, _, count, _ in seen} == {None}
+
+    def test_one_block_runs_work_and_commit_inside_its_own_pin(self, controlled_blas):
+        # No helper thread runs, yet work and commit see one BLAS thread at
+        # depth 1: for_each_tile's pin, which silhouette's per-cluster
+        # products run under.
+        seen = []
+
+        def record(*args):
+            seen.append((distance.blas_thread_count(), distance._blas_pin_depth))
+
+        distance.for_each_tile(self.N, record, record)
+        assert seen == [(1, 1)] * 2
+        assert distance.blas_thread_count() == controlled_blas
 
     def test_single_block_matrix_is_computed_pinned(self, controlled_blas, kernel_pins):
         # One product, inside the kernel's pin at depth 1: the caller holds
@@ -569,6 +584,20 @@ class TestMapOnOneBlasThread:
         seen = []
         assert distance.map_on_one_blas_thread(lambda item: seen.append(item) or -item, [3, 1, 2], 1) == [-3, -1, -2]
         assert seen == [3, 1, 2]
+
+    def test_only_helper_threads_pin_blas(self, controlled_blas):
+        # One thread is a plain loop on the caller, at OpenBLAS's own count
+        # and no pin; with a helper, every item runs at one BLAS thread
+        # inside the one pin.
+        def work(item):
+            time.sleep(0.002)
+            return threading.get_ident(), distance.blas_thread_count(), distance._blas_pin_depth
+
+        alone = distance.map_on_one_blas_thread(work, range(6), 1)
+        assert alone == [(threading.get_ident(), controlled_blas, 0)] * 6
+        pooled = distance.map_on_one_blas_thread(work, range(6), 2)
+        assert {(count, depth) for _, count, depth in pooled} == {(1, 1)}
+        assert distance.blas_thread_count() == controlled_blas
 
     @pytest.mark.parametrize("where", ["caller", "helper"])
     def test_first_error_propagates_drops_queued_items_and_restores_blas(

@@ -1,6 +1,7 @@
 """Sweep orchestration tests: determinism, identities, tipping summaries."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -765,7 +766,9 @@ class TestRunSweep:
         config = _toy_config()
         result = run_sweep(config)
         assert result.config == config
-        assert result.workers == config.workers == 1
+        # The worker count and the BLAS thread count are the manifest's to
+        # record (cli.cmd_run); a result holds its cells and its config.
+        assert [field.name for field in dataclasses.fields(result)] == ["cells", "config"]
 
 
 class TestSummarizeTipping:
@@ -1167,18 +1170,11 @@ class TestWorkersAndBlas:
             outputs[workers] = [(out / name).read_bytes() for name in ("summary.csv", "raw.csv")]
         assert outputs[1] == outputs[2]
 
-    def test_result_records_workers_and_blas_threads(self, blas_threads):
-        serial = run_sweep(_toy_config(workers=1))
-        pooled = run_sweep(_toy_config(workers=2))
-        assert (serial.workers, serial.blas_threads) == (1, blas_threads)
-        assert pooled.workers == 2
-        assert pooled.blas_threads == (None if blas_threads is None else 1)
-
     def test_pool_runs_cells_on_one_blas_thread(self, monkeypatch, controlled_blas):
         counts = _record_calls(monkeypatch, experiment, "fit")
         run_sweep(_toy_config(workers=2))
         assert set(counts) == {1}
-        assert experiment.blas_thread_count() == controlled_blas
+        assert distance.blas_thread_count() == controlled_blas
 
     def test_serial_sweep_pins_only_its_products(
         self, monkeypatch, controlled_blas, kernel_pins
@@ -1192,7 +1188,7 @@ class TestWorkersAndBlas:
         assert kernel_pins.products
         assert {(count, depth) for _, count, depth in kernel_pins.products} == {(1, 1)}
         assert set(fit_counts) == set(metric_counts) == {controlled_blas}
-        assert experiment.blas_thread_count() == controlled_blas
+        assert distance.blas_thread_count() == controlled_blas
 
     def test_serial_sweep_fits_a_matrix_of_several_blocks_on_one_blas_thread(
         self, monkeypatch, controlled_blas, tile_shape, kernel_pins
@@ -1212,8 +1208,7 @@ class TestWorkersAndBlas:
         assert kmeans_products and set(kmeans_products) == {(1, 1)}
         assert {count for _, count, _ in kernel_pins.products} == {1}
         assert silhouette_counts and set(silhouette_counts) == {controlled_blas}
-        assert experiment.blas_thread_count() == controlled_blas
-        assert result.blas_threads == controlled_blas
+        assert distance.blas_thread_count() == controlled_blas
 
     def test_overlapping_pins_restore_the_first_count(self, controlled_blas):
         outer = distance._single_blas_thread()
@@ -1221,9 +1216,9 @@ class TestWorkersAndBlas:
         assert outer.__enter__() == 1
         assert inner.__enter__() == 1
         outer.__exit__(None, None, None)
-        assert experiment.blas_thread_count() == 1  # inner still holds the pin
+        assert distance.blas_thread_count() == 1  # inner still holds the pin
         inner.__exit__(None, None, None)
-        assert experiment.blas_thread_count() == controlled_blas
+        assert distance.blas_thread_count() == controlled_blas
 
     def test_concurrent_pins_never_lose_the_count(self, controlled_blas):
         seen = []
@@ -1231,7 +1226,7 @@ class TestWorkersAndBlas:
         def pin_repeatedly():
             for _ in range(200):
                 with distance._single_blas_thread():
-                    seen.append(experiment.blas_thread_count())
+                    seen.append(distance.blas_thread_count())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1245,13 +1240,19 @@ class TestWorkersAndBlas:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert seen == [1] * 1200
-        assert experiment.blas_thread_count() == controlled_blas
+        assert distance.blas_thread_count() == controlled_blas
 
-    def test_uncontrollable_blas_is_left_alone(self, monkeypatch):
+    def test_uncontrollable_blas_is_left_alone(self, monkeypatch, tmp_path):
+        # The pooled sweep runs with nothing to pin, every cell is ok, and
+        # the manifest records no BLAS thread count.
         monkeypatch.setattr(distance, "_openblas_thread_controls", lambda: None)
-        result = run_sweep(_toy_config(workers=2))
-        assert result.blas_threads is None
-        assert all(c.status == "ok" for c in result.cells)
+        config = tmp_path / "toy.cfg"
+        config.write_text(f"workers = 2\n{TOY_CONFIG_TEXT}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["workers"], manifest["blas_threads"]) == (2, None)
+        assert manifest["degraded"] == []
 
 
 class TestErrorHandling:
@@ -1264,7 +1265,7 @@ class TestErrorHandling:
         monkeypatch.setattr(experiment, "fit", broken_fit)
         with pytest.raises(TypeError, match="bug in the clusterer"):
             run_sweep(_toy_config(workers=workers))
-        assert experiment.blas_thread_count() == blas_threads
+        assert distance.blas_thread_count() == blas_threads
 
     def test_value_error_degrades_the_cell(self, monkeypatch):
         def refusing_fit(*args, **kwargs):
@@ -1352,7 +1353,7 @@ class TestErrorHandling:
         self._patch_second_repeat(monkeypatch, config, bug)
         with pytest.raises(TypeError, match="bug in the clusterer"):
             run_sweep(config)
-        assert experiment.blas_thread_count() == blas_threads
+        assert distance.blas_thread_count() == blas_threads
 
     @pytest.mark.parametrize("error", [TypeError, ValueError])
     def test_fit_error_on_a_matrix_of_several_blocks_undoes_the_pin(
@@ -1397,7 +1398,7 @@ class TestErrorHandling:
         }
         assert kmeans_counts == {None if blas_threads is None else 1}
         assert silhouette_counts and set(silhouette_counts) == {blas_threads}
-        assert experiment.blas_thread_count() == blas_threads
+        assert distance.blas_thread_count() == blas_threads
         assert distance._blas_pin_depth == 0
 
     def test_programming_error_in_a_distance_block_propagates(
@@ -1421,7 +1422,7 @@ class TestErrorHandling:
         monkeypatch.setattr(metrics_module, "tile", failing_tile)
         with pytest.raises(TypeError, match="bug in a distance block"):
             run_sweep(_toy_config(workers=1))
-        assert experiment.blas_thread_count() == blas_threads
+        assert distance.blas_thread_count() == blas_threads
         assert distance._blas_pin_depth == 0
 
     def test_programming_error_in_noise_draw_propagates(self, monkeypatch):

@@ -4,8 +4,10 @@ Every BLAS product runs on one BLAS thread under a pin that `distance` holds
 (see cluster_sense.distance), so the pin is named nowhere else, and products
 are written only where such a pin is held: in the two distance kernels,
 pairwise_sq_distances and tile, which pin their own, and in silhouette's
-per-cluster sums, whose products run inside for_each_tile's pin. A given
-distance matrix is accepted only as distance.check_distances allows.
+per-cluster sums, whose products run inside for_each_tile's pin. The pin
+is entered only in those kernels and where threads run: for_each_tile and
+the helper threads of _drain. A given distance matrix is accepted only as
+distance.check_distances allows.
 """
 
 import ast
@@ -18,6 +20,12 @@ PRODUCT_SITES = {
     ("distance", "pairwise_sq_distances"),
     ("distance", "tile"),
     ("metrics", "_cluster_sums"),
+}
+PIN_SITES = {
+    ("distance", "pairwise_sq_distances"),
+    ("distance", "tile"),
+    ("distance", "_drain"),
+    ("distance", "for_each_tile"),
 }
 # numpy functions that hand a product to BLAS, as the @ operator does.
 PRODUCT_CALLS = {"dot", "inner", "matmul", "tensordot", "vdot"}
@@ -81,6 +89,23 @@ def test_blas_pin_is_named_only_in_distance():
         path.name
         for path in SOURCES
         if path.stem != "distance" and "_single_blas_thread" in path.read_text()
+    ]
+    assert found == []
+
+
+def test_blas_pin_is_entered_only_around_products_tiles_and_helper_threads():
+    # A pin held around a whole serial sweep would read 1 as for_each_tile's
+    # thread count and silently run the tiles of a matrix past one block on
+    # one thread; so the pin is entered only where a product, the tiles or
+    # helper threads run.
+    found = [
+        f"{module}:{node.lineno} in {getattr(top, 'name', None)}"
+        for module, tree in _trees().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and _dotted_name(node.func) == "_single_blas_thread"
+        and (module, getattr(top, "name", None)) not in PIN_SITES
     ]
     assert found == []
 
